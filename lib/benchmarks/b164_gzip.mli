@@ -10,6 +10,9 @@
 
 val study : Study.t
 
+val make_text : Study.scale -> string
+(** The input the study compresses at this scale. *)
+
 val run_with_policy : ybranch:bool -> scale:Study.scale -> Profiling.Profile.t
 (** [ybranch:false] keeps the original heuristic block boundaries — the
     dictionary dependence then serializes the loop (ablation). *)

@@ -9,8 +9,7 @@ let make_text scale =
 (* One bzip2 block: BWT, then MTF, then RLE, then Huffman sizing.
    Work is dominated by the rotation sort, as in the real benchmark. *)
 let compress_block block =
-  let transformed = Workloads.Bwt.transform block in
-  let sort_work = Workloads.Bwt.transform_work block in
+  let transformed, sort_work = Workloads.Bwt.transform_with_work block in
   let mtf = Workloads.Bwt.move_to_front transformed.Workloads.Bwt.data in
   let rle = Workloads.Bwt.run_length mtf in
   let freqs =

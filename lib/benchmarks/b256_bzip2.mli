@@ -10,4 +10,7 @@
 
 val study : Study.t
 
+val make_text : Study.scale -> string
+(** The input the study compresses at this scale. *)
+
 val block_count : scale:Study.scale -> int

@@ -216,11 +216,12 @@ let build_static (loop : Input.loop) =
    thread sweep re-enters run_loop once per core count with the same
    loop value.  Memoize per loop, keyed by physical identity — a
    structural duplicate would only recompute identical arrays, never a
-   wrong result.  The mutex makes the cache safe when sweeps run
-   concurrently in several domains (the cached arrays are immutable
-   after construction); the size cap keeps it from growing without
-   bound across long sessions. *)
-module Loop_tbl = Hashtbl.Make (struct
+   wrong result.  The table is ephemeron-keyed: an entry lives exactly as
+   long as its loop is reachable elsewhere, so the memo needs no cap and
+   never keeps a dead loop alive.  The mutex makes the cache safe when
+   sweeps run concurrently in several domains (the cached arrays are
+   immutable after construction). *)
+module Loop_tbl = Ephemeron.K1.Make (struct
   type t = Input.loop
 
   let equal = ( == )
@@ -240,7 +241,6 @@ let static_data loop =
     Mutex.unlock static_lock;
     let v = build_static loop in
     Mutex.lock static_lock;
-    if Loop_tbl.length static_cache >= 512 then Loop_tbl.reset static_cache;
     Loop_tbl.replace static_cache loop v;
     Mutex.unlock static_lock;
     v

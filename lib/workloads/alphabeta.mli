@@ -28,6 +28,9 @@ val create_cache : unit -> cache
 
 val cache_size : cache -> int
 
+val cache_entries : cache -> (position * int * int) list
+(** Every stored [(position, depth, value)], sorted. *)
+
 type stats = {
   nodes : int;  (** nodes visited — the abstract work of a search *)
   cache_hits : int;

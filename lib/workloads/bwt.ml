@@ -1,39 +1,43 @@
 type transformed = { data : string; primary : int }
 
-(* Compare rotations i and j of s without materializing them. *)
-let compare_rotations s count i j =
+(* Sort the rotations of [s] once, counting comparison steps: a
+   comparison that first differs at offset [k] counts [k + 1], one between
+   equal rotations counts [n].  Rotation [i] is [doubled.[i .. i + n - 1]],
+   so the comparator never takes a modulus. *)
+let transform_with_work s =
   let n = String.length s in
-  let rec go k =
-    if k = n then 0
-    else begin
-      incr count;
-      let ci = s.[(i + k) mod n] and cj = s.[(j + k) mod n] in
-      if ci <> cj then compare ci cj else go (k + 1)
-    end
-  in
-  go 0
-
-let sorted_rotations s count =
-  let n = String.length s in
-  let idx = Array.init n Fun.id in
-  Array.sort (compare_rotations s count) idx;
-  idx
-
-let transform s =
-  let n = String.length s in
-  if n = 0 then { data = ""; primary = 0 }
+  if n = 0 then ({ data = ""; primary = 0 }, 0)
   else begin
+    let doubled = s ^ s in
     let count = ref 0 in
-    let idx = sorted_rotations s count in
+    let compare_rotations i j =
+      let k = ref 0 in
+      while !k < n && String.unsafe_get doubled (i + !k) = String.unsafe_get doubled (j + !k) do
+        incr k
+      done;
+      if !k = n then begin
+        count := !count + n;
+        0
+      end
+      else begin
+        count := !count + !k + 1;
+        Char.code (String.unsafe_get doubled (i + !k))
+        - Char.code (String.unsafe_get doubled (j + !k))
+      end
+    in
+    let idx = Array.init n Fun.id in
+    Array.sort compare_rotations idx;
     let data = Bytes.create n in
     let primary = ref 0 in
     Array.iteri
       (fun row i ->
         if i = 0 then primary := row;
-        Bytes.set data row s.[(i + n - 1) mod n])
+        Bytes.unsafe_set data row (String.unsafe_get doubled (i + n - 1)))
       idx;
-    { data = Bytes.to_string data; primary = !primary }
+    ({ data = Bytes.unsafe_to_string data; primary = !primary }, !count)
   end
+
+let transform s = fst (transform_with_work s)
 
 let inverse { data; primary } =
   let n = String.length data in
@@ -108,8 +112,3 @@ let run_length codes =
 
 let run_length_inverse pairs =
   List.concat_map (fun (c, n) -> List.init n (fun _ -> c)) pairs
-
-let transform_work s =
-  let count = ref 0 in
-  if String.length s > 0 then ignore (sorted_rotations s count);
-  !count

@@ -7,9 +7,17 @@ type transformed = {
   primary : int;  (** row index of the original string *)
 }
 
+val transform_with_work : string -> transformed * int
+(** BWT via rotation sorting, with the abstract work of the sort: the
+    number of character steps its comparisons take.  A comparison of two
+    rotations that first differ at offset [k] counts [k + 1]; one between
+    two equal rotations (a periodic block) counts the block length.  The
+    count is summed over every comparison [Array.sort] makes, so it is
+    input-dependent: O(n log n) comparisons on typical text, each as long
+    as the shared prefix of the two rotations.  The empty block counts 0. *)
+
 val transform : string -> transformed
-(** BWT via rotation sorting.  Cost is O(n log n) comparisons on typical
-    text. *)
+(** [fst (transform_with_work s)]. *)
 
 val inverse : transformed -> string
 (** Exact inverse of {!transform}. *)
@@ -23,7 +31,3 @@ val run_length : int list -> (int * int) list
 (** RLE over MTF output: (symbol, run length) pairs. *)
 
 val run_length_inverse : (int * int) list -> int list
-
-val transform_work : string -> int
-(** Abstract work units for transforming a block of this content —
-    counts the comparisons the rotation sort actually performs. *)

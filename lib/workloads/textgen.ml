@@ -37,17 +37,26 @@ let repetitive_text rng ~bytes ~redundancy =
      natural text repeats within a compressor's match window.  Long-range
      repetition would unfairly penalize block-split compression. *)
   let window = 16 in
-  let history = ref [] in
+  (* The last [window] sentences in a ring; [held] of them are filled and
+     the [k]th newest sits at [newest - k].  A reuse draws [k] as a pick
+     from the newest-first list. *)
+  let history = Array.make window "" in
+  let held = ref 0 and newest = ref (window - 1) in
   let emit s =
     Buffer.add_string buf s;
     Buffer.add_char buf ' '
   in
   while Buffer.length buf < bytes do
-    let reuse = !history <> [] && Simcore.Rng.chance rng redundancy in
-    if reuse then emit (Simcore.Rng.pick rng (Array.of_list !history))
+    let reuse = !held > 0 && Simcore.Rng.chance rng redundancy in
+    if reuse then begin
+      let k = Simcore.Rng.int rng !held in
+      emit history.((!newest - k + window) mod window)
+    end
     else begin
       let s = sentence rng ~min_words:4 ~max_words:12 in
-      history := s :: (if List.length !history >= window then List.filteri (fun i _ -> i < window - 1) !history else !history);
+      newest := (!newest + 1) mod window;
+      history.(!newest) <- s;
+      if !held < window then incr held;
       emit s
     end
   done;

@@ -246,6 +246,54 @@ let trace_deterministic (s : S.t) () =
   let d1 = digest () and d2 = digest () in
   Alcotest.(check bool) "two runs produce identical traces" true (d1 = d2)
 
+(* ------------------------------------------------------------------ *)
+(* Pinned traces and inputs                                            *)
+
+(* The profiled kernels' work counters are the trace every simulated
+   speedup is computed from.  These digests pin every task's
+   (iteration, phase, intra, work) and each access log's length; a kernel
+   rewrite that drifts by one work unit fails here. *)
+let trace_digest (p : Profiling.Profile.t) =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (l : Ir.Trace.loop) ->
+      Buffer.add_string b l.Ir.Trace.loop_name;
+      Array.iter
+        (fun (t : Ir.Task.t) ->
+          Printf.bprintf b "|%d,%s,%d,%d" t.Ir.Task.iteration
+            (Ir.Task.phase_to_string t.Ir.Task.phase) t.Ir.Task.intra t.Ir.Task.work)
+        l.Ir.Trace.tasks;
+      Buffer.add_char b '\n')
+    (Ir.Trace.loops (Profiling.Profile.trace p));
+  List.iter
+    (fun (name, log) -> Printf.bprintf b "%s=%d\n" name (Profiling.Access_log.length log))
+    (Profiling.Profile.logs p);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let pinned_trace name expected () =
+  Alcotest.(check string) (name ^ " trace digest") expected
+    (trace_digest ((find name).S.run ~scale:S.Small))
+
+let pinned_traces =
+  [
+    ("164.gzip", "561b01d675e06f56c4ce5a00a1c81cd7");
+    ("186.crafty", "b734de6d46b2d7edecc7c097e25acafa");
+    ("256.bzip2", "335d731ccfea0d3ef9b3fddcb0aa1b36");
+  ]
+
+let text_digest s = Digest.to_hex (Digest.string s)
+
+let pinned_large_inputs () =
+  Alcotest.(check string) "164.gzip large text" "11d51db73f768f644092418fb0a561a2"
+    (text_digest (Benchmarks.B164_gzip.make_text S.Large));
+  Alcotest.(check string) "256.bzip2 large text" "32b71499e424847fab9327fa5406abc1"
+    (text_digest (Benchmarks.B256_bzip2.make_text S.Large));
+  (* The repetitive text behind the real-runtime bzip2 pipeline at Large. *)
+  Alcotest.(check string) "real 256.bzip2 large text" "96d3b9b45bc6fda40336abe2fe187cbe"
+    (text_digest
+       (Workloads.Textgen.repetitive_text (Simcore.Rng.create 0x256) ~bytes:(96 * 768)
+          ~redundancy:0.6))
+
 let () =
   Alcotest.run "benchmarks"
     [
@@ -280,6 +328,12 @@ let () =
           Alcotest.test_case "perlbmk near serial" `Slow shape_perlbmk_near_serial;
           Alcotest.test_case "bzip2 block bound" `Slow shape_bzip2_block_bound;
         ] );
+      ( "pinned",
+        Alcotest.test_case "large inputs" `Quick pinned_large_inputs
+        :: List.map
+             (fun (name, digest) ->
+               Alcotest.test_case (name ^ " trace") `Quick (pinned_trace name digest))
+             pinned_traces );
       ( "trace-structure",
         List.map
           (fun (s : S.t) ->

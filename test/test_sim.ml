@@ -540,6 +540,20 @@ let deep_fifo_linear_time () =
     (Printf.sprintf "linear-time FIFO (%.2fs, budget 5s)" elapsed)
     true (elapsed < 5.0)
 
+(* The static-data memo is keyed weakly on the loop: once nothing else
+   holds a simulated loop, a major collection frees it.  A strongly keyed
+   memo would keep every loop a long session ever simulated. *)
+let static_memo_releases_dead_loops () =
+  let slot = Weak.create 1 in
+  let[@inline never] simulate_and_drop () =
+    let loop = build_loop [ (Some 1, [ 4; 3 ], Some 1); (Some 1, [ 5 ], Some 1) ] [] in
+    ignore (Sys.opaque_identity (P.run_loop (cfg 4) loop));
+    Weak.set slot 0 (Some loop)
+  in
+  simulate_and_drop ();
+  Gc.full_major ();
+  Alcotest.(check bool) "simulated loop collected" false (Weak.check slot 0)
+
 let () =
   Alcotest.run "sim"
     [
@@ -605,5 +619,9 @@ let () =
         ] );
       ("input", [ Alcotest.test_case "merge edges" `Quick input_merges_duplicate_edges ]);
       ( "perf-regression",
-        [ Alcotest.test_case "deep fifo linear time" `Quick deep_fifo_linear_time ] );
+        [
+          Alcotest.test_case "deep fifo linear time" `Quick deep_fifo_linear_time;
+          Alcotest.test_case "static memo releases dead loops" `Quick
+            static_memo_releases_dead_loops;
+        ] );
     ]
