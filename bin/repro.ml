@@ -717,7 +717,6 @@ let profile_real_cmd =
         let want_trace = trace_file trace in
         let r =
           Runtime.Exec.run ~threads ~name:bname ~probe:true
-            ~events:(want_trace <> None)
             (Runtime.Real_bench.staged ~scale bname)
         in
         let st = r.Runtime.Exec.stats in
@@ -739,10 +738,9 @@ let profile_real_cmd =
         (match want_trace with
         | None -> ()
         | Some file ->
-          Obs.Trace_event.write_file ~process_name:("profile-real " ^ bname) file
-            r.Runtime.Exec.events;
-          Format.eprintf "trace: %d real events written to %s@."
-            (List.length r.Runtime.Exec.events) file);
+          let events = Runtime.Exec.events r in
+          Obs.Trace_event.write_file ~process_name:("profile-real " ^ bname) file events;
+          Format.eprintf "trace: %d real events written to %s@." (List.length events) file);
         (* Documented contract: 0 = probed output byte-identical to the
            sequential reference, 1 = mismatch (cmdliner reserves its own
            codes, so exit explicitly). *)

@@ -63,13 +63,3 @@ let merge probes =
         let c = compare x.e_domain y.e_domain in
         if c <> 0 then c else compare x.e_seq y.e_seq)
     all
-
-let drain_to decode sink probes =
-  List.fold_left
-    (fun n entry ->
-      match decode entry with
-      | None -> n
-      | Some ev ->
-          Sink.emit sink ev;
-          n + 1)
-    0 (merge probes)

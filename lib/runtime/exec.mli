@@ -71,22 +71,21 @@ type telemetry = {
   tl_dropped : int;  (** probe records lost to ring wrap *)
 }
 
+type recording
+(** The per-role probe rings a run retains; {!events} decodes them. *)
+
 type result = {
   output : string;  (** observable output; must equal [Staged.run_seq] *)
   stats : stats;
-  events : Obs.Event.t list;
-      (** real-execution event stream (timestamps in microseconds since
-          the run started), merged across roles in time order; empty
-          unless [~events:true] *)
   telemetry : telemetry option;
       (** probe aggregates; present iff [~probe:true] and the run was
           actually parallel (the sequential path has no roles) *)
+  recording : recording;
 }
 
 val run :
   ?pool:Parallel.Pool.t ->
   ?queue_capacity:int ->
-  ?events:bool ->
   ?probe:bool ->
   ?span_registry:Obs.Span.t ->
   threads:int ->
@@ -99,16 +98,30 @@ val run :
     dedicated pool of exactly the role count is created and shut down.
     [?queue_capacity] sizes each SPSC ring (default 64 entries, the
     paper's 32-entry queues doubled to amortize cursor traffic).
-    [?probe] (default off) gives every role a private {!Obs.Probe} ring
-    and instruments the SPSC queues: stage-body / stall / squash /
-    validation latencies and queue high-water marks land in
-    {!result.telemetry} after the roles join.  Probing never touches
-    the output bytes — it only reads clocks and writes preallocated
-    rings — so output stays byte-identical to a probe-off run.
+    [?probe] (default off) gives every role a private {!Obs.Probe} ring,
+    sized from [Staged.iterations] so it never wraps, and instruments
+    the SPSC queues.  Each role records its stage bodies, stalls,
+    squashes, validations and every push and pop; after the roles join
+    the latencies and queue high-water marks land in
+    {!result.telemetry} and {!events} decodes the full event stream.
+    Probing never touches the output bytes — it only reads clocks and
+    writes preallocated rings — so output stays byte-identical to a
+    probe-off run.  With probes off no telemetry clock is read and no
+    event is built: each would-be record costs one pattern match.
     [?span_registry] receives per-role busy/starved/blocked aggregates
     under ["real/<name>/<role>"].  If a stage body raises, all queues
     are poisoned, every role unwinds, and the first exception is
     re-raised on the caller. *)
+
+val events : result -> Obs.Event.t list
+(** The real-execution event stream of a probed parallel run, decoded
+    from its probe rings: [Loop_begin] first, [Loop_end] last, and in
+    between, in time order (microseconds since the run started), a
+    [Task_start]/[Task_finish] pair per stage body (task [3i], [3i+1],
+    [3i+2] for A, B, C of iteration [i]; the core is the role index),
+    an [Iter_commit] per iteration, a [Task_squash] per squash, and a
+    [Queue_push]/[Queue_pop] per queue operation with the ring's
+    occupancy after it.  Empty for a probe-off or sequential run. *)
 
 val pp_telemetry : stats -> Format.formatter -> telemetry -> unit
 (** Per-role latency histograms and per-queue high-water table

@@ -49,8 +49,15 @@ val length : 'a t -> int
 val try_push : 'a t -> 'a -> bool
 (** [false] when the ring is full.  @raise Poisoned on a poisoned queue. *)
 
+val backoff : int -> unit
+(** [backoff k] waits before retry [k] of a blocked push or pop: a
+    [Domain.cpu_relax] for the first 512 retries, then a short sleep, so
+    on a machine with fewer free cores than domains a spinning side
+    yields its timeslice to the peer it waits on.  {!push}, {!pop} and
+    every other blocking loop over a queue share this one policy. *)
+
 val push : 'a t -> 'a -> unit
-(** Spin (with [Domain.cpu_relax]) until space is available.
+(** Spin (with {!backoff}) until space is available.
     @raise Poisoned if the queue is poisoned while waiting. *)
 
 val try_pop : 'a t -> [ `Item of 'a | `Empty | `Closed ]

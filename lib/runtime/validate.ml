@@ -128,15 +128,13 @@ let run ?benches ?(max_threads = 4) ?(scale = Study.Small) ?history ?trace
     List.iter
       (fun t ->
         if t > 1 then begin
-          let r =
-            Exec.run ~threads:t ~name ~events:true (Real_bench.staged ~scale name)
-          in
+          let r = Exec.run ~threads:t ~name ~probe:true (Real_bench.staged ~scale name) in
+          let events = Exec.events r in
           let pf = point_file t in
           Obs.Trace_event.write_file
             ~process_name:(Printf.sprintf "validate-real %s t%d" name t)
-            pf r.Exec.events;
-          Printf.printf "trace: %d real events written to %s\n"
-            (List.length r.Exec.events) pf
+            pf events;
+          Printf.printf "trace: %d real events written to %s\n" (List.length events) pf
         end)
       threads);
   (match history with

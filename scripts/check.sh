@@ -285,6 +285,17 @@ for anchor in 'telemetry:' 'stage-us' 'high-water'; do
 done
 dune exec scripts/validate_trace.exe -- "$prof_trace"
 
+# Speculative trace smoke: the same decoded probe stream on the Spec
+# path (175.vpr squashes and re-executes), fused at two domains and
+# replicated at three; validate-real writes one trace per point.
+vpr_trace="$(mktemp -d -t vpr_trace.XXXXXX)"
+trap 'rm -f "$trace_tmp" "$hist_tmp" "$hist_bad" "$prof_trace" "$prof_dump" "$prof_out"; rm -rf "$vpr_trace"' EXIT
+dune exec bin/repro.exe -- validate-real -b 175.vpr -t 3 -s small \
+  --trace "$vpr_trace/vpr.json" > /dev/null
+for t in 2 3; do
+  dune exec scripts/validate_trace.exe -- "$vpr_trace/vpr-t$t.json"
+done
+
 # Calibration smoke: fit from the profiled trace (auto) and from the
 # probe dump above; `repro plan`'s exit contract already enforces
 # winner >= hand and oracle-clean runs, so exit 0 means the calibrated
@@ -314,5 +325,5 @@ rm -f "$cal_bad"
 # block).  Exit codes: 0 = ok, 1 = gate failed, 2 = input error.
 dune exec scripts/check_calibration.exe
 
-echo "check.sh: build + runtest + prop + bench smoke (jobs=1 and jobs=${SCALE_JOBS}, identical stdout) + trace smoke + lint gate + pdg-audit gate (${#audit_benches[@]} benches) + perf gate + scaling gate + validate-real smoke + auto-planner gate + telemetry smoke + calibration gate OK (schedules oracle-validated)"
+echo "check.sh: build + runtest + prop + bench smoke (jobs=1 and jobs=${SCALE_JOBS}, identical stdout) + trace smoke + lint gate + pdg-audit gate (${#audit_benches[@]} benches) + perf gate + scaling gate + validate-real smoke + auto-planner gate + telemetry smoke + speculative trace smoke + calibration gate OK (schedules oracle-validated)"
 echo "perf record: BENCH_pipeline.json, BENCH_summary.json, BENCH_summary.csv, BENCH_history.jsonl"

@@ -197,7 +197,7 @@ let trace_export_registry_study () =
   in
   let events =
     match Option.bind (J.member "traceEvents" reparsed) J.to_list with
-    | Some evs -> evs
+    | Some l -> l
     | None -> Alcotest.fail "no traceEvents array"
   in
   let phase e = Option.bind (J.member "ph" e) J.to_str in
@@ -292,7 +292,7 @@ let trace_instants_and_out_queue () =
     ]
   in
   let json = Obs.Trace_event.export events in
-  let evs =
+  let trace =
     match Option.bind (J.member "traceEvents" json) J.to_list with
     | Some l -> l
     | None -> Alcotest.fail "no traceEvents"
@@ -301,7 +301,7 @@ let trace_instants_and_out_queue () =
   let str k e = Option.bind (field k e) J.to_str in
   let int k e = Option.bind (field k e) J.to_int in
   let find name =
-    match List.find_opt (fun e -> str "name" e = Some name) evs with
+    match List.find_opt (fun e -> str "name" e = Some name) trace with
     | Some e -> e
     | None -> Alcotest.failf "no event named %S" name
   in
@@ -316,7 +316,7 @@ let trace_instants_and_out_queue () =
   (* Both push and pop sample the same out-queue counter track with the
      occupancy after the operation. *)
   let samples =
-    List.filter (fun e -> str "name" e = Some "out-queue 2" && str "ph" e = Some "C") evs
+    List.filter (fun e -> str "name" e = Some "out-queue 2" && str "ph" e = Some "C") trace
   in
   Alcotest.(check (list (pair (option int) (option int))))
     "out-queue track samples (ts, occupancy)"

@@ -128,29 +128,6 @@ let role_stats_cover_all_items () =
   Alcotest.(check int) "C consumed every iteration" n (items 'C');
   Alcotest.(check int) "replicas per the paper's plan" 2 r.Exec.stats.Exec.replicas
 
-let events_well_formed () =
-  let name = "181.mcf" in
-  let staged = Runtime.Real_bench.staged name in
-  let n = Staged.iterations staged in
-  let r = Exec.run ~threads:3 ~name ~events:true staged in
-  (match r.Exec.events with
-  | Obs.Event.Loop_begin _ :: _ -> ()
-  | _ -> Alcotest.fail "first event is Loop_begin");
-  (match List.rev r.Exec.events with
-  | Obs.Event.Loop_end _ :: _ -> ()
-  | _ -> Alcotest.fail "last event is Loop_end");
-  let commits =
-    List.length
-      (List.filter (function Obs.Event.Iter_commit _ -> true | _ -> false) r.Exec.events)
-  in
-  Alcotest.(check int) "one commit per iteration" n commits;
-  let rec sorted = function
-    | a :: (b :: _ as rest) -> Obs.Event.time a <= Obs.Event.time b && sorted rest
-    | _ -> true
-  in
-  (* The inner stream is time-sorted between the loop markers. *)
-  Alcotest.(check bool) "events in time order" true (sorted r.Exec.events)
-
 let stage_exception_propagates () =
   let staged =
     Staged.Pure
@@ -190,6 +167,73 @@ let conflict_staged () =
       sp_consume = (fun buf i d -> Buffer.add_string buf (Printf.sprintf "%d %s\n" i (Staged.hex d)));
       sp_finish = (fun ~read buf -> Buffer.add_string buf (Staged.hex (read 0) ^ "\n"));
     }
+
+(* The decoded probe stream: bracketed by the loop markers, time-sorted,
+   one start/finish pair per (iteration, phase), one commit per
+   iteration, [n] pushes and pops on every queue kind the layout uses,
+   and exactly the squashes the stats counted. *)
+let check_events ~label ~threads staged =
+  let n = Staged.iterations staged in
+  let r = Exec.run ~threads ~name:label ~probe:true staged in
+  let stream = Exec.events r in
+  let check_int what = Alcotest.(check int) (Printf.sprintf "%s: %s" label what) in
+  (match stream with
+  | Obs.Event.Loop_begin _ :: _ -> ()
+  | _ -> Alcotest.failf "%s: first event is Loop_begin" label);
+  (match List.rev stream with
+  | Obs.Event.Loop_end _ :: _ -> ()
+  | _ -> Alcotest.failf "%s: last event is Loop_end" label);
+  let rec sorted = function
+    | a :: (b :: _ as rest) -> Obs.Event.time a <= Obs.Event.time b && sorted rest
+    | _ -> true
+  in
+  Alcotest.(check bool) (label ^ ": events in time order") true (sorted stream);
+  let count p = List.length (List.filter p stream) in
+  let commits =
+    List.sort compare
+      (List.filter_map (function Obs.Event.Iter_commit c -> Some c.iteration | _ -> None) stream)
+  in
+  Alcotest.(check (list int)) (label ^ ": one commit per iteration") (List.init n Fun.id) commits;
+  let starts =
+    List.sort compare
+      (List.filter_map
+         (function
+           | Obs.Event.Task_start s -> Some (s.iteration, s.phase, s.task) | _ -> None)
+         stream)
+  in
+  let expected =
+    List.concat_map
+      (fun i -> List.mapi (fun k phase -> (i, phase, (3 * i) + k)) [ 'A'; 'B'; 'C' ])
+      (List.init n Fun.id)
+  in
+  Alcotest.(check (list (triple int char int)))
+    (label ^ ": one start per (iteration, phase)") expected starts;
+  let finishes =
+    List.sort compare
+      (List.filter_map (function Obs.Event.Task_finish f -> Some f.task | _ -> None) stream)
+  in
+  Alcotest.(check (list int)) (label ^ ": one finish per start")
+    (List.map (fun (_, _, task) -> task) expected) finishes;
+  let queue_ops q =
+    ( count (function Obs.Event.Queue_push p -> p.queue = q | _ -> false),
+      count (function Obs.Event.Queue_pop p -> p.queue = q | _ -> false) )
+  in
+  let fused = threads = 2 in
+  Alcotest.(check (pair int int)) (label ^ ": in-queue pushes/pops") (n, n)
+    (queue_ops Obs.Event.In_queue);
+  Alcotest.(check (pair int int)) (label ^ ": out-queue pushes/pops")
+    (if fused then (0, 0) else (n, n))
+    (queue_ops Obs.Event.Out_queue);
+  check_int "squash events = squash count" r.Exec.stats.Exec.squashes
+    (count (function Obs.Event.Task_squash _ -> true | _ -> false));
+  match r.Exec.telemetry with
+  | None -> Alcotest.failf "%s: no telemetry" label
+  | Some tl -> check_int "nothing dropped" 0 tl.Exec.tl_dropped
+
+let events_well_formed () =
+  check_events ~label:"181.mcf" ~threads:3 (Runtime.Real_bench.staged "181.mcf");
+  check_events ~label:"conflict fused" ~threads:2 (conflict_staged ());
+  check_events ~label:"conflict replicated" ~threads:4 (conflict_staged ())
 
 let speculation_squashes_and_recovers () =
   let seq = Staged.run_seq (conflict_staged ()) in
@@ -353,6 +397,31 @@ let telemetry_is_sane () =
       tl.Exec.tl_queues;
     Alcotest.(check int) "nothing dropped at this scale" 0 tl.Exec.tl_dropped
 
+(* Queue records carry occupancy, not latency: they must stay out of
+   every latency histogram, and the queue table is unchanged by them. *)
+let queue_records_stay_out_of_histograms () =
+  let name = "164.gzip" in
+  let staged = Runtime.Real_bench.staged name in
+  let n = Staged.iterations staged in
+  let r = Exec.run ~threads:3 ~name ~probe:true staged in
+  match r.Exec.telemetry with
+  | None -> Alcotest.fail "no telemetry from a probed parallel run"
+  | Some tl ->
+    Array.iter
+      (fun rp ->
+        Alcotest.(check int) (rp.Exec.rp_role ^ " has no validate samples") 0
+          (Obs.Hist.count rp.Exec.rp_validate);
+        Alcotest.(check int) (rp.Exec.rp_role ^ " has no squash samples") 0
+          (Obs.Hist.count rp.Exec.rp_squash))
+      tl.Exec.tl_roles;
+    Alcotest.(check (list (triple string int int)))
+      "one in-queue and one out-queue, every item pushed once"
+      [ ("in", 64, n); ("out", 64, n) ]
+      (List.map
+         (fun qs ->
+           (Obs.Event.queue_name qs.Exec.qs_queue, qs.Exec.qs_capacity, qs.Exec.qs_pushes))
+         tl.Exec.tl_queues)
+
 (* A real probe dump must fit a calibration: the microsecond stage
    histograms become per-iteration stage costs. *)
 let probe_dump_fits_calibration () =
@@ -408,6 +477,8 @@ let () =
           Alcotest.test_case "probes never change output" `Quick
             probes_do_not_change_output;
           Alcotest.test_case "telemetry sane" `Quick telemetry_is_sane;
+          Alcotest.test_case "queue records stay out of histograms" `Quick
+            queue_records_stay_out_of_histograms;
           Alcotest.test_case "probe dump fits calibration" `Quick
             probe_dump_fits_calibration;
         ] );
