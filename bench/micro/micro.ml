@@ -1,5 +1,6 @@
-(* Bechamel micro-benchmarks of the primitives under the profiled studies
-   and the simulator: one kernel call per run, reported in ns/run.  Use it
+(* Bechamel micro-benchmarks of the primitives under the profiled studies,
+   the simulator and the schedule analysis: one kernel call per run,
+   reported in ns/run.  Use it
    for a before/after of a single primitive; the end-to-end benchmark is
    bench/perf.
 
@@ -41,6 +42,27 @@ let gzip_loop =
 
 let sim_cfg = Machine.Config.default ~cores:8
 
+(* The 300.twolf loop at Large scale (9000 tasks), simulated at the
+   study's thread count with its events recorded: the input of one
+   attribution timeline and one oracle pass. *)
+let twolf_run =
+  lazy
+    (let twolf = Benchmarks.B300_twolf.study in
+     let profile = twolf.Benchmarks.Study.run ~scale:Benchmarks.Study.Large in
+     let built = Core.Framework.build ~plan:twolf.Benchmarks.Study.plan profile in
+     let loop =
+       List.find_map
+         (function Sim.Input.Parallel l -> Some l | Sim.Input.Serial _ -> None)
+         built.Core.Framework.input.Sim.Input.segments
+       |> Option.get
+     in
+     let cfg = Machine.Config.default ~cores:twolf.Benchmarks.Study.paper_threads in
+     let recorder = Obs.Sink.recorder () in
+     let r =
+       Sim.Pipeline.run_loop cfg ~validate:false ~obs:(Obs.Sink.record recorder) loop
+     in
+     (cfg, loop, r, Obs.Sink.events recorder))
+
 let simulate loop = ignore (Sim.Pipeline.run_loop sim_cfg ~validate:false loop)
 
 let tests =
@@ -61,6 +83,14 @@ let tests =
            simulate { (Lazy.force gzip_loop) with Sim.Input.name = string_of_int !copies }));
     Test.make ~name:"sim/gzip-loop-warm-static"
       (Staged.stage (fun () -> simulate (Lazy.force gzip_loop)));
+    Test.make ~name:"analysis/timeline-twolf"
+      (Staged.stage (fun () ->
+           let cfg, loop, r, events = Lazy.force twolf_run in
+           Obs_analysis.Timeline.of_events cfg loop r events));
+    Test.make ~name:"oracle/validate-twolf"
+      (Staged.stage (fun () ->
+           let cfg, loop, r, _ = Lazy.force twolf_run in
+           Sim.Oracle.validate cfg loop r));
   ]
 
 let contains ~sub s =

@@ -24,54 +24,66 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Step functions: value 0 at time 0, then the recorded changes.  Queue
-   occupancies are reconstructed into these from push/pop events. *)
+(* Growable pairs of int arrays.  A queue's occupancy, or a count of
+   full queues, is a step function: value 0 at time 0, then one entry
+   per timestamp carrying the last value written at it.  A core's busy
+   intervals are (start, finish) pairs. *)
 
-type step_fn = { times : int array; vals : int array }
+type pairs = { mutable xs : int array; mutable ys : int array; mutable len : int }
 
-let step_fn_of_changes changes =
-  (* [changes] is (time, value) in emission (hence time) order; keep the
-     last value per timestamp and anchor the function at (0, 0). *)
-  let rec dedup = function
-    | (t1, _) :: ((t2, _) :: _ as rest) when t1 = t2 -> dedup rest
-    | kv :: rest -> kv :: dedup rest
-    | [] -> []
-  in
-  let changes = dedup changes in
-  let changes = match changes with (0, _) :: _ -> changes | _ -> (0, 0) :: changes in
-  { times = Array.of_list (List.map fst changes); vals = Array.of_list (List.map snd changes) }
+let pairs () = { xs = Array.make 8 0; ys = Array.make 8 0; len = 0 }
 
-let value_at fn t =
-  (* Largest i with times.(i) <= t; times.(0) = 0 <= t always. *)
-  let lo = ref 0 and hi = ref (Array.length fn.times - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi + 1) / 2 in
-    if fn.times.(mid) <= t then lo := mid else hi := mid - 1
+let push p x y =
+  if p.len = Array.length p.xs then begin
+    let grow a = Array.append a (Array.make p.len 0) in
+    p.xs <- grow p.xs;
+    p.ys <- grow p.ys
+  end;
+  p.xs.(p.len) <- x;
+  p.ys.(p.len) <- y;
+  p.len <- p.len + 1
+
+let step_fn () =
+  let p = pairs () in
+  push p 0 0;
+  p
+
+let current fn = fn.ys.(fn.len - 1)
+
+(* Writes arrive in time order: a write at the last entry's time
+   replaces its value, a write that changes nothing is dropped. *)
+let set fn time v =
+  let last = fn.len - 1 in
+  if fn.xs.(last) = time then fn.ys.(last) <- v else if fn.ys.(last) <> v then push fn time v
+
+(* Time within [0, span) during which [pred] holds of the value. *)
+let duration ~span fn pred =
+  let acc = ref 0 in
+  for i = 0 to fn.len - 1 do
+    let t1 = if i + 1 < fn.len then min span fn.xs.(i + 1) else span in
+    if t1 > fn.xs.(i) && pred fn.ys.(i) then acc := !acc + (t1 - fn.xs.(i))
   done;
-  fn.vals.(!lo)
+  !acc
 
-(* Sorted unique change times of any of [fns] strictly inside (t0, t1). *)
-let change_points fns t0 t1 =
-  List.concat_map
-    (fun fn -> Array.to_list fn.times |> List.filter (fun t -> t > t0 && t < t1))
-    fns
-  |> List.sort_uniq compare
+(* A read position in a step function for a sweep whose query times
+   never decrease: the last entry at or before the latest query. *)
+type cursor = { fn : pairs; mutable i : int }
 
-(* Total time within [0, span] during which [pred] holds over the
-   current values of [fns]. *)
-let integrate ~span fns pred =
-  if span <= 0 || fns = [] then 0
-  else begin
-    let pts = 0 :: change_points fns (-1) span in
-    let rec go acc = function
-      | [] -> acc
-      | t :: rest ->
-        let t' = match rest with t' :: _ -> t' | [] -> span in
-        let acc = if pred (List.map (fun fn -> value_at fn t) fns) then acc + (t' - t) else acc in
-        go acc rest
-    in
-    go 0 pts
-  end
+let cursor fn = { fn; i = 0 }
+
+let seek c x =
+  while c.i + 1 < c.fn.len && c.fn.xs.(c.i + 1) <= x do
+    c.i <- c.i + 1
+  done
+
+let value_at c x =
+  seek c x;
+  c.fn.ys.(c.i)
+
+(* The first change after [x]. *)
+let next_change c x =
+  seek c x;
+  if c.i + 1 < c.fn.len then c.fn.xs.(c.i + 1) else max_int
 
 (* ------------------------------------------------------------------ *)
 
@@ -84,6 +96,7 @@ let of_events (cfg : Machine.Config.t) (loop : Sim.Input.loop) (r : Sim.Sched.lo
   let lat = cfg.Machine.Config.comm_latency in
   let span = r.Sim.Sched.span in
   let iters = Sim.Input.iterations loop in
+  let ntasks = Array.length loop.Sim.Input.tasks in
   (* Roles. *)
   let assignment = if n <= 1 then None else Dswp.Planner.plan cfg in
   let m =
@@ -103,62 +116,81 @@ let of_events (cfg : Machine.Config.t) (loop : Sim.Input.loop) (r : Sim.Sched.lo
         in
         slot 0 a.Dswp.Planner.b_cores)
   in
-  (* Busy intervals per core, straight from the event stream: final runs
+  (* One pass over the events.  Busy intervals per core: final runs
      close with Task_finish, mid-run aborts with Task_squash (elapsed
      only).  A squash of an already-finished run finds no open interval
-     and adds nothing — its full-length interval is already recorded. *)
-  let busy_rev = Array.make n [] in
-  let open_runs : (int, int * int) Hashtbl.t = Hashtbl.create 64 in
-  let add_interval core s f = if core < n && f > s then busy_rev.(core) <- (s, f) :: busy_rev.(core) in
-  List.iter
-    (fun e ->
-      match e with
-      | E.Task_start { time; task; core; _ } -> Hashtbl.replace open_runs task (time, core)
-      | E.Task_finish { time; task; core = _ } -> (
-        match Hashtbl.find_opt open_runs task with
-        | Some (s, c) ->
-          Hashtbl.remove open_runs task;
-          add_interval c s time
-        | None -> ())
-      | E.Task_squash { time = _; task; core = _; elapsed } -> (
-        match Hashtbl.find_opt open_runs task with
-        | Some (s, c) ->
-          Hashtbl.remove open_runs task;
-          add_interval c s (s + elapsed)
-        | None -> ())
-      | _ -> ())
-    events;
-  (* A truncated recording (deadlock trace) may leave runs open. *)
-  Hashtbl.iter (fun _ (s, c) -> add_interval c s span) open_runs;
-  let busy = Array.map (fun l -> List.sort compare (List.rev l)) busy_rev in
-  (* Queue occupancy step functions per direction and slot. *)
-  let occ_changes dir =
-    let per_slot = Array.make (max m 1) [] in
-    List.iter
-      (fun e ->
-        match e with
-        | (E.Queue_push { queue; slot; time; occupancy; _ } | E.Queue_pop { queue; slot; time; occupancy; _ })
-          when queue = dir && slot < Array.length per_slot ->
-          per_slot.(slot) <- (time, occupancy) :: per_slot.(slot)
-        | _ -> ())
-      events;
-    Array.map (fun l -> step_fn_of_changes (List.rev l)) per_slot
+     and adds nothing — its full-length interval is already recorded.
+     Queue occupancy per direction and slot, and per direction the count
+     of slots at (or, via squash re-inserts, above) capacity.  Commit
+     times per iteration. *)
+  let busy = Array.init n (fun _ -> pairs ()) in
+  let add_interval core s f = if core < n && f > s then push busy.(core) s f in
+  let open_start = Array.make ntasks min_int and open_core = Array.make ntasks 0 in
+  let close task s f =
+    open_start.(task) <- min_int;
+    add_interval open_core.(task) s f
   in
-  let in_occ = occ_changes E.In_queue in
-  let out_occ = occ_changes E.Out_queue in
-  let in_fns = Array.to_list in_occ and out_fns = Array.to_list out_occ in
-  (* Commit and delivery times per iteration.  Delivery is when the last
-     of the iteration's B results reaches the C core (final finish + one
-     hop); an iteration without B tasks is treated as delivered at its
-     commit, so none of the wait before it reads as starvation twice. *)
+  let slots = max m 1 in
+  let in_occ = Array.init slots (fun _ -> step_fn ()) in
+  let out_occ = Array.init slots (fun _ -> step_fn ()) in
+  let in_full = step_fn () and out_full = step_fn () in
+  let occupancy occ full slot time v =
+    let was_full = current occ.(slot) >= cap in
+    set occ.(slot) time v;
+    if (v >= cap) <> was_full then set full time (current full + if was_full then -1 else 1)
+  in
   let commit_t = Array.make (max iters 1) max_int in
   List.iter
     (fun e ->
       match e with
+      | E.Task_start { time; task; core; _ } ->
+        open_start.(task) <- time;
+        open_core.(task) <- core
+      | E.Task_finish { time; task; core = _ } ->
+        let s = open_start.(task) in
+        if s <> min_int then close task s time
+      | E.Task_squash { time = _; task; core = _; elapsed } ->
+        let s = open_start.(task) in
+        if s <> min_int then close task s (s + elapsed)
+      | (E.Queue_push { queue; slot; time; occupancy = v; _ }
+        | E.Queue_pop { queue; slot; time; occupancy = v; _ })
+        when slot < slots -> (
+        match queue with
+        | E.In_queue -> occupancy in_occ in_full slot time v
+        | E.Out_queue -> occupancy out_occ out_full slot time v)
       | E.Iter_commit { time; iteration } when iteration < iters -> commit_t.(iteration) <- time
       | _ -> ())
     events;
-  let finish_t = Array.make (Array.length loop.Sim.Input.tasks) (-1) in
+  (* A truncated recording (deadlock trace) may leave runs open. *)
+  for task = 0 to ntasks - 1 do
+    let s = open_start.(task) in
+    if s <> min_int then close task s span
+  done;
+  (* Each core's intervals arrive in close order, which is start order
+     for any recording where a core runs one task at a time; sort the
+     others. *)
+  Array.iter
+    (fun p ->
+      let sorted = ref true in
+      for k = 1 to p.len - 1 do
+        let s0 = p.xs.(k - 1) and s1 = p.xs.(k) in
+        if s0 > s1 || (s0 = s1 && p.ys.(k - 1) > p.ys.(k)) then sorted := false
+      done;
+      if not !sorted then begin
+        let a = Array.init p.len (fun k -> (p.xs.(k), p.ys.(k))) in
+        Array.sort compare a;
+        Array.iteri
+          (fun k (s, f) ->
+            p.xs.(k) <- s;
+            p.ys.(k) <- f)
+          a
+      end)
+    busy;
+  (* Delivery times per iteration.  Delivery is when the last of the
+     iteration's B results reaches the C core (final finish + one hop);
+     an iteration without B tasks is treated as delivered at its commit,
+     so none of the wait before it reads as starvation twice. *)
+  let finish_t = Array.make ntasks (-1) in
   List.iter
     (fun (s : Sim.Sched.sched_entry) -> finish_t.(s.Sim.Sched.s_task) <- s.Sim.Sched.s_finish)
     r.Sim.Sched.schedule;
@@ -174,106 +206,87 @@ let of_events (cfg : Machine.Config.t) (loop : Sim.Input.loop) (r : Sim.Sched.lo
   for i = 0 to iters - 1 do
     if deliver_t.(i) = max_int then deliver_t.(i) <- commit_t.(i)
   done;
-  (* First iteration still uncommitted at time x (commits are in
-     iteration order, so the array of commit times is non-decreasing). *)
-  let waiting_iter x =
-    let rec go i = if i >= iters then None else if commit_t.(i) > x then Some i else go (i + 1) in
-    go 0
-  in
-  let all_in_full vals = vals <> [] && List.for_all (fun v -> v >= cap) vals in
-  (* Classify one gap piece starting at x for the given role. *)
-  let classify role x =
-    match role with
-    | Role_serial -> Idle
-    | Role_a ->
-      if all_in_full (List.map (fun fn -> value_at fn x) in_fns) then Producer_blocked
-      else Dep_wait
-    | Role_b s ->
-      if value_at out_occ.(s) x >= cap then Producer_blocked
-      else if value_at in_occ.(s) x = 0 then Consumer_starved
-      else Dep_wait
-    | Role_c -> (
-      match waiting_iter x with
-      | Some i when x < deliver_t.(i) -> Consumer_starved
-      | Some _ -> Dep_wait
-      | None -> Dep_wait)
-    | Role_ac -> (
-      if all_in_full (List.map (fun fn -> value_at fn x) in_fns) then Producer_blocked
-      else
-        match waiting_iter x with
-        | Some i when x < deliver_t.(i) -> Consumer_starved
-        | _ -> Dep_wait)
-  in
-  (* Change points relevant to a role's classification. *)
-  let role_points role g0 g1 =
-    let fns =
-      match role with
-      | Role_serial -> []
-      | Role_a -> in_fns
-      | Role_b s -> [ in_occ.(s); out_occ.(s) ]
-      | Role_c -> []
-      | Role_ac -> in_fns
-    in
-    let iter_pts =
-      match role with
-      | Role_c | Role_ac ->
-        let pts = ref [] in
-        for i = 0 to iters - 1 do
-          if commit_t.(i) > g0 && commit_t.(i) < g1 then pts := commit_t.(i) :: !pts;
-          if deliver_t.(i) > g0 && deliver_t.(i) < g1 && deliver_t.(i) <> max_int then
-            pts := deliver_t.(i) :: !pts
-        done;
-        !pts
-      | _ -> []
-    in
-    List.sort_uniq compare (change_points fns g0 g1 @ iter_pts)
-  in
-  let classify_gap role g0 g1 =
-    let pts = g0 :: role_points role g0 g1 in
-    let rec go acc = function
-      | [] -> acc
-      | x :: rest ->
-        let y = match rest with y :: _ -> y | [] -> g1 in
-        go ({ t0 = x; t1 = y; cat = classify role x } :: acc) rest
-    in
-    List.rev (go [] pts)
-  in
-  (* Merge adjacent segments of equal category so the output is compact. *)
-  let coalesce segs =
-    List.fold_left
-      (fun acc s ->
-        match acc with
-        | prev :: rest when prev.cat = s.cat && prev.t1 = s.t0 ->
-          { prev with t1 = s.t1 } :: rest
-        | _ -> if s.t1 > s.t0 then s :: acc else acc)
-      [] segs
-    |> List.rev
-  in
+  (* One core's timeline: its busy intervals, and its gaps classified by
+     a forward sweep.  Each gap piece [x, y) takes the category of its
+     start x and ends at the next time the role's inputs may change.  All
+     cursors only advance, so a core costs its intervals plus the changes
+     of the step functions its role reads. *)
   let line core =
-    let role = role core in
-    let intervals = busy.(core) in
-    let rec walk t = function
-      | [] ->
-        (* Tail (or a never-used core): idle to the span. *)
-        if t < span then [ { t0 = t; t1 = span; cat = Idle } ] else []
-      | (s, f) :: rest ->
-        (* Clamp against the cursor so tiling survives even a malformed
-           (overlapping) recording; the simulator never produces one. *)
-        let s = max s t in
-        let f = max f s in
-        let gap = if s > t then classify_gap role t s else [] in
-        gap @ ({ t0 = s; t1 = f; cat = Busy } :: walk f rest)
+    (* First iteration still uncommitted at time x (commits are in
+       iteration order, so the array of commit times is non-decreasing). *)
+    let waiting = ref 0 in
+    let c_stage x =
+      while !waiting < iters && commit_t.(!waiting) <= x do
+        incr waiting
+      done;
+      if !waiting >= iters then (Dep_wait, max_int)
+      else
+        let i = !waiting in
+        if x < deliver_t.(i) then (Consumer_starved, min commit_t.(i) deliver_t.(i))
+        else (Dep_wait, commit_t.(i))
     in
-    { core; segments = coalesce (walk 0 intervals) }
+    (* The category at x and the next time it may change. *)
+    let classify =
+      match role core with
+      | Role_serial -> fun _ -> (Idle, max_int)
+      | Role_a ->
+        let full = cursor in_full in
+        fun x ->
+          ((if value_at full x = slots then Producer_blocked else Dep_wait), next_change full x)
+      | Role_b s ->
+        let inq = cursor in_occ.(s) and outq = cursor out_occ.(s) in
+        fun x ->
+          let cat =
+            if value_at outq x >= cap then Producer_blocked
+            else if value_at inq x = 0 then Consumer_starved
+            else Dep_wait
+          in
+          (cat, min (next_change outq x) (next_change inq x))
+      | Role_c -> c_stage
+      | Role_ac ->
+        let full = cursor in_full in
+        fun x ->
+          let blocked = value_at full x = slots in
+          let cat, next = c_stage x in
+          ((if blocked then Producer_blocked else cat), min next (next_change full x))
+    in
+    (* Segments newest first; adjacent segments of equal category merge
+       and empty ones drop, so the output is compact. *)
+    let segs = ref [] in
+    let emit t0 t1 cat =
+      match !segs with
+      | prev :: rest when prev.cat = cat && prev.t1 = t0 -> segs := { prev with t1 } :: rest
+      | _ -> if t1 > t0 then segs := { t0; t1; cat } :: !segs
+    in
+    let rec gap x g1 =
+      if x < g1 then begin
+        let cat, next = classify x in
+        let y = min next g1 in
+        emit x y cat;
+        gap y g1
+      end
+    in
+    let intervals = busy.(core) in
+    let t = ref 0 in
+    for k = 0 to intervals.len - 1 do
+      (* Clamp against the cursor so tiling survives even a malformed
+         (overlapping) recording; the simulator never produces one. *)
+      let s = max intervals.xs.(k) !t in
+      let f = max intervals.ys.(k) s in
+      gap !t s;
+      emit s f Busy;
+      t := f
+    done;
+    (* Tail (or a never-used core): idle to the span. *)
+    if !t < span then emit !t span Idle;
+    { core; segments = List.rev !segs }
   in
   {
     span;
     cores = Array.init n line;
-    in_queues_full = (if m = 0 then 0 else integrate ~span in_fns all_in_full);
-    any_in_queue_full =
-      (if m = 0 then 0 else integrate ~span in_fns (List.exists (fun v -> v >= cap)));
-    any_out_queue_full =
-      (if m = 0 then 0 else integrate ~span out_fns (List.exists (fun v -> v >= cap)));
+    in_queues_full = (if m = 0 then 0 else duration ~span in_full (fun v -> v = m));
+    any_in_queue_full = (if m = 0 then 0 else duration ~span in_full (fun v -> v > 0));
+    any_out_queue_full = (if m = 0 then 0 else duration ~span out_full (fun v -> v > 0));
   }
 
 let core_total line cat =

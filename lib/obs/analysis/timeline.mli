@@ -48,6 +48,10 @@ type t = {
 
 val of_events :
   Machine.Config.t -> Sim.Input.loop -> Sim.Sched.loop_result -> Obs.Event.t list -> t
+(** [events] in emission (time) order, as the simulator records them; a
+    prefix of a recording is accepted, its open runs lasting to the
+    span.  Cost: one pass over the events plus one forward sweep over
+    each core's gaps, O(events + segments). *)
 
 val core_total : core_line -> category -> int
 

@@ -70,31 +70,73 @@ let interval_arrays (loop : Input.loop) (r : Sched.loop_result) =
     r.Sched.schedule;
   (start, finish, core)
 
+(* Entries are bucketed per core into int arrays, with every core index
+   range-checked first, in schedule order.  Sorted by (start, finish,
+   task), a core's intervals overlap iff two neighbours do, and the first
+   such pair is reported.  The simulator lists the schedule in completion
+   order, which is start order on one core, so a core is sorted only when
+   its entries arrive out of that order.  Cores are visited in the
+   iteration order of a hash table filled in first-use order, which picks
+   the reported core when several overlap. *)
 let check_core_exclusivity (cfg : Machine.Config.t) (r : Sched.loop_result) =
   let cores = cfg.Machine.Config.cores in
-  let by_core = Hashtbl.create 8 in
+  let count = Array.make cores 0 in
+  let visit = Hashtbl.create 8 in
   List.iter
     (fun (e : Sched.sched_entry) ->
-      if e.Sched.s_core < 0 || e.Sched.s_core >= cores then
+      let c = e.Sched.s_core in
+      if c < 0 || c >= cores then
         fail "core-exclusivity" "task %d scheduled on core %d of a %d-core machine"
-          e.Sched.s_task e.Sched.s_core cores;
-      let cur = Option.value ~default:[] (Hashtbl.find_opt by_core e.Sched.s_core) in
-      Hashtbl.replace by_core e.Sched.s_core
-        ((e.Sched.s_start, e.Sched.s_finish, e.Sched.s_task) :: cur))
+          e.Sched.s_task c cores;
+      if count.(c) = 0 then Hashtbl.replace visit c ();
+      count.(c) <- count.(c) + 1)
     r.Sched.schedule;
+  (* Core c's entries occupy [first.(c), first.(c + 1)). *)
+  let first = Array.make (cores + 1) 0 in
+  for c = 0 to cores - 1 do
+    first.(c + 1) <- first.(c) + count.(c)
+  done;
+  let n = first.(cores) in
+  let start = Array.make n 0 and finish = Array.make n 0 and task = Array.make n 0 in
+  let next = Array.sub first 0 cores in
+  List.iter
+    (fun (e : Sched.sched_entry) ->
+      let k = next.(e.Sched.s_core) in
+      next.(e.Sched.s_core) <- k + 1;
+      start.(k) <- e.Sched.s_start;
+      finish.(k) <- e.Sched.s_finish;
+      task.(k) <- e.Sched.s_task)
+    r.Sched.schedule;
+  let before k l =
+    start.(k) < start.(l)
+    || (start.(k) = start.(l)
+       && (finish.(k) < finish.(l) || (finish.(k) = finish.(l) && task.(k) < task.(l))))
+  in
   Hashtbl.iter
-    (fun c intervals ->
-      let sorted = List.sort compare intervals in
-      let rec walk = function
-        | (_, f1, t1) :: ((s2, _, t2) :: _ as rest) ->
-          if f1 > s2 then
-            fail "core-exclusivity"
-              "tasks %d and %d overlap on core %d (finish %d > start %d)" t1 t2 c f1 s2;
-          walk rest
-        | _ -> ()
-      in
-      walk sorted)
-    by_core
+    (fun c () ->
+      let lo = first.(c) and hi = first.(c + 1) in
+      let sorted = ref true in
+      for k = lo + 1 to hi - 1 do
+        if before k (k - 1) then sorted := false
+      done;
+      if not !sorted then begin
+        let entries =
+          Array.init (hi - lo) (fun k -> (start.(lo + k), finish.(lo + k), task.(lo + k)))
+        in
+        Array.sort compare entries;
+        Array.iteri
+          (fun k (s, f, t) ->
+            start.(lo + k) <- s;
+            finish.(lo + k) <- f;
+            task.(lo + k) <- t)
+          entries
+      end;
+      for k = lo to hi - 2 do
+        if finish.(k) > start.(k + 1) then
+          fail "core-exclusivity" "tasks %d and %d overlap on core %d (finish %d > start %d)"
+            task.(k) task.(k + 1) c finish.(k) start.(k + 1)
+      done)
+    visit
 
 (* The start-time floor one edge imposes on its consumer under the final
    schedule.  Mirrors Pipeline.constraint_of. *)
@@ -108,9 +150,8 @@ let edge_requirement (policy : Sched.policy) lat start finish (e : Input.edge) =
    (plus one hop) before C_i, and the C chain.  These hold under every
    policy: A and C tasks are never squashed, and an iteration's B finish
    times are final by the time C commits it. *)
-let check_structural (cfg : Machine.Config.t) (loop : Input.loop) start finish =
+let check_structural (cfg : Machine.Config.t) (a, bs, c) start finish =
   let lat = cfg.Machine.Config.comm_latency in
-  let a, bs, c = iteration_structure loop in
   let iters = Array.length a in
   let last_a = ref None and last_c = ref None in
   for i = 0 to iters - 1 do
@@ -288,8 +329,7 @@ let check_busy (cfg : Machine.Config.t) (loop : Input.loop) (r : Sched.loop_resu
   if total < work then
     fail "busy-conservation" "total busy %d below loop work %d" total work
 
-let check_commit_order (loop : Input.loop) start =
-  let _, _, c = iteration_structure loop in
+let check_commit_order (_, _, c) start =
   let last = ref None in
   Array.iteri
     (fun i ci ->
@@ -328,12 +368,13 @@ let validate (cfg : Machine.Config.t) ?(policy = Sched.default_policy) (loop : I
       check_coverage loop r;
       let start, finish, _core = interval_arrays loop r in
       check_core_exclusivity cfg r;
-      check_structural cfg loop start finish;
+      let structure = iteration_structure loop in
+      check_structural cfg structure start finish;
       check_edges cfg policy loop r start finish;
       check_speculation_accounting cfg policy loop r start finish;
       check_queue_bounds cfg loop r;
       check_busy cfg loop r;
-      check_commit_order loop start
+      check_commit_order structure start
     end;
     Ok ()
   with Bad v -> Error v

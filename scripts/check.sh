@@ -91,6 +91,24 @@ for b in $(dune exec bin/repro.exe -- list 2> /dev/null | awk '/^[0-9]+\./ {prin
   fi
 done
 
+# Attribution gate: explain every registry study.  Under SIM_VALIDATE=1
+# each explained loop's schedule is re-checked by the oracle, and its
+# stall timeline and critical path by the attribution invariants (every
+# core tiles [0, span], path length = span, busy = the simulator's).
+explain_benches=0
+for b in $(dune exec bin/repro.exe -- list 2> /dev/null | awk '/^[0-9]+\./ {print $1}'); do
+  if ! dune exec bin/repro.exe -- explain -b "$b" > /dev/null 2>&1; then
+    echo "check.sh: repro explain failed on $b:" >&2
+    dune exec bin/repro.exe -- explain -b "$b" >&2 || true
+    exit 1
+  fi
+  explain_benches=$((explain_benches + 1))
+done
+if [[ "$explain_benches" -lt 11 ]]; then
+  echo "check.sh: expected 11 registry studies to explain, found ${explain_benches}" >&2
+  exit 1
+fi
+
 # Lint self-test: corrupting a known-good plan must trip the named
 # diagnostic with exit code 1 (partition kept, plan mutated).
 lint_mutation() {
@@ -325,5 +343,5 @@ rm -f "$cal_bad"
 # block).  Exit codes: 0 = ok, 1 = gate failed, 2 = input error.
 dune exec scripts/check_calibration.exe
 
-echo "check.sh: build + runtest + prop + bench smoke (jobs=1 and jobs=${SCALE_JOBS}, identical stdout) + trace smoke + lint gate + pdg-audit gate (${#audit_benches[@]} benches) + perf gate + scaling gate + validate-real smoke + auto-planner gate + telemetry smoke + speculative trace smoke + calibration gate OK (schedules oracle-validated)"
+echo "check.sh: build + runtest + prop + bench smoke (jobs=1 and jobs=${SCALE_JOBS}, identical stdout) + trace smoke + lint gate + explain gate (${explain_benches} studies) + pdg-audit gate (${#audit_benches[@]} benches) + perf gate + scaling gate + validate-real smoke + auto-planner gate + telemetry smoke + speculative trace smoke + calibration gate OK (schedules oracle-validated)"
 echo "perf record: BENCH_pipeline.json, BENCH_summary.json, BENCH_summary.csv, BENCH_history.jsonl"

@@ -10,8 +10,33 @@ module C = Obs_analysis.Critpath
 module H = Obs_analysis.History
 
 (* ------------------------------------------------------------------ *)
-(* Registry sweep: both invariants on every study, machine sizes from
-   serial to beyond the paper's sweet spot, both misspec policies.      *)
+(* Registry sweep: every study's loops on machines from serial to the
+   paper's largest, both misspec policies.  Each timeline, and each
+   exclusivity verdict on the schedule with its last entry moved onto
+   its first entry's core and start, must equal the reference
+   implementation's (test/ref_analysis.ml).  Up to 8 cores both
+   attribution invariants hold too; at 32 cores under Squash the
+   critical path's fallback search is quadratic, too slow for the suite. *)
+
+let record cfg ~policy loop =
+  let rec_ = Obs.Sink.recorder () in
+  let r = Sim.Pipeline.run_loop cfg ~policy ~validate:true ~obs:(Obs.Sink.record rec_) loop in
+  (r, Obs.Sink.events rec_)
+
+let move_last_onto_first (r : Sim.Sched.loop_result) =
+  match r.Sim.Sched.schedule with
+  | [] -> r
+  | first :: _ as entries ->
+    let last = List.nth entries (List.length entries - 1) in
+    let moved =
+      {
+        last with
+        Sim.Sched.s_core = first.Sim.Sched.s_core;
+        s_start = first.Sim.Sched.s_start;
+        s_finish = first.Sim.Sched.s_start + (last.Sim.Sched.s_finish - last.Sim.Sched.s_start);
+      }
+    in
+    { r with Sim.Sched.schedule = List.map (fun e -> if e == last then moved else e) entries }
 
 let registry_sweep () =
   let policies =
@@ -33,24 +58,31 @@ let registry_sweep () =
                 List.iter
                   (fun policy ->
                     let cfg = Machine.Config.default ~cores in
+                    let case = Printf.sprintf "%s cores=%d" loop.Sim.Input.name cores in
                     (* validate:true also runs the schedule oracle. *)
-                    let a = A.run cfg ~policy ~validate:true loop in
-                    (match A.validate a with
-                    | Ok () -> ()
-                    | Error m ->
-                      Alcotest.failf "%s %s cores=%d: %s" s.Benchmarks.Study.spec_name
-                        loop.Sim.Input.name cores m);
-                    Alcotest.(check int)
-                      (Printf.sprintf "%s cores=%d: stalls sum to span*cores"
-                         loop.Sim.Input.name cores)
-                      (a.A.span * cores)
-                      (List.fold_left (fun acc c -> acc + T.total a.A.timeline c) 0 T.categories);
-                    Alcotest.(check int)
-                      (Printf.sprintf "%s cores=%d: path length = span" loop.Sim.Input.name
-                         cores)
-                      a.A.span (C.length a.A.critpath))
+                    let r, events = record cfg ~policy loop in
+                    Alcotest.(check bool) (case ^ ": timeline = reference") true
+                      (T.of_events cfg loop r events
+                      = Ref_analysis.Timeline.of_events cfg loop r events);
+                    Alcotest.(check bool) (case ^ ": exclusivity verdict = reference") true
+                      (Ref_analysis.Oracle.validate_agrees cfg ~policy loop
+                         (move_last_onto_first r));
+                    if cores <= 8 then begin
+                      let a = A.of_events cfg ~policy loop r events in
+                      (match A.validate a with
+                      | Ok () -> ()
+                      | Error m ->
+                        Alcotest.failf "%s %s cores=%d: %s" s.Benchmarks.Study.spec_name
+                          loop.Sim.Input.name cores m);
+                      Alcotest.(check int)
+                        (case ^ ": stalls sum to span*cores")
+                        (a.A.span * cores)
+                        (List.fold_left (fun acc c -> acc + T.total a.A.timeline c) 0 T.categories);
+                      Alcotest.(check int) (case ^ ": path length = span") a.A.span
+                        (C.length a.A.critpath)
+                    end)
                   policies)
-              [ 1; 2; 3; 8 ])
+              [ 1; 2; 3; 8; 32 ])
         built.Core.Framework.input.Sim.Input.segments)
     Benchmarks.Registry.all
 
@@ -113,6 +145,55 @@ let squash_waste_counted () =
   A.validate_exn a;
   Alcotest.(check bool) "squashes happened" true (a.A.squashes > 0);
   Alcotest.(check bool) "waste accounted" true (a.A.squash_waste > 0)
+
+(* A malformed recording: two runs overlap on core 0 and close out of
+   start order.  The timeline sorts each core's intervals and clamps
+   them against the cursor, so every core still tiles [0, span], exactly
+   as the reference does. *)
+let overlapping_recording () =
+  let tasks =
+    Array.init 6 (fun i -> task i (i / 3) [| Ir.Task.A; Ir.Task.B; Ir.Task.C |].(i mod 3) 4)
+  in
+  let loop = Sim.Input.make_loop ~name:"overlap" ~tasks ~edges:[] in
+  let cfg = Machine.Config.default ~cores:4 in
+  let r = Sim.Pipeline.run_loop cfg loop in
+  let start time task =
+    Obs.Event.Task_start { time; task; core = 0; phase = 'A'; iteration = task / 3; work = 4 }
+  in
+  let finish time task = Obs.Event.Task_finish { time; task; core = 0 } in
+  let events = [ start 0 0; start 2 3; finish 4 3; finish 10 0 ] in
+  let t = T.of_events cfg loop r events in
+  Alcotest.(check bool) "timeline = reference" true
+    (t = Ref_analysis.Timeline.of_events cfg loop r events);
+  match T.check t with Ok () -> () | Error m -> Alcotest.failf "tiling broken: %s" m
+
+(* Attribution must stay linear in the recording.  A 40k-iteration loop
+   whose B stage is four times slower than A fills the in-queues, so the
+   A core alternates between short runs and ~40k producer-blocked gaps
+   among 160k queue events.  A timeline that rebuilds the queue step
+   functions per gap, or scans the commits from iteration 0 at every gap
+   point, is quadratic here (tens of seconds); the budget is generous
+   for slow machines but far below that. *)
+let attribution_linear_time () =
+  let iters = 40_000 in
+  let tasks =
+    Array.init (3 * iters) (fun id ->
+        let i = id / 3 in
+        match id mod 3 with
+        | 0 -> task id i Ir.Task.A 1
+        | 1 -> task id i Ir.Task.B (7 + (i mod 3))
+        | _ -> task id i Ir.Task.C 2)
+  in
+  let loop = Sim.Input.make_loop ~name:"deep" ~tasks ~edges:[] in
+  let t0 = Sys.time () in
+  let a = A.run (Machine.Config.default ~cores:4) ~validate:true loop in
+  A.validate_exn a;
+  let elapsed = Sys.time () -. t0 in
+  Alcotest.(check bool) "the A core was producer-blocked" true
+    (T.core_total a.A.timeline.T.cores.(0) T.Producer_blocked > a.A.span / 2);
+  Alcotest.(check bool)
+    (Printf.sprintf "linear-time attribution (%.2fs, budget 5s)" elapsed)
+    true (elapsed < 5.0)
 
 (* ------------------------------------------------------------------ *)
 (* History                                                              *)
@@ -218,6 +299,8 @@ let () =
           Alcotest.test_case "C-bound diagnosis" `Quick c_bound_diagnosis;
           Alcotest.test_case "serial all busy" `Quick serial_all_busy;
           Alcotest.test_case "squash waste counted" `Quick squash_waste_counted;
+          Alcotest.test_case "attribution linear time" `Quick attribution_linear_time;
+          Alcotest.test_case "overlapping recording" `Quick overlapping_recording;
         ] );
       ( "history",
         [

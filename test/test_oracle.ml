@@ -97,6 +97,34 @@ let reject_overlap () =
     (with_entry r 3 (fun e ->
          { e with P.s_start = a0.P.s_start; s_finish = a0.P.s_start + 3 }))
 
+let reject_overlap_out_of_order () =
+  (* Slide iteration 2's A task onto iteration 0's, then list the
+     schedule newest first.  On the A core the overlapping pair, tasks 0
+     and 6, is not adjacent in that listing (task 3 sits between them),
+     so only a check that orders each core's entries by start finds it;
+     the reversed legal schedule must still pass. *)
+  let loop =
+    GI.build_loop
+      { GI.ld_iters = List.init 3 (fun _ -> (Some 3, [ 5 ], Some 2)); ld_edges = [] }
+  in
+  let r = P.run_loop victim_cfg ~validate:true loop in
+  let reversed r = { r with P.schedule = List.rev r.P.schedule } in
+  (match O.validate victim_cfg loop (reversed r) with
+  | Ok () -> ()
+  | Error v -> Alcotest.failf "reversed legal schedule rejected: %a" O.pp_violation v);
+  let a0 = entry r 0 in
+  let bad =
+    with_entry r 6 (fun e -> { e with P.s_start = a0.P.s_start; s_finish = a0.P.s_finish })
+  in
+  match O.validate victim_cfg loop (reversed bad) with
+  | Ok () -> Alcotest.fail "out-of-order overlap accepted"
+  | Error v ->
+    Alcotest.(check string) "violated invariant" "core-exclusivity" v.O.invariant;
+    Alcotest.(check string) "reported pair"
+      (Printf.sprintf "tasks 0 and 6 overlap on core %d (finish %d > start %d)" a0.P.s_core
+         a0.P.s_finish a0.P.s_start)
+      v.O.detail
+
 let reject_dropped_edge_delay () =
   (* Start the consumer B(1,0) one tick before its producer's finish plus
      the communication latency — the classic dropped-synchronization bug
@@ -211,6 +239,68 @@ let prop_random_plans_validate () =
       | Ok () -> true
       | Error _ -> false)
 
+(* Exclusivity against the reference check (test/ref_analysis.ml) on
+   simulated schedules and mutated copies of them: an entry moved onto
+   another's core and start, two entries swapped in the list, an entry
+   shifted earlier.  Indices wrap around the schedule. *)
+type mutation = Move of int * int | Swap of int * int | Shift of int * int
+
+let mutation =
+  let open G in
+  let idx = int_bound 1000 in
+  oneof
+    [
+      map2 (fun i j -> Move (i, j)) idx idx;
+      map2 (fun i j -> Swap (i, j)) idx idx;
+      map2 (fun i d -> Shift (i, d)) idx (int_range 1 20);
+    ]
+
+let print_mutation = function
+  | Move (i, j) -> Printf.sprintf "move %d onto %d" i j
+  | Swap (i, j) -> Printf.sprintf "swap %d %d" i j
+  | Shift (i, d) -> Printf.sprintf "shift %d by -%d" i d
+
+let mutate (r : P.loop_result) m =
+  let es = Array.of_list r.P.schedule in
+  let n = Array.length es in
+  (if n > 0 then
+     match m with
+     | Move (i, j) ->
+       let e = es.(i mod n) and d = es.(j mod n) in
+       es.(i mod n) <-
+         {
+           e with
+           P.s_core = d.P.s_core;
+           s_start = d.P.s_start;
+           s_finish = d.P.s_start + (e.P.s_finish - e.P.s_start);
+         }
+     | Swap (i, j) ->
+       let e = es.(i mod n) in
+       es.(i mod n) <- es.(j mod n);
+       es.(j mod n) <- e
+     | Shift (i, d) ->
+       let e = es.(i mod n) in
+       let d = min d e.P.s_start in
+       es.(i mod n) <- { e with P.s_start = e.P.s_start - d; s_finish = e.P.s_finish - d });
+  { r with P.schedule = Array.to_list es }
+
+let prop_exclusivity_matches_reference () =
+  let overlaps = ref 0 in
+  R.run_prop_exn
+    ~print:(fun (sc, ms) ->
+      print_scenario sc ^ "\nmutations: " ^ String.concat ", " (List.map print_mutation ms))
+    ~name:"oracle: exclusivity verdicts match the reference"
+    (G.pair scenario (G.list_size (G.int_bound 3) mutation))
+    (fun ((d, cores, lat, policy), ms) ->
+      let loop = GI.build_loop d in
+      let c = cfg ~lat cores in
+      let r = List.fold_left mutate (P.run_loop c ~policy ~validate:false loop) ms in
+      (match O.validate c ~policy loop r with
+      | Error { O.invariant = "core-exclusivity"; _ } -> incr overlaps
+      | _ -> ());
+      Ref_analysis.Oracle.validate_agrees c ~policy loop r);
+  Alcotest.(check bool) "some mutated schedules overlap" true (!overlaps > 0)
+
 let () =
   Alcotest.run "oracle"
     [
@@ -224,6 +314,7 @@ let () =
       ( "rejection",
         [
           Alcotest.test_case "injected core overlap" `Quick reject_overlap;
+          Alcotest.test_case "reject_overlap_out_of_order" `Quick reject_overlap_out_of_order;
           Alcotest.test_case "dropped edge delay" `Quick reject_dropped_edge_delay;
           Alcotest.test_case "phantom squash count" `Quick reject_phantom_squash;
           Alcotest.test_case "inflated misspec count" `Quick reject_inflated_misspec;
@@ -241,5 +332,7 @@ let () =
             prop_serial_never_beaten_upper;
           Alcotest.test_case "per-core busy within span" `Quick prop_busy_within_span;
           Alcotest.test_case "random schedules accepted" `Quick prop_random_plans_validate;
+          Alcotest.test_case "exclusivity matches reference" `Quick
+            prop_exclusivity_matches_reference;
         ] );
     ]
