@@ -488,15 +488,9 @@ let write_obs_summary () =
   let gzip = study "164.gzip" in
   let profile = gzip.Benchmarks.Study.run ~scale:Benchmarks.Study.Small in
   let built = Core.Framework.build ~plan:gzip.Benchmarks.Study.plan profile in
-  let metrics = Obs.Metrics.create ~sampling:true () in
-  List.iter
-    (function
-      | Sim.Input.Serial _ -> ()
-      | Sim.Input.Parallel loop ->
-        ignore
-          (Sim.Pipeline.run_loop (Machine.Config.default ~cores:16) ~metrics loop))
-    built.Core.Framework.input.Sim.Input.segments;
-  let snap = Obs.Metrics.snapshot metrics in
+  let snap =
+    Core.Experiment.summary (Machine.Config.default ~cores:16) built.Core.Framework.input
+  in
   let spans = Obs.Span.snapshot Obs.Span.default in
   let extra =
     [

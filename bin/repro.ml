@@ -68,23 +68,14 @@ let summary_arg =
   Arg.(value & opt (some string) None
        & info [ "summary" ] ~docv:"FILE"
            ~doc:"Write an $(b,Obs.Summary) of the run — simulator counters, queue \
-                 gauges and occupancy series from one instrumented simulation at the \
+                 gauges and occupancy series folded from one simulation at the \
                  study's paper thread count — to $(docv). A .csv suffix selects the \
                  flat CSV table; anything else gets JSON. Independent of --trace: no \
-                 event stream is recorded.")
+                 event list is kept.")
 
-(* Re-simulate once with a metrics registry (no event sink) and dump the
-   counters/gauges/series. *)
+(* Re-simulate once, folding each loop's event stream into the summary. *)
 let write_summary ~threads input file =
-  let metrics = Obs.Metrics.create ~sampling:true () in
-  List.iter
-    (function
-      | Sim.Input.Serial _ -> ()
-      | Sim.Input.Parallel loop ->
-        ignore
-          (Sim.Pipeline.run_loop (Machine.Config.default ~cores:threads) ~metrics loop))
-    input.Sim.Input.segments;
-  let snap = Obs.Metrics.snapshot metrics in
+  let snap = Core.Experiment.summary (Machine.Config.default ~cores:threads) input in
   if Filename.check_suffix file ".csv" then Obs.Summary.write_csv ~metrics:snap file
   else Obs.Summary.write_json ~metrics:snap file;
   Format.eprintf "summary: written to %s@." file
@@ -326,27 +317,6 @@ let auto_cmd =
     (Cmd.info "auto"
        ~doc:"Show the profile-guided speculation decisions for a benchmark's loops.")
     Term.(term_result (const run $ bench_arg $ scale_arg))
-
-let multistage_cmd =
-  let stages_arg =
-    Arg.(value & opt int 3 & info [ "k"; "stages" ] ~docv:"K" ~doc:"Pipeline stage count.")
-  in
-  let run name k =
-    with_study name (fun study ->
-      let pdg = study.Benchmarks.Study.pdg () in
-      let stages =
-        Dswp.Multi_stage.partition pdg ~stages:k
-          ~enabled:(Core.Framework.enabled_breakers study.Benchmarks.Study.plan)
-      in
-      Dswp.Multi_stage.pp pdg Format.std_formatter stages;
-      Format.printf "bottleneck weight %.3f; throughput bound at 32 threads %.1fx@."
-        (Dswp.Multi_stage.bottleneck stages)
-        (Dswp.Multi_stage.throughput_bound stages ~threads:32);
-      Ok ())
-  in
-  Cmd.v
-    (Cmd.info "multistage" ~doc:"Partition a benchmark's PDG into k pipeline stages.")
-    Term.(term_result (const run $ bench_arg $ stages_arg))
 
 (* Re-annotate every function of every group without its rollback: the
    registry shape the strip-rollback mutation wants. *)
@@ -829,5 +799,5 @@ let () =
           [
             list_cmd; run_cmd; explain_cmd; lint_cmd; infer_cmd; audit_cmd; plan_cmd;
             table1_cmd; table2_cmd; figure_cmd; ablate_cmd; gantt_cmd; chart_cmd;
-            auto_cmd; multistage_cmd; profile_real_cmd; validate_real_cmd;
+            auto_cmd; profile_real_cmd; validate_real_cmd;
           ]))

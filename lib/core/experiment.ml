@@ -53,3 +53,15 @@ let misspec_total t ~threads =
     List.fold_left
       (fun acc (_, (r : Sim.Pipeline.loop_result)) -> acc + r.Sim.Pipeline.misspec_delayed)
       0 p.Sim.Speedup.result.Sim.Pipeline.loops
+
+let summary cfg (input : Sim.Input.t) =
+  let fold = Obs.Summary.fold ~slots:(Dswp.Planner.b_core_count cfg) in
+  List.iter
+    (function
+      | Sim.Input.Serial _ -> ()
+      | Sim.Input.Parallel loop ->
+        let r = Sim.Pipeline.run_loop cfg ~obs:(Obs.Summary.sink fold) loop in
+        Obs.Summary.add_counts fold ~misspec_delayed:r.Sim.Pipeline.misspec_delayed
+          ~squashes:r.Sim.Pipeline.squashes)
+    input.Sim.Input.segments;
+  Obs.Summary.snapshot fold

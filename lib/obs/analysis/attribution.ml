@@ -122,14 +122,6 @@ let validate t =
 
 let validate_exn t = match validate t with Ok () -> () | Error m -> failwith m
 
-let stall_fraction t cat =
-  let denom = t.span * t.cores in
-  if denom = 0 then 0.0 else float_of_int (Timeline.total t.timeline cat) /. float_of_int denom
-
-let queue_full_fraction t =
-  if t.span = 0 then 0.0
-  else float_of_int t.timeline.Timeline.in_queues_full /. float_of_int t.span
-
 let to_json t =
   let stalls =
     List.map

@@ -60,13 +60,6 @@ val validate : t -> (unit, string) result
 val validate_exn : t -> unit
 (** Raises [Failure] with the first violated invariant. *)
 
-val stall_fraction : t -> Timeline.category -> float
-(** Category total over span × cores; 0 on an empty loop. *)
-
-val queue_full_fraction : t -> float
-(** Fraction of the span during which every in-queue was at capacity
-    (the condition that stalls the A core). *)
-
 val to_json : t -> Obs.Json.t
 (** Stable object shape used by the bench harness's per-study
     attribution blocks and [repro explain]. *)

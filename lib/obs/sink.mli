@@ -24,9 +24,6 @@ val offset : int -> t -> t
     forwarding — used by [Sim.Pipeline.run] to rebase loop-local times to
     program time.  The null sink and a zero base pass through. *)
 
-val tee : t -> t -> t
-(** Forward to both sinks; degenerates to whichever side is enabled. *)
-
 (** In-memory recorder, the input of {!Trace_event.export}. *)
 type recorder
 

@@ -211,8 +211,7 @@ let role_probe ~r k (a : acct) =
     a.prb;
   rp
 
-let run ?pool ?(queue_capacity = 64) ?(probe = false) ?span_registry ~threads ~name
-    staged =
+let run ?pool ?(queue_capacity = 64) ?(probe = false) ~threads ~name staged =
   let go d p =
     let fused = d = 2 in
     let r = if fused then 1 else d - 2 in
@@ -426,12 +425,6 @@ let run ?pool ?(queue_capacity = 64) ?(probe = false) ?span_registry ~threads ~n
           })
         accts
     in
-    (match span_registry with
-    | None -> ()
-    | Some reg ->
-      Array.iter
-        (fun rs -> Obs.Span.record reg (Printf.sprintf "real/%s/%s" name rs.rs_role) rs.rs_busy)
-        role_rows);
     let rings = Array.of_list (List.filter_map (fun (a : acct) -> a.prb) (Array.to_list accts)) in
     {
       output = Buffer.contents buf;

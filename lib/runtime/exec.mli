@@ -87,7 +87,6 @@ val run :
   ?pool:Parallel.Pool.t ->
   ?queue_capacity:int ->
   ?probe:bool ->
-  ?span_registry:Obs.Span.t ->
   threads:int ->
   name:string ->
   Staged.t ->
@@ -107,11 +106,9 @@ val run :
     Probing never touches the output bytes — it only reads clocks and
     writes preallocated rings — so output stays byte-identical to a
     probe-off run.  With probes off no telemetry clock is read and no
-    event is built: each would-be record costs one pattern match.
-    [?span_registry] receives per-role busy/starved/blocked aggregates
-    under ["real/<name>/<role>"].  If a stage body raises, all queues
-    are poisoned, every role unwinds, and the first exception is
-    re-raised on the caller. *)
+    event is built: each would-be record costs one pattern match.  If
+    a stage body raises, all queues are poisoned, every role unwinds,
+    and the first exception is re-raised on the caller. *)
 
 val events : result -> Obs.Event.t list
 (** The real-execution event stream of a probed parallel run, decoded

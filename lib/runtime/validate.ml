@@ -51,7 +51,6 @@ let run ?benches ?(max_threads = 4) ?(scale = Study.Small) ?history ?trace
     ?(corrupt = false) () =
   let benches = match benches with Some bs -> bs | None -> Real_bench.names in
   let threads = thread_list max_threads in
-  let span_registry = Obs.Span.create () in
   let t_start = Unix.gettimeofday () in
   let all_ok = ref true in
   let points = ref [] in
@@ -68,7 +67,7 @@ let run ?benches ?(max_threads = 4) ?(scale = Study.Small) ?history ?trace
     (fun name ->
       let study = find name in
       let name = study.Study.spec_name in
-      let seq = Exec.run ~threads:1 ~name ~span_registry (Real_bench.staged ~scale name) in
+      let seq = Exec.run ~threads:1 ~name (Real_bench.staged ~scale name) in
       let predicted = predictions study ~scale ~threads in
       Printf.printf "\n== %s ==  sequential %.3fs\n" name seq.Exec.stats.Exec.seconds;
       Printf.printf "  %7s  %9s  %9s  %9s  %7s  %s\n" "threads" "sim-pred" "measured"
@@ -77,7 +76,7 @@ let run ?benches ?(max_threads = 4) ?(scale = Study.Small) ?history ?trace
         (fun t ->
           let r =
             if t = 1 then seq
-            else Exec.run ~threads:t ~name ~span_registry (Real_bench.staged ~scale name)
+            else Exec.run ~threads:t ~name (Real_bench.staged ~scale name)
           in
           let out =
             if t > 1 && !corrupt_pending then begin

@@ -74,17 +74,14 @@ val run_loop :
   ?policy:policy ->
   ?validate:bool ->
   ?obs:Obs.Sink.t ->
-  ?metrics:Obs.Metrics.t ->
   Input.loop ->
   loop_result
 (** [?obs] (default {!Obs.Sink.null}) receives the run's structured
     events — task start/finish/squash, iteration commits, queue
     push/pop with occupancy, dispatch and wake — with loop-local times;
     the null sink costs one branch per site and no allocation.
-    [?metrics] names the registry that accumulates the run's counters
-    (misspec_delayed, squashes, busy/A..C) and queue-occupancy gauges;
-    with a sampling registry, per-slot occupancy time series are
-    recorded too.  Omitted, a private registry is used and discarded. *)
+    {!Obs.Summary.sink} folds the same stream into counters, queue
+    gauges and per-slot occupancy series. *)
 
 val run :
   Machine.Config.t -> ?policy:policy -> ?validate:bool -> ?obs:Obs.Sink.t -> Input.t -> result

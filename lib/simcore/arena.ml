@@ -33,12 +33,3 @@ let ints_filled t slot ~len ~fill =
   let buf = ints t slot ~len in
   Array.fill buf 0 len fill;
   buf
-
-let release t = t.bufs <- [||]
-
-(* One arena per domain: simulation hot paths grab their scratch here so
-   buffers are reused across iterations and sweep points without any
-   cross-domain sharing or locking. *)
-let key = Domain.DLS.new_key create
-
-let domain_local () = Domain.DLS.get key

@@ -11,8 +11,8 @@
     next [ints t slot] call with the same slot; callers must treat only
     the first [len] cells as theirs and must not rely on
     [Array.length] (buffers are over-allocated to amortize growth).
-    Arenas are single-domain objects — use [domain_local] to get this
-    domain's arena. *)
+    Arenas are single-domain objects: keep one per domain (the
+    simulator keeps its own in domain-local storage). *)
 
 type t
 
@@ -25,11 +25,3 @@ val ints : t -> int -> len:int -> int array
 
 val ints_filled : t -> int -> len:int -> fill:int -> int array
 (** [ints] with the first [len] cells set to [fill]. *)
-
-val release : t -> unit
-(** Drop every buffer, returning the memory to the GC. *)
-
-val domain_local : unit -> t
-(** The calling domain's private arena (created on first use).  Safe to
-    use from simulation code running under a domain pool: each domain
-    reuses its own buffers, nothing is shared. *)

@@ -1,10 +1,9 @@
 (** Mutable double-ended FIFO with amortized O(1) operations.
 
-    The simulator's per-core in-queues need cheap append at the tail
-    (dispatch), cheap removal at the head (issue), and occasional
-    re-insertion at the head (squash re-queues a task for
-    re-execution).  A two-list banker's queue under a mutable record
-    gives all three without the O(n) cost of [l @ [x]]. *)
+    Each [Parallel.Pool] worker keeps its tasks in one: the owner
+    pushes and pops at the head, thieves take from the tail.  A two-list
+    banker's queue under a mutable record gives all of these without
+    the O(n) cost of [l @ [x]]. *)
 
 type 'a t
 

@@ -1,8 +1,7 @@
 (** Binary min-heap keyed by an integer priority.
 
-    Used by the simulator for event ordering and by the planner for
-    least-loaded core selection.  Ties are broken by insertion order so
-    that simulation results are deterministic. *)
+    The reference {!Iheap} is tested against.  Ties are broken by
+    insertion order, so pop order is deterministic. *)
 
 type 'a t
 

@@ -15,8 +15,6 @@ let variance = function
     let sq = List.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 xs in
     sq /. float_of_int (List.length xs)
 
-let stddev xs = sqrt (variance xs)
-
 let minimum = function
   | [] -> invalid_arg "Stats.minimum: empty"
   | x :: xs -> List.fold_left min x xs

@@ -9,8 +9,6 @@ val geomean : float list -> float
 val variance : float list -> float
 (** Population variance. *)
 
-val stddev : float list -> float
-
 val minimum : float list -> float
 (** Raises [Invalid_argument] on the empty list. *)
 

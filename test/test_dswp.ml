@@ -114,65 +114,6 @@ let planner_b_count =
            if n = 2 then b = 1 && a.Pl.a_core = a.Pl.c_core
            else b = n - 2 && a.Pl.a_core <> a.Pl.c_core))
 
-(* ------------------------------------------------------------------ *)
-(* Multi-stage partitioning                                            *)
-
-module Ms = Dswp.Multi_stage
-
-let chain_pdg weights =
-  let g = Ir.Pdg.create "chain" in
-  let ids =
-    List.map (fun w -> Ir.Pdg.add_node g ~label:(string_of_float w) ~weight:w ()) weights
-  in
-  let rec link = function
-    | a :: (b :: _ as rest) ->
-      Ir.Pdg.add_edge g ~src:a ~dst:b ~kind:Ir.Dep.Register ();
-      link rest
-    | _ -> ()
-  in
-  link ids;
-  (g, ids)
-
-let multi_stage_balances () =
-  let g, _ = chain_pdg [ 0.3; 0.3; 0.2; 0.2 ] in
-  let stages = Ms.partition g ~stages:2 ~enabled:(fun _ -> true) in
-  Alcotest.(check int) "two stages" 2 (List.length stages);
-  (* The best 2-split of 0.3/0.3/0.2/0.2 has bottleneck 0.6 or 0.5... the
-     optimum is {0.3} vs {0.3,0.2,0.2}? bottleneck 0.7 vs {0.3,0.3} {0.2,0.2}
-     bottleneck 0.6: expect 0.6. *)
-  Alcotest.(check (float 1e-6)) "bottleneck" 0.6 (Ms.bottleneck stages)
-
-let multi_stage_partition_property =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:100 ~name:"k-stage partition covers nodes in order"
-       QCheck2.Gen.(pair (int_range 1 6) (list_size (int_range 1 10) (float_range 0.05 1.0)))
-       (fun (k, weights) ->
-         let g, ids = chain_pdg weights in
-         let stages = Ms.partition g ~stages:k ~enabled:(fun _ -> true) in
-         let all = List.concat_map (fun s -> s.Ms.ms_nodes) stages in
-         all = ids && List.length stages <= k))
-
-let multi_stage_three_matches_classic () =
-  (* On the canonical read/work/write PDG, a 3-stage multi-stage split
-     puts the parallel SCC alone in the middle. *)
-  let g, a, b, c = three_stage_pdg () in
-  let stages = Ms.partition g ~stages:3 ~enabled:(fun _ -> true) in
-  (match stages with
-  | [ s1; s2; s3 ] ->
-    Alcotest.(check (list int)) "stage 1" [ a ] s1.Ms.ms_nodes;
-    Alcotest.(check (list int)) "stage 2" [ b ] s2.Ms.ms_nodes;
-    Alcotest.(check (list int)) "stage 3" [ c ] s3.Ms.ms_nodes;
-    Alcotest.(check bool) "middle is parallel" true s2.Ms.ms_parallel
-  | _ -> Alcotest.failf "expected 3 stages, got %d" (List.length stages))
-
-let multi_stage_throughput () =
-  let g, _, _, _ = three_stage_pdg () in
-  let stages = Ms.partition g ~stages:3 ~enabled:(fun _ -> true) in
-  Alcotest.(check (float 1e-6)) "1 thread" 1.0 (Ms.throughput_bound stages ~threads:1);
-  (* 10 threads: 7 spare cores all go to the 0.8 parallel stage -> 0.1
-     bottleneck -> 10x. *)
-  Alcotest.(check (float 1e-6)) "10 threads" 10.0 (Ms.throughput_bound stages ~threads:10)
-
 let () =
   Alcotest.run "dswp"
     [
@@ -192,12 +133,5 @@ let () =
           Alcotest.test_case "two cores" `Quick planner_two_cores;
           Alcotest.test_case "many cores" `Quick planner_many_cores;
           planner_b_count;
-        ] );
-      ( "multi-stage",
-        [
-          Alcotest.test_case "balances" `Quick multi_stage_balances;
-          multi_stage_partition_property;
-          Alcotest.test_case "matches classic" `Quick multi_stage_three_matches_classic;
-          Alcotest.test_case "throughput" `Quick multi_stage_throughput;
         ] );
     ]

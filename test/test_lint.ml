@@ -322,32 +322,77 @@ let strip_rollbacks c =
     (Annotations.Commutative.groups c);
   c'
 
-(* Corrupting a known-good plan must produce the named diagnostic: the
-   partition stays the one the shipped plan produced, only the plan the
-   lint sees is mutated. *)
+(* Lint a study's Small run against a mutated copy of its plan, keeping
+   the partition the shipped plan produced (what `repro lint --mutate`
+   does). *)
+let lint_mutated ~bench ~mutate =
+  let s = study bench in
+  let pdg = s.Benchmarks.Study.pdg () in
+  let plan = s.Benchmarks.Study.plan in
+  let partition =
+    Dswp.Partition.partition pdg ~enabled:(Speculation.Spec_plan.enabled_breakers plan)
+  in
+  let profile = s.Benchmarks.Study.run ~scale:Benchmarks.Study.Small in
+  Lint.Driver.run ~pdg ~partition ~plan:(mutate plan) ~profile ()
+
+let mcf_no_alias (p : Speculation.Spec_plan.t) =
+  { p with Speculation.Spec_plan.alias = Speculation.Spec_plan.No_alias }
+
+(* Corrupting a known-good plan must produce the named diagnostic. *)
 let mutation_differential () =
   let check_mutation ~bench ~mutate ~expect ~name =
-    let s = study bench in
-    let pdg = s.Benchmarks.Study.pdg () in
-    let plan = s.Benchmarks.Study.plan in
-    let partition =
-      Dswp.Partition.partition pdg
-        ~enabled:(Speculation.Spec_plan.enabled_breakers plan)
-    in
-    let profile = s.Benchmarks.Study.run ~scale:Benchmarks.Study.Small in
-    let ds = Lint.Driver.run ~pdg ~partition ~plan:(mutate plan) ~profile () in
-    Alcotest.(check bool) name true (has_kind expect (D.errors ds))
+    Alcotest.(check bool) name true (has_kind expect (D.errors (lint_mutated ~bench ~mutate)))
   in
   let open Speculation.Spec_plan in
-  check_mutation ~bench:"181.mcf"
-    ~mutate:(fun p -> { p with alias = No_alias })
-    ~expect:D.Race ~name:"mcf minus alias speculation races";
+  check_mutation ~bench:"181.mcf" ~mutate:mcf_no_alias ~expect:D.Race
+    ~name:"mcf minus alias speculation races";
   check_mutation ~bench:"186.crafty"
     ~mutate:(fun p -> { p with value_locs = [] })
     ~expect:D.Unbroken_dep ~name:"crafty minus value speculation strands its recurrence";
   check_mutation ~bench:"197.parser"
     ~mutate:(fun p -> { p with commutative = strip_rollbacks p.commutative })
     ~expect:D.Bad_annotation ~name:"parser minus rollbacks is flagged"
+
+(* The record `repro lint --json` and `repro audit-pdg --json` write,
+   emitted and parsed back: its key order is part of the contract, at
+   the top level and in every finding.  181.mcf without alias
+   speculation gives a non-empty finding list; 164.gzip's audit is the
+   audit-pdg side. *)
+let json_record_shape () =
+  let keys = function Obs.Json.Obj kvs -> List.map fst kvs | _ -> [] in
+  let check_record name ds =
+    match Obs.Json.parse (Obs.Json.to_string (D.report_to_json ds)) with
+    | Error e -> Alcotest.failf "%s: record does not parse: %s" name e
+    | Ok v ->
+      Alcotest.(check (list string))
+        (name ^ ": top-level keys")
+        [ "summary"; "errors"; "warnings"; "findings" ]
+        (keys v);
+      let findings =
+        Option.value ~default:[] (Option.bind (Obs.Json.member "findings" v) Obs.Json.to_list)
+      in
+      Alcotest.(check int)
+        (name ^ ": one object per finding")
+        (List.length ds) (List.length findings);
+      List.iter
+        (fun f ->
+          Alcotest.(check (list string))
+            (name ^ ": finding keys")
+            [ "kind"; "severity"; "where"; "message"; "hint" ]
+            (keys f))
+        findings
+  in
+  let lint = lint_mutated ~bench:"181.mcf" ~mutate:mcf_no_alias in
+  Alcotest.(check bool) "mcf minus alias speculation has findings" true (lint <> []);
+  check_record "lint 181.mcf no-alias" lint;
+  let gzip = study "164.gzip" in
+  let body = Option.get gzip.Benchmarks.Study.flow_body in
+  let audit =
+    Lint.Audit.check
+      ~commutative:gzip.Benchmarks.Study.plan.Speculation.Spec_plan.commutative
+      ~hand:(gzip.Benchmarks.Study.pdg ()) body
+  in
+  check_record "audit-pdg 164.gzip" audit.Lint.Audit.diagnostics
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
@@ -420,6 +465,7 @@ let () =
         [
           Alcotest.test_case "registry lints clean" `Slow registry_clean;
           Alcotest.test_case "mutation differentials" `Slow mutation_differential;
+          Alcotest.test_case "json record shape" `Slow json_record_shape;
         ] );
       ( "properties",
         [

@@ -1,10 +1,10 @@
 (* Tests for the lib/obs observability layer: JSON round-trips, the
-   metrics registry, event sinks, Chrome trace export from a real
-   registry study, wall-clock span aggregation across pool domains, and
-   the summary emitters. *)
+   summary fold over simulator events, event sinks, Chrome trace export
+   from a real registry study, wall-clock span aggregation across pool
+   domains, and the summary emitters. *)
 
 module J = Obs.Json
-module M = Obs.Metrics
+module Sum = Obs.Summary
 module S = Obs.Sink
 module E = Obs.Event
 
@@ -107,44 +107,84 @@ let json_accessors () =
   Alcotest.(check (option int)) "missing" None (Option.bind (J.member "zzz" v) J.to_int)
 
 (* ------------------------------------------------------------------ *)
-(* Metrics                                                             *)
+(* Metrics: the summary fold                                           *)
 
+let fold_events ~slots events =
+  let f = Sum.fold ~slots in
+  List.iter (S.emit (Sum.sink f)) events;
+  f
+
+let task_start task phase work =
+  E.Task_start { time = 0; task; core = 1; phase; iteration = 0; work }
+
+let push queue ~time slot occupancy = E.Queue_push { time; queue; slot; occupancy; task = 0 }
+
+let pop queue ~time slot occupancy = E.Queue_pop { time; queue; slot; occupancy; task = 0 }
+
+(* Busy is charged at start; a mid-run squash gives back what it never
+   executed, a squash after finishing gives back nothing.  Each queue
+   event moves its direction's gauge and extends its slot's series; a
+   slot no event touched still gets an (empty) series. *)
 let metrics_counters_and_gauges () =
-  let m = M.create () in
-  let c = M.counter m "squashes" in
-  M.incr c;
-  M.add c 4;
-  Alcotest.(check int) "counter value" 5 (M.value c);
-  Alcotest.(check bool) "find-or-create shares state" true (M.value (M.counter m "squashes") = 5);
-  let g = M.gauge m "occupancy" in
-  M.observe g 3;
-  M.observe g 7;
-  M.observe g 2;
-  Alcotest.(check int) "gauge current" 2 (M.gauge_value g);
-  Alcotest.(check int) "gauge high water" 7 (M.high_water g)
-
-let metrics_sampling_gate () =
-  Alcotest.(check bool) "off by default" false (M.sampling (M.create ()));
-  let m = M.create ~sampling:true () in
-  Alcotest.(check bool) "on when asked" true (M.sampling m);
-  let s = M.series m "in_queue/0" in
-  M.sample s ~time:0 1;
-  M.sample s ~time:5 2;
-  Alcotest.(check (list (pair int int))) "samples in order" [ (0, 1); (5, 2) ] (M.samples s)
+  let f =
+    fold_events ~slots:3
+      [
+        task_start 0 'A' 5;
+        push E.In_queue ~time:1 0 1;
+        push E.In_queue ~time:2 2 1;
+        task_start 1 'B' 10;
+        pop E.In_queue ~time:3 0 0;
+        E.Task_squash { time = 7; task = 1; core = 1; elapsed = 4 };
+        task_start 1 'B' 10;
+        task_start 2 'B' 6;
+        push E.Out_queue ~time:8 2 1;
+        E.Task_squash { time = 9; task = 2; core = 2; elapsed = 6 };
+        pop E.Out_queue ~time:9 2 0;
+        task_start 3 'C' 2;
+      ]
+  in
+  Sum.add_counts f ~misspec_delayed:2 ~squashes:1;
+  Sum.add_counts f ~misspec_delayed:1 ~squashes:1;
+  let snap = Sum.snapshot f in
+  Alcotest.(check (list (pair string int)))
+    "counters"
+    [
+      ("busy/A", 5);
+      ("busy/B", 4 + 10 + 6);
+      ("busy/C", 2);
+      ("misspec_delayed", 3);
+      ("squashes", 2);
+    ]
+    snap.Sum.counters;
+  Alcotest.(check (list (pair string (pair int int))))
+    "gauges: last value, high water"
+    [ ("in_queue_occupancy", (0, 1)); ("out_queue_occupancy", (0, 1)) ]
+    snap.Sum.gauges;
+  Alcotest.(check (list (pair string (list (pair int int)))))
+    "series per slot, untouched slots included"
+    [
+      ("in_queue/0", [ (1, 1); (3, 0) ]);
+      ("in_queue/1", []);
+      ("in_queue/2", [ (2, 1) ]);
+      ("out_queue/0", []);
+      ("out_queue/1", []);
+      ("out_queue/2", [ (8, 1); (9, 0) ]);
+    ]
+    snap.Sum.series
 
 let metrics_snapshot_sorted () =
-  let m = M.create ~sampling:true () in
-  ignore (M.counter m "zeta");
-  ignore (M.counter m "alpha");
-  M.observe (M.gauge m "g2") 1;
-  M.observe (M.gauge m "g1") 9;
-  M.sample (M.series m "s/1") ~time:0 0;
-  let snap = M.snapshot m in
-  Alcotest.(check (list string)) "counters name-sorted" [ "alpha"; "zeta" ]
-    (List.map fst snap.M.snap_counters);
-  Alcotest.(check (list string)) "gauges name-sorted" [ "g1"; "g2" ]
-    (List.map fst snap.M.snap_gauges);
-  Alcotest.(check int) "series captured" 1 (List.length snap.M.snap_series)
+  let snap = Sum.snapshot (Sum.fold ~slots:11) in
+  let names l = List.map fst l in
+  Alcotest.(check (list string)) "counters name-sorted"
+    (List.sort compare (names snap.Sum.counters))
+    (names snap.Sum.counters);
+  Alcotest.(check (list string)) "gauges name-sorted"
+    (List.sort compare (names snap.Sum.gauges))
+    (names snap.Sum.gauges);
+  Alcotest.(check (list string)) "series in string order"
+    [ "in_queue/0"; "in_queue/1"; "in_queue/10"; "in_queue/2" ]
+    (List.filteri (fun i _ -> i < 4) (names snap.Sum.series));
+  Alcotest.(check int) "one series per slot and direction" 22 (List.length snap.Sum.series)
 
 (* ------------------------------------------------------------------ *)
 (* Sinks and events                                                    *)
@@ -163,12 +203,6 @@ let sink_recorder_and_offset () =
   Alcotest.(check (list int)) "times rebased" [ 107; 101 ] (List.map E.time (S.events r));
   S.clear r;
   Alcotest.(check int) "cleared" 0 (S.count r)
-
-let sink_tee_forwards_to_both () =
-  let a = S.recorder () and b = S.recorder () in
-  S.emit (S.tee (S.record a) (S.record b)) (E.Wake { time = 2 });
-  Alcotest.(check int) "left" 1 (S.count a);
-  Alcotest.(check int) "right" 1 (S.count b)
 
 (* ------------------------------------------------------------------ *)
 (* Trace export from a real registry study                             *)
@@ -327,17 +361,15 @@ let trace_instants_and_out_queue () =
 (* Summary emitters                                                    *)
 
 let summary_emits_csv_and_json () =
-  let m = M.create () in
-  M.add (M.counter m "squashes") 3;
-  M.observe (M.gauge m "occ") 5;
+  let metrics = { Sum.counters = [ ("squashes", 3) ]; gauges = [ ("occ", (5, 5)) ]; series = [] } in
   let spans = [ { Obs.Span.name = "phase"; count = 2; total_s = 4.0; mean_s = 2.0; max_span_s = 3.0 } ] in
-  let csv = Obs.Summary.to_csv ~metrics:(M.snapshot m) ~spans () in
+  let csv = Obs.Summary.to_csv ~metrics ~spans () in
   (match String.split_on_char '\n' (String.trim csv) with
   | header :: rows ->
     Alcotest.(check string) "header" Obs.Summary.csv_header header;
     Alcotest.(check int) "one row per metric and span" 3 (List.length rows)
   | [] -> Alcotest.fail "empty csv");
-  let json = Obs.Summary.to_json ~metrics:(M.snapshot m) ~spans () in
+  let json = Obs.Summary.to_json ~metrics ~spans () in
   match J.parse (J.to_string json) with
   | Ok v ->
     Alcotest.(check (option int)) "counter survives" (Some 3)
@@ -347,6 +379,53 @@ let summary_emits_csv_and_json () =
     Alcotest.(check (option int)) "one span row" (Some 1)
       (Option.map List.length (Option.bind (J.member "spans" v) J.to_list))
   | Error e -> Alcotest.failf "summary json invalid: %s" e
+
+(* The bench harness's configuration — 164.gzip at Small scale on 16
+   cores — pinned byte for byte: a change here is a change to the
+   simulator's event stream or to the summary fold. *)
+let gzip_bench_metrics =
+  String.concat ""
+    [
+      {|{"counters":{"busy/A":8192,"busy/B":1208844,"busy/C":982,|};
+      {|"misspec_delayed":0,"squashes":0},|};
+      {|"gauges":{"in_queue_occupancy":{"value":0,"high_water":1},|};
+      {|"out_queue_occupancy":{"value":0,"high_water":1}},|};
+      {|"series":{|};
+      {|"in_queue/0":[[512,1],[513,0],[8208,1],[32583,0]],|};
+      {|"in_queue/1":[[1025,1],[1026,0]],|};
+      {|"in_queue/10":[[5642,1],[5643,0],[8207,1],[37333,0]],|};
+      {|"in_queue/11":[[6155,1],[6156,0],[7694,1],[37812,0]],|};
+      {|"in_queue/12":[[6668,1],[6669,0]],|};
+      {|"in_queue/13":[[7181,1],[7182,0]],|};
+      {|"in_queue/2":[[1538,1],[1539,0]],|};
+      {|"in_queue/3":[[2051,1],[2052,0]],|};
+      {|"in_queue/4":[[2564,1],[2565,0]],|};
+      {|"in_queue/5":[[3077,1],[3078,0]],|};
+      {|"in_queue/6":[[3590,1],[3591,0]],|};
+      {|"in_queue/7":[[4103,1],[4104,0]],|};
+      {|"in_queue/8":[[4616,1],[4617,0]],|};
+      {|"in_queue/9":[[5129,1],[5130,0]],|};
+      {|"out_queue/0":[[32583,1],[32584,0],[32615,1],[138411,0]],|};
+      {|"out_queue/1":[[34198,1],[34199,0]],|};
+      {|"out_queue/10":[[37333,1],[112504,0],[135573,1],[138352,0]],|};
+      {|"out_queue/11":[[37812,1],[112566,0],[138293,1],[138294,0]],|};
+      {|"out_queue/12":[[39532,1],[112629,0]],|};
+      {|"out_queue/13":[[108192,1],[112696,0]],|};
+      {|"out_queue/2":[[34763,1],[34764,0]],|};
+      {|"out_queue/3":[[105444,1],[105445,0]],|};
+      {|"out_queue/4":[[102444,1],[105507,0]],|};
+      {|"out_queue/5":[[106244,1],[106245,0]],|};
+      {|"out_queue/6":[[111787,1],[111788,0]],|};
+      {|"out_queue/7":[[93894,1],[111853,0]],|};
+      {|"out_queue/8":[[107290,1],[111907,0]],|};
+      {|"out_queue/9":[[112440,1],[112441,0]]}}|};
+    ]
+
+let summary_gzip_bench_pinned () =
+  let snap =
+    Core.Experiment.summary (Machine.Config.default ~cores:16) (Lazy.force gzip_input)
+  in
+  Alcotest.(check string) "metrics" gzip_bench_metrics (J.to_string (Sum.metrics_json snap))
 
 (* ------------------------------------------------------------------ *)
 (* Hist                                                                *)
@@ -505,14 +584,12 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "counters and gauges" `Quick metrics_counters_and_gauges;
-          Alcotest.test_case "sampling gate" `Quick metrics_sampling_gate;
           Alcotest.test_case "snapshot sorted" `Quick metrics_snapshot_sorted;
         ] );
       ( "sinks",
         [
           Alcotest.test_case "null disabled" `Quick sink_null_is_disabled;
           Alcotest.test_case "recorder and offset" `Quick sink_recorder_and_offset;
-          Alcotest.test_case "tee" `Quick sink_tee_forwards_to_both;
         ] );
       ( "trace",
         [
@@ -526,7 +603,11 @@ let () =
           Alcotest.test_case "records on raise" `Quick span_time_records_on_raise;
           Alcotest.test_case "across pool domains" `Quick span_across_pool_domains;
         ] );
-      ("summary", [ Alcotest.test_case "csv and json" `Quick summary_emits_csv_and_json ]);
+      ( "summary",
+        [
+          Alcotest.test_case "csv and json" `Quick summary_emits_csv_and_json;
+          Alcotest.test_case "gzip bench snapshot pinned" `Quick summary_gzip_bench_pinned;
+        ] );
       ( "hist",
         [
           Alcotest.test_case "buckets and stats" `Quick hist_buckets_and_stats;

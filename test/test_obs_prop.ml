@@ -51,12 +51,15 @@ let timeline_case =
   let* cut = int_bound 1000 in
   return (d, cfg, policy, cut)
 
-let print_timeline_case (d, cfg, (p : Sim.Sched.policy), cut) =
+let print_sim_case ?(extra = "") (d, cfg, (p : Sim.Sched.policy)) =
   let misspec =
     match p.Sim.Sched.misspec with Sim.Sched.Serialize -> "serialize" | Sim.Sched.Squash -> "squash"
   in
-  Format.asprintf "%a misspec=%s fwd=%b cut=%d/1000@ %a" Machine.Config.pp cfg misspec
-    p.Sim.Sched.forwarding cut GI.pp_loop_desc d
+  Format.asprintf "%a misspec=%s fwd=%b%s@ %a" Machine.Config.pp cfg misspec
+    p.Sim.Sched.forwarding extra GI.pp_loop_desc d
+
+let print_timeline_case (d, cfg, p, cut) =
+  print_sim_case ~extra:(Printf.sprintf " cut=%d/1000" cut) (d, cfg, p)
 
 let () =
   R.run_prop_exn ~print:print_timeline_case
@@ -77,3 +80,59 @@ let () =
             Obs_analysis.Timeline.of_events cfg loop r evs
             = Ref_analysis.Timeline.of_events cfg loop r evs)
           [ events; prefix ])
+
+(* Property: the summary folded from a loop's event stream agrees with
+   the simulator's result on 2, 3 and 8 cores under both policies.
+   busy/A+B+C is the per-core busy total (a mid-run squash is charged
+   only what it executed), the gauges' high waters are the result's
+   queue high-water marks, and the squash count is the number of
+   Task_squash events.  Each direction keeps one series per B slot,
+   touched or not, with one sample per queue event. *)
+
+let summary_case =
+  let open G in
+  let* d = GI.loop_desc ~max_iters:16 () in
+  let* cores = oneofl [ 2; 3; 8 ] in
+  let* cap = int_range ~origin:32 1 32 in
+  let* lat = int_range 0 5 in
+  let* policy = GI.policy in
+  return (d, Machine.Config.make ~cores ~queue_capacity:cap ~comm_latency:lat (), policy)
+
+let () =
+  R.run_prop_exn ~print:print_sim_case ~name:"summary fold = loop result" summary_case
+    (fun (d, cfg, policy) ->
+      let loop = GI.build_loop d in
+      let rec_ = Obs.Sink.recorder () in
+      match Sim.Pipeline.run_loop cfg ~policy ~validate:false ~obs:(Obs.Sink.record rec_) loop with
+      | exception Failure _ -> true
+      | r ->
+        let events = Obs.Sink.events rec_ in
+        let slots = Dswp.Planner.b_core_count cfg in
+        let fold = Obs.Summary.fold ~slots in
+        List.iter (Obs.Sink.emit (Obs.Summary.sink fold)) events;
+        Obs.Summary.add_counts fold ~misspec_delayed:r.Sim.Pipeline.misspec_delayed
+          ~squashes:r.Sim.Pipeline.squashes;
+        let s = Obs.Summary.snapshot fold in
+        let counter n = List.assoc n s.Obs.Summary.counters in
+        let high n = snd (List.assoc n s.Obs.Summary.gauges) in
+        let count p = List.length (List.filter p events) in
+        let queue_events q =
+          count (function
+            | Obs.Event.Queue_push { queue; _ } | Obs.Event.Queue_pop { queue; _ } -> queue = q
+            | _ -> false)
+        in
+        let slot_names prefix = List.init slots (Printf.sprintf "%s/%d" prefix) in
+        let samples prefix =
+          List.concat_map
+            (fun (n, pts) -> if List.mem n (slot_names prefix) then pts else [])
+            s.Obs.Summary.series
+        in
+        counter "busy/A" + counter "busy/B" + counter "busy/C"
+        = Array.fold_left ( + ) 0 r.Sim.Pipeline.busy
+        && high "in_queue_occupancy" = r.Sim.Pipeline.in_queue_high_water
+        && high "out_queue_occupancy" = r.Sim.Pipeline.out_queue_high_water
+        && counter "squashes" = count (function Obs.Event.Task_squash _ -> true | _ -> false)
+        && List.map fst s.Obs.Summary.series
+           = List.sort compare (slot_names "in_queue" @ slot_names "out_queue")
+        && List.length (samples "in_queue") = queue_events Obs.Event.In_queue
+        && List.length (samples "out_queue") = queue_events Obs.Event.Out_queue)

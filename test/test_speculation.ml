@@ -1,44 +1,9 @@
-(* Tests for predictors, speculation plans, and dependence resolution. *)
+(* Tests for speculation plans, dependence resolution and automatic
+   plan inference. *)
 
-module PR = Speculation.Predictor
 module SP = Speculation.Spec_plan
 module R = Speculation.Resolve
 module M = Profiling.Mem_profile
-
-(* ------------------------------------------------------------------ *)
-(* Predictors                                                          *)
-
-let last_value_basics () =
-  let p = PR.Last_value.create () in
-  Alcotest.(check (option int)) "cold" None (PR.Last_value.predict p);
-  Alcotest.(check bool) "first wrong" false (PR.Last_value.observe p 5);
-  Alcotest.(check bool) "repeat right" true (PR.Last_value.observe p 5);
-  Alcotest.(check bool) "change wrong" false (PR.Last_value.observe p 6);
-  Alcotest.(check (float 1e-9)) "accuracy" (1.0 /. 3.0) (PR.Last_value.accuracy p)
-
-let last_value_constant_stream () =
-  let p = PR.Last_value.create () in
-  for _ = 1 to 100 do
-    ignore (PR.Last_value.observe p 7)
-  done;
-  Alcotest.(check (float 1e-9)) "99/100" 0.99 (PR.Last_value.accuracy p)
-
-let stride_basics () =
-  let p = PR.Stride.create () in
-  ignore (PR.Stride.observe p 10);
-  ignore (PR.Stride.observe p 20);
-  Alcotest.(check (option int)) "predicts stride" (Some 30) (PR.Stride.predict p);
-  Alcotest.(check bool) "correct" true (PR.Stride.observe p 30);
-  Alcotest.(check bool) "stride change" false (PR.Stride.observe p 35)
-
-let stride_beats_last_value_on_counters () =
-  let lv = PR.Last_value.create () and st = PR.Stride.create () in
-  for i = 1 to 50 do
-    ignore (PR.Last_value.observe lv i);
-    ignore (PR.Stride.observe st i)
-  done;
-  Alcotest.(check bool) "stride better on label_num-style counters" true
-    (PR.Stride.accuracy st > PR.Last_value.accuracy lv)
 
 (* ------------------------------------------------------------------ *)
 (* Plans                                                               *)
@@ -266,13 +231,6 @@ let auto_plan_ignores_commutative_edges () =
 let () =
   Alcotest.run "speculation"
     [
-      ( "predictor",
-        [
-          Alcotest.test_case "last-value" `Quick last_value_basics;
-          Alcotest.test_case "constant stream" `Quick last_value_constant_stream;
-          Alcotest.test_case "stride" `Quick stride_basics;
-          Alcotest.test_case "stride vs last-value" `Quick stride_beats_last_value_on_counters;
-        ] );
       ( "plan",
         [
           Alcotest.test_case "default conservative" `Quick plan_default_is_conservative;
