@@ -20,10 +20,10 @@ let () = Obs.Span.set_clock Unix.gettimeofday
 
 let jobs = Parallel.Pool.default_domains ()
 
-(* Where the machine-readable outputs (BENCH_pipeline.json,
-   BENCH_summary.{json,csv}, BENCH_history.jsonl) land.  The default is
-   the working directory — the files are committed perf records; tests
-   and check.sh point BENCH_DIR at a scratch directory instead. *)
+(* Where the machine-readable outputs (BENCH_summary.{json,csv},
+   BENCH_history.jsonl) land.  The default is the working directory —
+   the files are committed perf records; the golden snapshot rules in
+   test/golden point BENCH_DIR into their sandbox instead. *)
 let bench_dir = Option.value (Sys.getenv_opt "BENCH_DIR") ~default:"."
 
 let bench_path name = Filename.concat bench_dir name
@@ -38,7 +38,7 @@ let section title =
 (* ------------------------------------------------------------------ *)
 (* Experiments (computed once, reused by figures, tables and timers)   *)
 
-(* Per-study wall-clock, recorded for BENCH_pipeline.json. *)
+(* Per-study wall-clock, recorded in the history entry. *)
 let study_seconds : (string * float) list ref = ref []
 
 (* Per-study GC deltas under [--gc-stats].  Measured with
@@ -411,33 +411,12 @@ let run_bechamel () =
 (* ------------------------------------------------------------------ *)
 (* Machine-readable perf record                                        *)
 
-(* BENCH_pipeline.json gives future PRs a wall-clock trajectory: jobs
-   used, total harness time, and per-study experiment time.  Timings
-   vary run to run and are deliberately kept out of stdout so that the
-   printed tables/figures stay byte-identical at any job count. *)
-let write_bench_json ~total_seconds =
-  let oc = open_out (bench_path "BENCH_pipeline.json") in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"harness\": \"bench/main.exe\",\n";
-  Printf.fprintf oc "  \"jobs\": %d,\n" jobs;
-  Printf.fprintf oc "  \"scale\": %S,\n" (Benchmarks.Study.scale_to_string scale);
-  Printf.fprintf oc "  \"total_seconds\": %.3f,\n" total_seconds;
-  Printf.fprintf oc "  \"studies\": [";
-  List.iteri
-    (fun i (name, dt) ->
-      Printf.fprintf oc "%s\n    { \"name\": %S, \"seconds\": %.3f }"
-        (if i = 0 then "" else ",")
-        name dt)
-    !study_seconds;
-  Printf.fprintf oc "\n  ]\n}\n";
-  close_out oc
-
 (* BENCH_summary.{json,csv}: simulator counters/gauges from one
    instrumented registry run (164.gzip, 16 cores — the paper's headline
    configuration) plus every wall-clock span aggregate the harness
    accumulated (per-study experiment times, per-sweep-point simulation
-   times across all pool domains).  Like BENCH_pipeline.json these are
-   files, not stdout, so the printed report stays byte-identical. *)
+   times across all pool domains).  These are files, not stdout, so
+   the printed report stays byte-identical. *)
 (* Per-study attribution at the paper's thread count: where each loop's
    span goes (stalls, critical-path composition, bounds headroom) plus
    the one-line diagnosis.  Attached to BENCH_summary.json so the perf
@@ -504,18 +483,9 @@ let write_obs_summary () =
 (* ------------------------------------------------------------------ *)
 (* Bench history (JSONL, appended every run)                           *)
 
-let git_rev () =
-  match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
-  | exception _ -> "unknown"
-  | ic ->
-    let line = try input_line ic with End_of_file -> "" in
-    let status = Unix.close_process_in ic in
-    if status = Unix.WEXITED 0 && line <> "" then line else "unknown"
-
 (* Digest of everything that changes what the simulated numbers mean:
    input scale, the study list, and the default machine parameters.
-   Same digest => entries are comparable; compare_bench warns (but still
-   compares) when it differs. *)
+   Same digest => the entries' simulated numbers are comparable. *)
 let config_digest () =
   let cfg = Machine.Config.default ~cores:8 in
   Digest.to_hex
@@ -526,7 +496,7 @@ let config_digest () =
            :: string_of_int cfg.Machine.Config.comm_latency
            :: Benchmarks.Registry.names)))
 
-let write_history ~total_seconds =
+let write_history ~rev ~total_seconds =
   let studies =
     List.map2
       (fun (e : Core.Experiment.t) (name, dt) ->
@@ -567,7 +537,7 @@ let write_history ~total_seconds =
   in
   let entry =
     {
-      Obs_analysis.History.rev = git_rev ();
+      Obs_analysis.History.rev;
       config = config_digest ();
       scale = Benchmarks.Study.scale_to_string scale;
       jobs;
@@ -600,6 +570,8 @@ let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let quick = List.mem "quick" args in
   gc_stats_enabled := List.mem "--gc-stats" args;
+  (* Label the code before this run writes its own records. *)
+  let rev = Obs_analysis.History.current_rev () in
   let t0 = Unix.gettimeofday () in
   figure1 ();
   figure2 ();
@@ -620,9 +592,8 @@ let () =
   static_model ();
   if not quick then run_bechamel ();
   let total_seconds = Unix.gettimeofday () -. t0 in
-  write_bench_json ~total_seconds;
   write_obs_summary ();
-  write_history ~total_seconds;
+  write_history ~rev ~total_seconds;
   if !gc_stats_enabled then print_gc_report ();
   Parallel.Pool.shutdown pool;
   Format.printf "@.done.@."

@@ -360,7 +360,8 @@ let lint_cmd =
                    keeping the partition the original plan produced (the stale- \
                    artifact scenario). One of: no-alias, no-value, no-sync, \
                    unannotate, strip-rollback. The lint must then fail; used by \
-                   scripts/check.sh to prove each diagnostic fires.")
+                   the golden snapshots in test/golden to prove each diagnostic \
+                   fires.")
   in
   let json_arg =
     Arg.(value & opt (some string) None
@@ -481,8 +482,8 @@ let audit_cmd =
              ~doc:"Audit a deliberately corrupted copy of the loop-body IR (the \
                    interpreter still runs the original). $(b,drop-write) removes \
                    the body's first write, so the soundness layer must report the \
-                   now-unpredicted dependences and exit 1; used by scripts/check.sh \
-                   to prove the audit can fail.")
+                   now-unpredicted dependences and exit 1; used by the golden \
+                   snapshots in test/golden to prove the audit can fail.")
   in
   let json_arg =
     Arg.(value & opt (some string) None
@@ -551,7 +552,8 @@ let plan_cmd =
                    partition (a serial stage merged into the replicated stage) \
                    before linting. The lint pruner must then reject candidates: \
                    exits 0 iff the reported lint-pruned count is positive; used by \
-                   scripts/check.sh to prove the pruning path fires.")
+                   the golden snapshots in test/golden to prove the pruning path \
+                   fires.")
   in
   let calibrate_arg =
     Arg.(value & opt (some string) None

@@ -196,34 +196,49 @@ let load path =
         go 1 [])
   end
 
-type regression = {
-  r_study : string;
-  metric : string;
-  before : float;
-  after : float;
-  delta_pct : float;
-}
+(* Porcelain v1 lines read "XY path" or "XY old -> new"; "??" and "!!"
+   mark untracked and ignored files.  The records live at the root. *)
+let rev_label ~head status =
+  let record path = String.starts_with ~prefix:"BENCH_" path && not (String.contains path '/') in
+  let dirty line =
+    String.length line > 3
+    && (match String.sub line 0 2 with "??" | "!!" -> false | _ -> true)
+    && String.sub line 3 (String.length line - 3)
+       |> String.split_on_char ' '
+       |> List.exists (fun p -> p <> "" && p <> "->" && not (record p))
+  in
+  if List.exists dirty status then head ^ "+dirty" else head
 
-let compare ?(tolerance = 0.02) old_e new_e =
-  let regs = ref [] in
-  List.iter
-    (fun (n : study) ->
-      match List.find_opt (fun (o : study) -> o.study = n.study) old_e.studies with
-      | None -> ()
-      | Some o ->
-        let check metric before after worse_if_bigger =
-          if before > 0. then begin
-            let delta = (after -. before) /. before in
-            let bad = if worse_if_bigger then delta > tolerance else delta < -.tolerance in
-            if bad then
-              regs :=
-                { r_study = n.study; metric; before; after; delta_pct = 100. *. delta } :: !regs
-          end
-        in
-        check "span" (float_of_int o.span) (float_of_int n.span) true;
-        check "speedup" o.speedup n.speedup false)
-    new_e.studies;
-  List.rev !regs
+let command_lines cmd =
+  match Unix.open_process_in (cmd ^ " 2>/dev/null") with
+  | exception Unix.Unix_error _ -> None
+  | ic ->
+    let lines = In_channel.input_all ic |> String.split_on_char '\n' in
+    if Unix.close_process_in ic = Unix.WEXITED 0 then Some (List.filter (( <> ) "") lines)
+    else None
 
-let pp_regression ppf r =
-  Format.fprintf ppf "%s: %s %g -> %g (%+.1f%%)" r.r_study r.metric r.before r.after r.delta_pct
+let current_rev () =
+  match command_lines "git rev-parse --short HEAD" with
+  | Some [ head ] -> (
+    match command_lines "git --no-optional-locks status --porcelain --untracked-files=no" with
+    | Some status -> rev_label ~head status
+    | None -> head)
+  | _ -> "unknown"
+
+type scaling =
+  | Nothing_to_compare of string
+  | Compared of { par : entry; seq : entry; same_rev : bool; ratio : float; ok : bool }
+
+let scaling ~tolerance entries =
+  (* Newest first, simulated entries only. *)
+  let newest = List.rev (List.filter (fun e -> e.real = []) entries) in
+  match List.find_opt (fun e -> e.jobs > 1) newest with
+  | None -> Nothing_to_compare "jobs>1"
+  | Some par -> (
+    let seq_of pred = List.find_opt (fun e -> e.jobs = 1 && pred e) newest in
+    let same_rev = seq_of (fun e -> e.rev = par.rev) in
+    match if same_rev <> None then same_rev else seq_of (fun _ -> true) with
+    | None -> Nothing_to_compare "jobs=1"
+    | Some seq ->
+      let ratio = if seq.total_seconds > 0. then par.total_seconds /. seq.total_seconds else 1. in
+      Compared { par; seq; same_rev = same_rev <> None; ratio; ok = ratio <= 1. +. tolerance })

@@ -1,12 +1,10 @@
 (** Persistent bench history: one JSONL line per bench run.
 
-    Each entry records the git revision, a digest of the bench
-    configuration, and per-study simulated numbers (span, speedup) plus
-    informational wall-clock seconds.  [compare] diffs two entries and
-    reports the studies whose {e simulated} span grew or speedup shrank
-    beyond a relative tolerance — simulated numbers are deterministic,
-    so a small tolerance gates real regressions without flaking;
-    wall-clock time is noisy and never gated. *)
+    Each entry records the revision of the measured code, a digest of
+    the bench configuration, and per-study simulated numbers (span,
+    speedup) plus informational wall-clock seconds.  The simulated
+    numbers are checked by the golden snapshots in [test/golden/];
+    [scaling] is the anti-scaling gate over the wall-clock totals. *)
 
 type study = {
   study : string;
@@ -38,7 +36,9 @@ type real_point = {
 }
 
 type entry = {
-  rev : string;  (** short git revision, or "unknown" *)
+  rev : string;
+      (** short git revision of the measured code, with ["+dirty"] when
+          it was uncommitted (see {!current_rev}), or ["unknown"] *)
   config : string;  (** digest of the bench configuration *)
   scale : string;
   jobs : int;
@@ -50,8 +50,8 @@ type entry = {
   real : real_point list;
       (** measured-on-real-domains points; non-empty only on entries
           written by [repro validate-real].  Entries with a non-empty
-          [real] block record wall-clock measurements, not simulated
-          spans — regression and scaling gates must skip them. *)
+          [real] block record wall-clock measurements of the runtime,
+          not of the simulator; [scaling] skips them. *)
 }
 
 val entry_to_json : entry -> Obs.Json.t
@@ -65,19 +65,32 @@ val load : string -> (entry list, string) result
 (** All entries in file order; a missing file is [Ok []]; a malformed
     line is an [Error] naming the line number. *)
 
-type regression = {
-  r_study : string;
-  metric : string;  (** ["span"] or ["speedup"] *)
-  before : float;
-  after : float;
-  delta_pct : float;  (** signed change, percent *)
-}
+val rev_label : head:string -> string list -> string
+(** [rev_label ~head status] labels the code a run measured: [head],
+    the short HEAD revision, with ["+dirty"] appended when a line of
+    [status] (the output of [git status --porcelain]) names a tracked
+    file that differs from HEAD, other than the [BENCH_*] records at
+    the root.  Untracked (["??"]) and ignored (["!!"]) lines never
+    count. *)
 
-val compare : ?tolerance:float -> entry -> entry -> regression list
-(** [compare ~tolerance old new_]: studies present in both entries whose
-    span increased or speedup decreased by more than [tolerance]
-    (a fraction, default 0.02).  Entries with different [config] digests
-    are compared anyway — the caller decides whether that's meaningful —
-    but studies missing from either side are skipped. *)
+val current_rev : unit -> string
+(** [rev_label] for the git checkout around the working directory;
+    ["unknown"] outside one.  Call it before the run writes its
+    [BENCH_*] records. *)
 
-val pp_regression : Format.formatter -> regression -> unit
+(** The anti-scaling verdict: the newest simulated entry with
+    [jobs > 1] against the newest [jobs = 1] entry of the same [rev]
+    (else the newest [jobs = 1] entry of any rev).  Entries with a
+    non-empty [real] block are ignored. *)
+type scaling =
+  | Nothing_to_compare of string  (** no such entry: ["jobs>1"] or ["jobs=1"] *)
+  | Compared of {
+      par : entry;
+      seq : entry;
+      same_rev : bool;  (** [seq.rev = par.rev] *)
+      ratio : float;  (** [par.total_seconds /. seq.total_seconds], 1 when [seq] took no time *)
+      ok : bool;  (** [ratio <= 1 + tolerance] *)
+    }
+
+val scaling : tolerance:float -> entry list -> scaling
+(** [scaling ~tolerance entries], [entries] in file order. *)

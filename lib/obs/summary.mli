@@ -1,7 +1,7 @@
 (** Machine-readable summaries: the simulator's counters, queue gauges
     and occupancy series, folded from its event stream, plus span
     aggregates, as JSON or a flat CSV table.  The bench harness writes
-    both next to [BENCH_pipeline.json]; [repro run --summary] writes
+    both as [BENCH_summary.{json,csv}]; [repro run --summary] writes
     one for a study. *)
 
 type snapshot = {

@@ -7,14 +7,6 @@ type outcome = {
   points : H.real_point list;
 }
 
-let git_rev () =
-  match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
-  | exception _ -> "unknown"
-  | ic ->
-    let line = try input_line ic with End_of_file -> "" in
-    let status = Unix.close_process_in ic in
-    if status = Unix.WEXITED 0 && line <> "" then line else "unknown"
-
 (* Everything that changes what the measured numbers mean: the scale,
    the bench list, and the thread range.  Deliberately distinct from
    the bench harness digest — real and simulated entries are never
@@ -51,6 +43,8 @@ let run ?benches ?(max_threads = 4) ?(scale = Study.Small) ?history ?trace
     ?(corrupt = false) () =
   let benches = match benches with Some bs -> bs | None -> Real_bench.names in
   let threads = thread_list max_threads in
+  (* Label the code before the run appends its record. *)
+  let history = Option.map (fun path -> (path, H.current_rev ())) history in
   let t_start = Unix.gettimeofday () in
   let all_ok = ref true in
   let points = ref [] in
@@ -138,10 +132,10 @@ let run ?benches ?(max_threads = 4) ?(scale = Study.Small) ?history ?trace
       threads);
   (match history with
   | None -> ()
-  | Some path ->
+  | Some (path, rev) ->
     H.append path
       {
-        H.rev = git_rev ();
+        H.rev;
         config = config_digest ~scale ~benches ~max_threads;
         scale = Study.scale_to_string scale;
         jobs = max_threads;

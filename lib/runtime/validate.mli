@@ -9,8 +9,8 @@
     count (profile -> {!Core.Framework.build} -> {!Sim.Speedup.sweep}).
 
     With [history] set, one {!Obs_analysis.History} entry is appended
-    whose [real] block holds every measured point; the regression and
-    scaling gates skip such entries.  With [trace] set, the first
+    whose [real] block holds every measured point; the scaling gate
+    skips such entries.  With [trace] set, the first
     benchmark is re-run instrumented once per {e parallel} sweep point
     (2..[max_threads] threads) and each run's event stream written as
     its own Chrome trace: for [--trace out.json] the files are

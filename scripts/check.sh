@@ -5,14 +5,18 @@
 #   REPRO_JOBS=8 scripts/check.sh
 #   CHECK_SEED=1234 scripts/check.sh   # re-seed every randomized property
 #
-# Every schedule simulated by the tests and the bench smoke is re-checked
-# by Sim.Oracle (SIM_VALIDATE=1).  The @prop alias runs each randomized
-# property at 1000 cases; a failure prints the CHECK_SEED that replays
-# its minimal counterexample.
+# Every schedule simulated by the tests is re-checked by Sim.Oracle
+# (SIM_VALIDATE=1).  The @prop alias runs each randomized property at
+# 1000 cases; a failure prints the CHECK_SEED that replays its minimal
+# counterexample.
 #
-# The bench smoke regenerates every table/figure at medium scale and
-# writes BENCH_pipeline.json (jobs used, wall-clock per study) so each
-# PR leaves a perf data point behind.
+# Behaviour is checked by `dune runtest`: test/golden snapshots every
+# deterministic output of bench/main.exe and repro (the tables and
+# figures, run, plan, explain, --summary, lint, audit-pdg, infer and
+# their self-tests) at jobs 1 and 4 where jobs apply.  The bench smoke
+# below regenerates the tables and figures at medium scale and appends
+# their wall clock to BENCH_history.jsonl, so each PR leaves a perf
+# data point behind.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -51,113 +55,25 @@ dune build @prop
 
 # Bench smoke, twice in the same session: sequential, then parallel.
 # Both append to BENCH_history.jsonl at the same revision, which is
-# exactly the same-rev pair the --scaling gate wants; stdout must be
-# byte-identical between the two runs (it is diffed below).
+# exactly the same-rev pair the --scaling gate wants.  Their stdout is
+# the golden snapshot test/golden/bench-quick.expected, which dune
+# runtest above already compared at jobs 1 and 4.
 #
 # These two runs are the perf record, so they measure the simulator
 # hot path alone: SIM_VALIDATE is off (the oracle re-simulates every
 # schedule with allocation-heavy bookkeeping, which would swamp the
 # scaling measurement with GC-barrier noise).  Oracle coverage comes
-# from dune runtest / @prop above and the trace + lint stages below,
-# all of which keep SIM_VALIDATE=1.
-bench_j1="$(mktemp -t bench_j1.XXXXXX.txt)"
-bench_jn="$(mktemp -t bench_jn.XXXXXX.txt)"
-SIM_VALIDATE=0 REPRO_JOBS=1 dune exec bench/main.exe -- quick > "$bench_j1"
-SIM_VALIDATE=0 REPRO_JOBS="$SCALE_JOBS" dune exec bench/main.exe -- quick > "$bench_jn"
-if ! diff -q "$bench_j1" "$bench_jn" > /dev/null; then
-  echo "check.sh: bench stdout differs between jobs=1 and jobs=${SCALE_JOBS}:" >&2
-  diff "$bench_j1" "$bench_jn" >&2 || true
-  exit 1
-fi
-rm -f "$bench_j1" "$bench_jn"
+# from dune runtest / @prop above, whose snapshot rules all set
+# SIM_VALIDATE=1.
+SIM_VALIDATE=0 REPRO_JOBS=1 dune exec bench/main.exe -- quick > /dev/null
+SIM_VALIDATE=0 REPRO_JOBS="$SCALE_JOBS" dune exec bench/main.exe -- quick > /dev/null
 
 # Trace smoke: run one registry study with SIM_TRACE set, then parse the
 # emitted Chrome trace back and assert it has slices + counter tracks.
 trace_tmp="$(mktemp -t sim_trace.XXXXXX.json)"
-hist_tmp="$(mktemp -t bench_hist.XXXXXX.jsonl)"
-hist_bad="$(mktemp -t bench_hist_bad.XXXXXX.jsonl)"
-trap 'rm -f "$trace_tmp" "$hist_tmp" "$hist_bad"' EXIT
+trap 'rm -f "$trace_tmp"' EXIT
 SIM_TRACE="$trace_tmp" dune exec bin/repro.exe -- run -b 164.gzip -s small > /dev/null 2>&1
 dune exec scripts/validate_trace.exe -- "$trace_tmp"
-
-# Static-analysis gate: every registry benchmark's shipped (PDG, plan,
-# profile) triple must lint clean — plan soundness, annotation hygiene,
-# and the happens-before race replay of its access logs.
-for b in $(dune exec bin/repro.exe -- list 2> /dev/null | awk '/^[0-9]+\./ {print $1}'); do
-  if ! dune exec bin/repro.exe -- lint -b "$b" -s small > /dev/null 2>&1; then
-    echo "check.sh: repro lint found errors in $b:" >&2
-    dune exec bin/repro.exe -- lint -b "$b" -s small >&2 || true
-    exit 1
-  fi
-done
-
-# Attribution gate: explain every registry study.  Under SIM_VALIDATE=1
-# each explained loop's schedule is re-checked by the oracle, and its
-# stall timeline and critical path by the attribution invariants (every
-# core tiles [0, span], path length = span, busy = the simulator's).
-explain_benches=0
-for b in $(dune exec bin/repro.exe -- list 2> /dev/null | awk '/^[0-9]+\./ {print $1}'); do
-  if ! dune exec bin/repro.exe -- explain -b "$b" > /dev/null 2>&1; then
-    echo "check.sh: repro explain failed on $b:" >&2
-    dune exec bin/repro.exe -- explain -b "$b" >&2 || true
-    exit 1
-  fi
-  explain_benches=$((explain_benches + 1))
-done
-if [[ "$explain_benches" -lt 11 ]]; then
-  echo "check.sh: expected 11 registry studies to explain, found ${explain_benches}" >&2
-  exit 1
-fi
-
-# Lint self-test: corrupting a known-good plan must trip the named
-# diagnostic with exit code 1 (partition kept, plan mutated).
-lint_mutation() {
-  local bench="$1" mutation="$2" diagnostic="$3" out code
-  out="$(dune exec bin/repro.exe -- lint -b "$bench" -s small --mutate "$mutation" 2>&1)" \
-    && code=0 || code=$?
-  if [[ "$code" -ne 1 ]]; then
-    echo "check.sh: lint --mutate $mutation on $bench exited $code, want 1" >&2
-    exit 1
-  fi
-  if ! grep -q "error\[$diagnostic\]" <<< "$out"; then
-    echo "check.sh: lint --mutate $mutation on $bench did not report $diagnostic:" >&2
-    echo "$out" >&2
-    exit 1
-  fi
-}
-lint_mutation 181.mcf no-alias race
-lint_mutation 186.crafty no-value unbroken-dep
-lint_mutation 197.parser strip-rollback bad-annotation
-
-# PDG-audit gate: every study that ships a loop-body IR must audit
-# clean against it — the interpreter-vs-analysis soundness layer finds
-# no unpredicted dependences, and the hand PDG carries every inferred
-# must-dependence with matching breakers and probabilities.
-audit_benches=()
-for b in $(dune exec bin/repro.exe -- list 2> /dev/null | awk '/^[0-9]+\./ {print $1}'); do
-  out="$(dune exec bin/repro.exe -- audit-pdg -b "$b" 2>&1)" && code=0 || code=$?
-  if grep -q 'has no loop-body IR' <<< "$out"; then
-    continue
-  fi
-  audit_benches+=("$b")
-  if [[ "$code" -ne 0 ]] || ! grep -q 'lint: clean' <<< "$out"; then
-    echo "check.sh: repro audit-pdg is not clean on $b (exit $code):" >&2
-    echo "$out" >&2
-    exit 1
-  fi
-done
-if [[ "${#audit_benches[@]}" -lt 3 ]]; then
-  echo "check.sh: expected >= 3 benches with loop-body IR, found ${#audit_benches[@]}" >&2
-  exit 1
-fi
-
-# Audit self-test: analyzing a drop-write-mutated body while observing
-# the original must trip the soundness layer with exit code 1, proving
-# the audit can actually fail.
-if dune exec bin/repro.exe -- audit-pdg -b 164.gzip --mutate drop-write > /dev/null 2>&1; then
-  echo "check.sh: audit-pdg --mutate drop-write did not fail" >&2
-  exit 1
-fi
 
 # JSON emitters: lint --json and audit-pdg --json must write their
 # record and exit 0 on the clean 164.gzip artifacts.  The record's shape
@@ -170,12 +86,6 @@ if ! dune exec bin/repro.exe -- lint -b 164.gzip -s small --json "$findings_json
   exit 1
 fi
 rm -f "$findings_json"
-
-# Perf-regression gate: the bench smokes above appended to
-# BENCH_history.jsonl; fail if the last two entries show a span or
-# speedup regression beyond BENCH_TOLERANCE (default 2%).  Exit codes:
-# 0 = ok, 1 = regression, 2 = usage/input error.
-dune exec scripts/compare_bench.exe -- BENCH_history.jsonl
 
 # Anti-scaling gate: the newest jobs>1 entry must not be more than
 # SCALING_TOLERANCE (default 15%) slower in wall clock than the newest
@@ -192,40 +102,12 @@ elif [[ "$scaling_code" -ne 0 ]]; then
   exit "$scaling_code"
 fi
 
-# Gate self-test on throwaway copies: a duplicated entry must pass, and
-# an entry with every span inflated 10x must trip the gate.
-last_entry="$(tail -n 1 BENCH_history.jsonl)"
-printf '%s\n%s\n' "$last_entry" "$last_entry" > "$hist_tmp"
-dune exec scripts/compare_bench.exe -- "$hist_tmp" > /dev/null
-printf '%s\n' "$last_entry" > "$hist_bad"
-printf '%s\n' "$last_entry" | sed 's/"span": */"span":9/g' >> "$hist_bad"
-if dune exec scripts/compare_bench.exe -- "$hist_bad" > /dev/null 2>&1; then
-  echo "check.sh: compare_bench failed to flag an inflated span" >&2
-  exit 1
-fi
-
-# Scaling-gate self-test, same throwaway-file idea: a jobs=4 entry 2x
-# slower than the same-rev jobs=1 entry must trip the gate; a parity
-# pair must pass.
-hist_scale="$(mktemp -t bench_hist_scale.XXXXXX.jsonl)"
-seq_entry="$(printf '%s\n' "$last_entry" | sed 's/"jobs":[0-9]*/"jobs":1/; s/"total_seconds":[0-9.]*/"total_seconds":10/')"
-par_slow="$(printf '%s\n' "$last_entry" | sed 's/"jobs":[0-9]*/"jobs":4/; s/"total_seconds":[0-9.]*/"total_seconds":20/')"
-par_ok="$(printf '%s\n' "$last_entry" | sed 's/"jobs":[0-9]*/"jobs":4/; s/"total_seconds":[0-9.]*/"total_seconds":10.5/')"
-printf '%s\n%s\n' "$seq_entry" "$par_slow" > "$hist_scale"
-if SCALING_TOLERANCE=0.15 dune exec scripts/compare_bench.exe -- --scaling "$hist_scale" > /dev/null 2>&1; then
-  echo "check.sh: compare_bench --scaling failed to flag a 2x-slower parallel run" >&2
-  exit 1
-fi
-printf '%s\n%s\n' "$seq_entry" "$par_ok" > "$hist_scale"
-SCALING_TOLERANCE=0.15 dune exec scripts/compare_bench.exe -- --scaling "$hist_scale" > /dev/null
-rm -f "$hist_scale"
-
 # Real-runtime smoke: execute one small bench on actual domains and
 # assert the parallel output is byte-identical to the sequential
 # reference (validate-real exits 1 on any mismatch).  The run appends a
 # `real` entry to BENCH_history.jsonl; such entries are ignored by the
-# perf/scaling gates above (they measure the simulator, not the
-# runtime) but must round-trip through the history format.
+# scaling gate above (it measures the simulator, not the runtime) but
+# must round-trip through the history format.
 hist_len_before="$(wc -l < BENCH_history.jsonl)"
 dune exec bin/repro.exe -- validate-real -b 164.gzip -t 2 -s small \
   --history BENCH_history.jsonl > /dev/null
@@ -248,37 +130,6 @@ if dune exec bin/repro.exe -- validate-real -b 164.gzip -t 2 -s small \
   exit 1
 fi
 
-# Auto-planner gate: the planner tournament must find a plan matching
-# or beating the hand plan on the two anchor benches — `repro plan`'s
-# exit contract enforces winner >= hand (stronger than the 5% margin we
-# require) and oracle-clean simulated runs, exiting 1 otherwise — and
-# its ranked table must be byte-identical at jobs=1 and jobs=4: the
-# branch-and-bound incumbent only advances at wave boundaries, so the
-# ranking cannot depend on how a wave shards across domains.
-plan_j1="$(mktemp -t plan_j1.XXXXXX.txt)"
-plan_j4="$(mktemp -t plan_j4.XXXXXX.txt)"
-for b in 164.gzip 181.mcf; do
-  dune exec bin/repro.exe -- plan -b "$b" --jobs 1 > "$plan_j1"
-  dune exec bin/repro.exe -- plan -b "$b" --jobs 4 > "$plan_j4"
-  if ! diff -q "$plan_j1" "$plan_j4" > /dev/null; then
-    echo "check.sh: repro plan on $b differs between jobs=1 and jobs=4:" >&2
-    diff "$plan_j1" "$plan_j4" >&2 || true
-    exit 1
-  fi
-done
-rm -f "$plan_j1" "$plan_j4"
-
-# Planner self-test: with a corrupted candidate generator every non-seed
-# partition is structurally unsound (a serial stage merged into the
-# replicated stage); the lint pruner must reject them all before any
-# scoring, visible as a non-zero lint-pruned count on stdout.
-plan_corrupt="$(dune exec bin/repro.exe -- plan -b 164.gzip --corrupt-candidates --jobs 2)"
-if ! grep -qE 'lint-pruned [1-9]' <<< "$plan_corrupt"; then
-  echo "check.sh: corrupted candidate generator was not caught by the lint pruner:" >&2
-  echo "$plan_corrupt" >&2
-  exit 1
-fi
-
 # Telemetry smoke: run one bench on real domains with probes on,
 # assert the per-role latency histograms and queue counters print, the
 # Chrome trace parses (its counter tracks now carry real SPSC
@@ -287,7 +138,7 @@ fi
 prof_trace="$(mktemp -t prof_trace.XXXXXX.json)"
 prof_dump="$(mktemp -t prof_dump.XXXXXX.json)"
 prof_out="$(mktemp -t prof_out.XXXXXX.txt)"
-trap 'rm -f "$trace_tmp" "$hist_tmp" "$hist_bad" "$prof_trace" "$prof_dump" "$prof_out"' EXIT
+trap 'rm -f "$trace_tmp" "$prof_trace" "$prof_dump" "$prof_out"' EXIT
 dune exec bin/repro.exe -- profile-real -b 164.gzip -t 3 -s small \
   --trace "$prof_trace" --dump "$prof_dump" > "$prof_out"
 for anchor in 'telemetry:' 'stage-us' 'high-water'; do
@@ -303,7 +154,7 @@ dune exec scripts/validate_trace.exe -- "$prof_trace"
 # path (175.vpr squashes and re-executes), fused at two domains and
 # replicated at three; validate-real writes one trace per point.
 vpr_trace="$(mktemp -d -t vpr_trace.XXXXXX)"
-trap 'rm -f "$trace_tmp" "$hist_tmp" "$hist_bad" "$prof_trace" "$prof_dump" "$prof_out"; rm -rf "$vpr_trace"' EXIT
+trap 'rm -f "$trace_tmp" "$prof_trace" "$prof_dump" "$prof_out"; rm -rf "$vpr_trace"' EXIT
 dune exec bin/repro.exe -- validate-real -b 175.vpr -t 3 -s small \
   --trace "$vpr_trace/vpr.json" > /dev/null
 for t in 2 3; do
@@ -339,5 +190,5 @@ rm -f "$cal_bad"
 # block).  Exit codes: 0 = ok, 1 = gate failed, 2 = input error.
 dune exec scripts/check_calibration.exe
 
-echo "check.sh: build + runtest + prop + bench smoke (jobs=1 and jobs=${SCALE_JOBS}, identical stdout) + trace smoke + lint gate + explain gate (${explain_benches} studies) + pdg-audit gate (${#audit_benches[@]} benches) + perf gate + scaling gate + validate-real smoke + auto-planner gate + telemetry smoke + speculative trace smoke + calibration gate OK (schedules oracle-validated)"
-echo "perf record: BENCH_pipeline.json, BENCH_summary.json, BENCH_summary.csv, BENCH_history.jsonl"
+echo "check.sh: build + runtest (golden snapshots) + prop + bench smoke (jobs=1 and jobs=${SCALE_JOBS}) + trace smoke + lint/audit-pdg --json + scaling gate + validate-real smoke + telemetry smoke + speculative trace smoke + calibration smoke + calibration gate OK (schedules oracle-validated)"
+echo "perf record: BENCH_summary.json, BENCH_summary.csv, BENCH_history.jsonl"

@@ -2,7 +2,8 @@
    invariants over the full benchmark registry (oracle-style — every
    core's stall segments tile [0, span] so totals sum to span x cores,
    and the critical path's length equals the span), the stall/critpath
-   behavior on small hand-built loops, and the History perf gate. *)
+   behavior on small hand-built loops, and the History record with its
+   anti-scaling gate and revision label. *)
 
 module A = Obs_analysis.Attribution
 module T = Obs_analysis.Timeline
@@ -258,37 +259,65 @@ let history_append_load () =
         Alcotest.(check (list string)) "in file order" [ "aaa"; "bbb" ]
           (List.map (fun e -> e.H.rev) es))
 
-let compare_no_regression () =
-  let old_e = entry "aaa" [ study "x" 1000 4.0; study "y" 500 2.0 ] in
-  (* identical numbers, and a 1% wobble inside the default tolerance *)
-  let new_e = entry "bbb" [ study "x" 1010 4.0; study "y" 500 2.0 ] in
-  Alcotest.(check int) "no regressions" 0 (List.length (H.compare old_e new_e))
+(* The anti-scaling gate: a jobs=4 run against a jobs=1 run. *)
+let timed rev jobs total_seconds = { (entry rev [ study "x" 100 2.0 ]) with H.jobs; total_seconds }
 
-let compare_flags_span_inflation () =
-  let old_e = entry "aaa" [ study "x" 1000 4.0 ] in
-  let new_e = entry "bbb" [ study "x" 1100 4.0 ] in
-  match H.compare old_e new_e with
-  | [ r ] ->
-    Alcotest.(check string) "study" "x" r.H.r_study;
-    Alcotest.(check string) "metric" "span" r.H.metric;
-    Alcotest.(check bool) "delta is +10%" true (abs_float (r.H.delta_pct -. 10.) < 1e-9)
-  | rs -> Alcotest.failf "expected one regression, got %d" (List.length rs)
+let verdict entries =
+  match H.scaling ~tolerance:0.15 entries with
+  | H.Compared { par; seq; ok; _ } -> (par.H.total_seconds, seq.H.total_seconds, ok)
+  | H.Nothing_to_compare which -> Alcotest.failf "nothing to compare: no %s entry" which
 
-let compare_flags_speedup_drop () =
-  let old_e = entry "aaa" [ study "x" 1000 4.0 ] in
-  let new_e = entry "bbb" [ study "x" 1000 3.0 ] in
-  match H.compare old_e new_e with
-  | [ r ] -> Alcotest.(check string) "metric" "speedup" r.H.metric
-  | rs -> Alcotest.failf "expected one regression, got %d" (List.length rs)
+let verdict_t = Alcotest.(triple (float 0.) (float 0.) bool)
 
-let compare_respects_tolerance () =
-  let old_e = entry "aaa" [ study "x" 1000 4.0 ] in
-  let new_e = entry "bbb" [ study "x" 1100 4.0 ] in
-  Alcotest.(check int) "15% tolerance swallows +10%" 0
-    (List.length (H.compare ~tolerance:0.15 old_e new_e));
-  (* improvements are never regressions *)
-  let faster = entry "ccc" [ study "x" 900 5.0 ] in
-  Alcotest.(check int) "improvement passes" 0 (List.length (H.compare old_e faster))
+let scaling_flags_slow_parallel () =
+  Alcotest.check verdict_t "2x slower trips the gate" (20., 10., false)
+    (verdict [ timed "aaa" 1 10.; timed "aaa" 4 20. ])
+
+let scaling_tolerance_respected () =
+  Alcotest.check verdict_t "10.5s against 10s passes" (10.5, 10., true)
+    (verdict [ timed "aaa" 1 10.; timed "aaa" 4 10.5 ])
+
+let scaling_prefers_same_rev () =
+  (* The newer jobs=1 run measured other code. *)
+  Alcotest.check verdict_t "same-rev jobs=1 entry chosen" (10.5, 10., true)
+    (verdict [ timed "aaa" 1 10.; timed "aaa" 4 10.5; timed "bbb" 1 30. ])
+
+let scaling_ignores_real () =
+  let real =
+    {
+      H.rp_study = "164.gzip";
+      rp_threads = 2;
+      rp_seconds = 0.5;
+      rp_speedup = 1.2;
+      rp_sim_speedup = 1.0;
+      rp_ok = true;
+      rp_squashes = 0;
+    }
+  in
+  let real_pair =
+    List.map (fun e -> { e with H.real = [ real ] }) [ timed "aaa" 1 1.; timed "aaa" 4 90. ]
+  in
+  Alcotest.check verdict_t "real entries skipped" (10.5, 10., true)
+    (verdict ([ timed "aaa" 1 10.; timed "aaa" 4 10.5 ] @ real_pair));
+  Alcotest.(check bool) "only real entries: nothing to compare" true
+    (H.scaling ~tolerance:0.15 real_pair = H.Nothing_to_compare "jobs>1")
+
+let rev_label () =
+  let label status = H.rev_label ~head:"abc1234" status in
+  Alcotest.(check string) "clean" "abc1234" (label []);
+  Alcotest.(check string) "records only" "abc1234"
+    (label [ " M BENCH_history.jsonl"; "M  BENCH_summary.json"; " M BENCH_summary.csv" ]);
+  Alcotest.(check string) "untracked and ignored files" "abc1234"
+    (label [ "?? scratch.ml"; "!! _build/" ]);
+  Alcotest.(check string) "modified source" "abc1234+dirty"
+    (label [ " M BENCH_history.jsonl"; " M bench/main.ml" ]);
+  Alcotest.(check string) "staged deletion" "abc1234+dirty" (label [ "D  lib/ir/region.ml" ]);
+  Alcotest.(check string) "rename of a record" "abc1234"
+    (label [ "R  BENCH_a.json -> BENCH_b.json" ]);
+  Alcotest.(check string) "rename into the tree" "abc1234+dirty"
+    (label [ "R  BENCH_a.json -> lib/a.json" ]);
+  Alcotest.(check string) "a nested BENCH_ file is code" "abc1234+dirty"
+    (label [ " M bench/BENCH_notes.md" ])
 
 let () =
   Alcotest.run "analysis"
@@ -307,9 +336,11 @@ let () =
           Alcotest.test_case "entry round-trips" `Quick history_roundtrip;
           Alcotest.test_case "entry round-trips with gc" `Quick history_roundtrip_with_gc;
           Alcotest.test_case "append and load" `Quick history_append_load;
-          Alcotest.test_case "identical runs pass" `Quick compare_no_regression;
-          Alcotest.test_case "span inflation flagged" `Quick compare_flags_span_inflation;
-          Alcotest.test_case "speedup drop flagged" `Quick compare_flags_speedup_drop;
-          Alcotest.test_case "tolerance respected" `Quick compare_respects_tolerance;
+          Alcotest.test_case "scaling gate trips on 2x slower jobs=4" `Quick
+            scaling_flags_slow_parallel;
+          Alcotest.test_case "scaling tolerance respected" `Quick scaling_tolerance_respected;
+          Alcotest.test_case "scaling prefers same-rev jobs=1" `Quick scaling_prefers_same_rev;
+          Alcotest.test_case "scaling ignores real entries" `Quick scaling_ignores_real;
+          Alcotest.test_case "rev label" `Quick rev_label;
         ] );
     ]

@@ -168,130 +168,6 @@ let pdg_scc_partition =
          let all = List.concat comps |> List.sort compare in
          all = List.init n Fun.id))
 
-(* ------------------------------------------------------------------ *)
-(* Region formation                                                    *)
-
-let region_pdg () =
-  let g = Ir.Pdg.create "regions" in
-  let ids = List.init 6 (fun i -> Ir.Pdg.add_node g ~label:(string_of_int i) ~weight:0.2 ()) in
-  let rec link = function
-    | a :: (b :: _ as rest) ->
-      Ir.Pdg.add_edge g ~src:a ~dst:b ~kind:Ir.Dep.Register ();
-      link rest
-    | _ -> ()
-  in
-  link ids;
-  g
-
-let region_respects_budget () =
-  let g = region_pdg () in
-  let regions = Ir.Region.form g ~max_weight:0.5 in
-  Alcotest.(check bool) "valid partition" true (Ir.Region.validate g regions = Ok ());
-  List.iter
-    (fun r ->
-      Alcotest.(check bool) "within budget" true (Ir.Region.weight g r <= 0.5 +. 1e-9))
-    regions;
-  Alcotest.(check int) "three regions of two" 3 (Ir.Region.count regions)
-
-let region_whole_graph_budget () =
-  let g = region_pdg () in
-  let regions = Ir.Region.form g ~max_weight:10.0 in
-  Alcotest.(check int) "one region" 1 (Ir.Region.count regions)
-
-let region_oversized_scc () =
-  (* A cyclic SCC heavier than the budget still forms one region. *)
-  let g = Ir.Pdg.create "big-scc" in
-  let a = Ir.Pdg.add_node g ~label:"a" ~weight:0.6 () in
-  let b = Ir.Pdg.add_node g ~label:"b" ~weight:0.6 () in
-  Ir.Pdg.add_edge g ~src:a ~dst:b ~kind:Ir.Dep.Register ();
-  Ir.Pdg.add_edge g ~src:b ~dst:a ~kind:Ir.Dep.Register ();
-  let regions = Ir.Region.form g ~max_weight:0.5 in
-  Alcotest.(check int) "one region" 1 (Ir.Region.count regions);
-  Alcotest.(check bool) "still valid" true (Ir.Region.validate g regions = Ok ())
-
-let region_partition_property =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:100 ~name:"regions always partition the graph"
-       QCheck2.Gen.(pair (int_range 1 12) (float_range 0.1 2.0))
-       (fun (n, budget) ->
-         let g = Ir.Pdg.create "r" in
-         for i = 0 to n - 1 do
-           ignore (Ir.Pdg.add_node g ~label:(string_of_int i) ~weight:0.3 ())
-         done;
-         for i = 0 to n - 2 do
-           Ir.Pdg.add_edge g ~src:i ~dst:(i + 1) ~kind:Ir.Dep.Register ()
-         done;
-         Ir.Region.validate g (Ir.Region.form g ~max_weight:budget) = Ok ()))
-
-(* ------------------------------------------------------------------ *)
-(* Call graph                                                          *)
-
-let cg_sample () =
-  let g = Ir.Callgraph.create () in
-  Ir.Callgraph.add_proc g ~name:"main" ~weight:1.0;
-  Ir.Callgraph.add_proc g ~name:"helper" ~weight:2.0;
-  Ir.Callgraph.add_proc g ~name:"leaf" ~weight:3.0;
-  Ir.Callgraph.add_call g ~caller:"main" ~callee:"helper" ~count:2 ();
-  Ir.Callgraph.add_call g ~caller:"helper" ~callee:"leaf" ();
-  g
-
-let callgraph_transitive_weight () =
-  let g = cg_sample () in
-  Alcotest.(check (float 1e-9)) "leaf" 3.0 (Ir.Callgraph.transitive_weight g "leaf");
-  Alcotest.(check (float 1e-9)) "helper" 5.0 (Ir.Callgraph.transitive_weight g "helper");
-  (* main = 1 + 2 * (2 + 3) = 11 *)
-  Alcotest.(check (float 1e-9)) "main" 11.0 (Ir.Callgraph.transitive_weight g "main")
-
-let callgraph_recursion_detected () =
-  let g = cg_sample () in
-  Alcotest.(check bool) "main not recursive" false (Ir.Callgraph.is_recursive g "main");
-  Ir.Callgraph.add_call g ~caller:"leaf" ~callee:"helper" ();
-  Alcotest.(check bool) "helper in cycle" true (Ir.Callgraph.is_recursive g "helper");
-  Alcotest.(check bool) "leaf in cycle" true (Ir.Callgraph.is_recursive g "leaf");
-  Alcotest.(check bool) "main still not" false (Ir.Callgraph.is_recursive g "main")
-
-let callgraph_recursive_weight_truncates () =
-  let g = Ir.Callgraph.create () in
-  Ir.Callgraph.add_proc g ~name:"search" ~weight:1.0;
-  Ir.Callgraph.add_call g ~caller:"search" ~callee:"search" ();
-  let w = Ir.Callgraph.transitive_weight g ~recursion_depth:4 "search" in
-  Alcotest.(check (float 1e-9)) "4 levels + root" 5.0 w
-
-let callgraph_unroll_crafty_style () =
-  (* The 186.crafty trick: specialize the recursive Search one level so
-     the loop in the first call parallelizes too. *)
-  let g = Ir.Callgraph.create () in
-  Ir.Callgraph.add_proc g ~name:"SearchRoot" ~weight:1.0;
-  Ir.Callgraph.add_proc g ~name:"Search" ~weight:10.0;
-  Ir.Callgraph.add_call g ~caller:"SearchRoot" ~callee:"Search" ~count:30 ();
-  Ir.Callgraph.add_call g ~caller:"Search" ~callee:"Search" ~count:2 ();
-  let g' = Ir.Callgraph.unroll g ~proc:"Search" ~depth:2 in
-  Alcotest.(check bool) "specializations exist" true
-    (List.mem "Search#1" (Ir.Callgraph.procedures g')
-    && List.mem "Search#2" (Ir.Callgraph.procedures g'));
-  Alcotest.(check bool) "no copy is recursive" true
-    ((not (Ir.Callgraph.is_recursive g' "Search#1"))
-    && not (Ir.Callgraph.is_recursive g' "Search#2"));
-  (* Search#2 dropped the recursive call: weight 10; Search#1 = 10 + 2*10. *)
-  Alcotest.(check (float 1e-9)) "chained weight" 30.0
-    (Ir.Callgraph.transitive_weight g' "Search#1")
-
-let callgraph_unroll_requires_recursion () =
-  let g = cg_sample () in
-  Alcotest.check_raises "not recursive"
-    (Invalid_argument "Callgraph.unroll: helper is not directly recursive") (fun () ->
-      ignore (Ir.Callgraph.unroll g ~proc:"helper" ~depth:2))
-
-let callgraph_inline_order () =
-  let g = cg_sample () in
-  let order = Ir.Callgraph.inline_order g in
-  let pos x =
-    let rec go i = function [] -> -1 | y :: r -> if y = x then i else go (i + 1) r in
-    go 0 order
-  in
-  Alcotest.(check bool) "leaf before helper" true (pos "leaf" < pos "helper");
-  Alcotest.(check bool) "helper before main" true (pos "helper" < pos "main")
-
 let () =
   Alcotest.run "ir"
     [
@@ -324,21 +200,5 @@ let () =
           Alcotest.test_case "bad edge" `Quick pdg_bad_edge;
           Alcotest.test_case "self edge" `Quick pdg_self_edge;
           pdg_scc_partition;
-        ] );
-      ( "region",
-        [
-          Alcotest.test_case "respects budget" `Quick region_respects_budget;
-          Alcotest.test_case "whole graph" `Quick region_whole_graph_budget;
-          Alcotest.test_case "oversized scc" `Quick region_oversized_scc;
-          region_partition_property;
-        ] );
-      ( "callgraph",
-        [
-          Alcotest.test_case "transitive weight" `Quick callgraph_transitive_weight;
-          Alcotest.test_case "recursion" `Quick callgraph_recursion_detected;
-          Alcotest.test_case "recursive weight" `Quick callgraph_recursive_weight_truncates;
-          Alcotest.test_case "unroll" `Quick callgraph_unroll_crafty_style;
-          Alcotest.test_case "unroll requires recursion" `Quick callgraph_unroll_requires_recursion;
-          Alcotest.test_case "inline order" `Quick callgraph_inline_order;
         ] );
     ]
