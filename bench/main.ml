@@ -1,17 +1,13 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation, runs the ablation studies DESIGN.md calls out, and times
-   the simulator/compiler kernels with Bechamel.
+   evaluation and runs the ablation studies DESIGN.md calls out, at
+   medium scale.  Kernel timings live in bench/micro.
 
-     dune exec bench/main.exe              # everything, medium scale
-     dune exec bench/main.exe -- quick     # skip the Bechamel timing pass
+     dune exec bench/main.exe
 
    Independent studies run across a Domain pool sized by REPRO_JOBS
    (default: the machine's recommended domain count).  All printing
    happens on the main domain in registry order, so stdout is
    byte-identical at any job count. *)
-
-open Bechamel
-open Toolkit
 
 let scale = Benchmarks.Study.Medium
 
@@ -360,55 +356,6 @@ let static_model () =
     Benchmarks.Registry.all
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel timing of the kernels                                      *)
-
-let bechamel_tests () =
-  let gzip_input =
-    lazy
-      (let gzip = study "164.gzip" in
-       let profile = gzip.Benchmarks.Study.run ~scale:Benchmarks.Study.Small in
-       (Core.Framework.build ~plan:gzip.Benchmarks.Study.plan profile).Core.Framework.input)
-  in
-  let sim_kernel cores () =
-    let input = Lazy.force gzip_input in
-    ignore (Sim.Pipeline.run (Machine.Config.default ~cores) input)
-  in
-  let partition_kernel () =
-    List.iter
-      (fun (s : Benchmarks.Study.t) ->
-        ignore
-          (Dswp.Partition.partition (s.Benchmarks.Study.pdg ())
-             ~enabled:(Core.Framework.enabled_breakers s.Benchmarks.Study.plan)))
-      Benchmarks.Registry.all
-  in
-  let profiler_kernel () =
-    let bzip2 = study "256.bzip2" in
-    let p = bzip2.Benchmarks.Study.run ~scale:Benchmarks.Study.Small in
-    ignore (Core.Framework.build ~plan:bzip2.Benchmarks.Study.plan p)
-  in
-  [
-    Test.make ~name:"pipeline-sim/8-cores" (Staged.stage (sim_kernel 8));
-    Test.make ~name:"pipeline-sim/32-cores" (Staged.stage (sim_kernel 32));
-    Test.make ~name:"dswp-partition/all-pdgs" (Staged.stage partition_kernel);
-    Test.make ~name:"profile+resolve/bzip2-small" (Staged.stage profiler_kernel);
-  ]
-
-let run_bechamel () =
-  section "Bechamel: simulator and compiler kernel timings";
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 10) () in
-  let grouped = Test.make_grouped ~name:"kernels" (bechamel_tests ()) in
-  let raw = Benchmark.all cfg instances grouped in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun name ols_result ->
-      match Analyze.OLS.estimates ols_result with
-      | Some [ t ] -> Format.printf "%-32s %12.0f ns/run@." name t
-      | Some _ | None -> Format.printf "%-32s (no estimate)@." name)
-    results
-
-(* ------------------------------------------------------------------ *)
 (* Machine-readable perf record                                        *)
 
 (* BENCH_summary.{json,csv}: simulator counters/gauges from one
@@ -567,9 +514,7 @@ let print_gc_report () =
   Format.eprintf "%a@." Parallel.Pool.pp_stats pool
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let quick = List.mem "quick" args in
-  gc_stats_enabled := List.mem "--gc-stats" args;
+  gc_stats_enabled := Array.mem "--gc-stats" Sys.argv;
   (* Label the code before this run writes its own records. *)
   let rev = Obs_analysis.History.current_rev () in
   let t0 = Unix.gettimeofday () in
@@ -590,7 +535,6 @@ let () =
   auto_vs_hand ();
   gantt_demo ();
   static_model ();
-  if not quick then run_bechamel ();
   let total_seconds = Unix.gettimeofday () -. t0 in
   write_obs_summary ();
   write_history ~rev ~total_seconds;

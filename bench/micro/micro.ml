@@ -1,7 +1,7 @@
 (* Bechamel micro-benchmarks of the primitives under the profiled studies,
-   the simulator and the schedule analysis: one kernel call per run,
-   reported in ns/run.  Use it
-   for a before/after of a single primitive; the end-to-end benchmark is
+   the simulator, the partitioner, the profiler and the schedule
+   analysis: one kernel call per run, reported in ns/run.  Use it for a
+   before/after of a single primitive; the end-to-end benchmark is
    bench/perf.
 
      dune exec bench/micro/micro.exe            # every test
@@ -24,20 +24,23 @@ let bzip2_block =
 let crafty_position =
   List.hd (Workloads.Alphabeta.moves (Workloads.Alphabeta.root ~seed:186_000))
 
-(* The 164.gzip loop at Small scale, simulated on 8 cores.  The simulator
-   memoizes a loop's static data by physical identity, so a fresh copy of
-   the record is a cold build and the loop itself a warm one; the
-   difference between the two tests is the static-data build.  Each copy
-   gets its own name so that copies do not all hash to one bucket of the
-   memo. *)
-let gzip_loop =
+(* The 164.gzip input at Small scale. *)
+let gzip_input =
   lazy
     (let gzip = Benchmarks.B164_gzip.study in
      let profile = gzip.Benchmarks.Study.run ~scale:Benchmarks.Study.Small in
-     let built = Core.Framework.build ~plan:gzip.Benchmarks.Study.plan profile in
-     List.find_map
+     (Core.Framework.build ~plan:gzip.Benchmarks.Study.plan profile).Core.Framework.input)
+
+(* Its loop, simulated on 8 cores.  The simulator memoizes a loop's
+   static data by physical identity, so a fresh copy of the record is a
+   cold build and the loop itself a warm one; the difference between the
+   two tests is the static-data build.  Each copy gets its own name so
+   that copies do not all hash to one bucket of the memo. *)
+let gzip_loop =
+  lazy
+    (List.find_map
        (function Sim.Input.Parallel l -> Some l | Sim.Input.Serial _ -> None)
-       built.Core.Framework.input.Sim.Input.segments
+       (Lazy.force gzip_input).Sim.Input.segments
      |> Option.get)
 
 let sim_cfg = Machine.Config.default ~cores:8
@@ -83,6 +86,23 @@ let tests =
            simulate { (Lazy.force gzip_loop) with Sim.Input.name = string_of_int !copies }));
     Test.make ~name:"sim/gzip-loop-warm-static"
       (Staged.stage (fun () -> simulate (Lazy.force gzip_loop)));
+    (* The whole 164.gzip input, serial segments included, on 32 cores. *)
+    Test.make ~name:"sim/gzip-input-32-cores"
+      (Staged.stage (fun () ->
+           Sim.Pipeline.run (Machine.Config.default ~cores:32) (Lazy.force gzip_input)));
+    Test.make ~name:"dswp-partition/all-pdgs"
+      (Staged.stage (fun () ->
+           List.iter
+             (fun (s : Benchmarks.Study.t) ->
+               ignore
+                 (Dswp.Partition.partition (s.Benchmarks.Study.pdg ())
+                    ~enabled:(Core.Framework.enabled_breakers s.Benchmarks.Study.plan)))
+             Benchmarks.Registry.all));
+    Test.make ~name:"profile+resolve/bzip2-small"
+      (Staged.stage (fun () ->
+           let bzip2 = Benchmarks.B256_bzip2.study in
+           let p = bzip2.Benchmarks.Study.run ~scale:Benchmarks.Study.Small in
+           Core.Framework.build ~plan:bzip2.Benchmarks.Study.plan p));
     Test.make ~name:"analysis/timeline-twolf"
       (Staged.stage (fun () ->
            let cfg, loop, r, events = Lazy.force twolf_run in

@@ -22,6 +22,18 @@ let scale_conv =
   in
   Arg.conv (parse, fun ppf s -> Format.pp_print_string ppf (Benchmarks.Study.scale_to_string s))
 
+(* A count that must be at least 1, such as a machine size: 0 is a usage
+   error (exit 124), not an uncaught exception from the layer that
+   rejects it. *)
+let positive_int =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < 1 ->
+      Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer >= 1" s))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
 let scale_arg =
   Arg.(value & opt scale_conv Benchmarks.Study.Medium
        & info [ "s"; "scale" ] ~docv:"SCALE" ~doc:"Input scale: small, medium, large.")
@@ -93,7 +105,7 @@ let with_study name f =
   match find_study name with Error _ as e -> e | Ok study -> f study
 
 let threads_arg =
-  Arg.(value & opt int 8 & info [ "t"; "threads" ] ~docv:"N" ~doc:"Machine size.")
+  Arg.(value & opt positive_int 8 & info [ "t"; "threads" ] ~docv:"N" ~doc:"Machine size.")
 
 let list_cmd =
   let run () =
@@ -529,7 +541,7 @@ let audit_cmd =
 
 let plan_cmd =
   let beam_arg =
-    Arg.(value & opt int 8
+    Arg.(value & opt positive_int 8
          & info [ "beam" ] ~docv:"K"
              ~doc:"Simulation wave size: the branch-and-bound incumbent advances \
                    between waves of $(docv) candidates.")
@@ -541,7 +553,7 @@ let plan_cmd =
                    simulated and exempt from the budget.")
   in
   let plan_threads_arg =
-    Arg.(value & opt int 16
+    Arg.(value & opt positive_int 16
          & info [ "t"; "threads" ] ~docv:"N"
              ~doc:"Simulated machine size for replicated candidates.")
   in

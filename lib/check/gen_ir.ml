@@ -65,7 +65,7 @@ let build_loop ?(name = "gen") d =
 
 let loop_desc ?(max_iters = 10) ?(max_bs = 3) ?(max_work = 20) ?(edge_factor = 8)
     ?(offsets = false) () =
-  let open Gen in
+  let open QCheck2.Gen in
   let work = int_range 0 max_work in
   let iter =
     triple
@@ -90,10 +90,11 @@ let loop_desc ?(max_iters = 10) ?(max_bs = 3) ?(max_work = 20) ?(edge_factor = 8
   return { ld_iters = iters; ld_edges = edges }
 
 let loop ?name ?max_iters ?max_bs ?max_work ?edge_factor ?offsets () =
-  Gen.map (build_loop ?name) (loop_desc ?max_iters ?max_bs ?max_work ?edge_factor ?offsets ())
+  QCheck2.Gen.map (build_loop ?name)
+    (loop_desc ?max_iters ?max_bs ?max_work ?edge_factor ?offsets ())
 
 let input ?(max_segments = 4) () =
-  let open Gen in
+  let open QCheck2.Gen in
   let* descs =
     list_size (int_range 1 max_segments)
       (oneof
@@ -112,14 +113,14 @@ let input ?(max_segments = 4) () =
   return (Sim.Input.make ~name:"gen" ~segments)
 
 let config ?(max_cores = 32) () =
-  let open Gen in
+  let open QCheck2.Gen in
   let* cores = int_range ~origin:1 1 max_cores in
   let* cap = int_range ~origin:32 1 32 in
   let* lat = int_range 0 5 in
   return (Machine.Config.make ~cores ~queue_capacity:cap ~comm_latency:lat ())
 
 let policy =
-  let open Gen in
+  let open QCheck2.Gen in
   let* misspec = oneofl [ Sim.Sched.Serialize; Sim.Sched.Squash ] in
   let* forwarding = bool in
   return { Sim.Sched.misspec; forwarding }
@@ -128,7 +129,7 @@ let policy =
    loops whose task ids are array indices and whose iterations are
    non-decreasing (Ir.Trace.validate accepts every generated trace). *)
 let trace ?(max_segments = 4) () =
-  let open Gen in
+  let open QCheck2.Gen in
   let* descs =
     list_size (int_range 1 max_segments)
       (oneof
@@ -162,7 +163,7 @@ let trace ?(max_segments = 4) () =
    loop-carried self-edges (the recurrences that keep nodes out of the
    parallel stage until broken). *)
 let pdg ?(max_nodes = 8) ?(breakers = false) ?(self_deps = false) () =
-  let open Gen in
+  let open QCheck2.Gen in
   let* nodes = list_size (int_range 1 max_nodes) (pair (int_range 1 100) bool) in
   let n = List.length nodes in
   let total = float_of_int (List.fold_left (fun acc (w, _) -> acc + w) 0 nodes) in
@@ -232,7 +233,7 @@ let pdg ?(max_nodes = 8) ?(breakers = false) ?(self_deps = false) () =
    a runnable body. *)
 
 let flow_index =
-  let open Gen in
+  let open QCheck2.Gen in
   oneof
     [
       map (fun c -> Flow.Body.Fixed c) (int_bound 3);
@@ -245,7 +246,7 @@ let flow_index =
     ]
 
 let flow_addr ~nscalars ~narrays =
-  let open Gen in
+  let open QCheck2.Gen in
   let scalar = map (fun s -> Flow.Body.Scalar s) (int_bound (nscalars - 1)) in
   if narrays = 0 then scalar
   else
@@ -258,7 +259,7 @@ let flow_addr ~nscalars ~narrays =
 let flow_commutative_fn = "Yacm_gen"
 
 let rec flow_stmt ~nscalars ~narrays ~max_stmts depth =
-  let open Gen in
+  let open QCheck2.Gen in
   let addr = flow_addr ~nscalars ~narrays in
   let leaf =
     [
@@ -302,10 +303,11 @@ let rec flow_stmt ~nscalars ~narrays ~max_stmts depth =
         ])
 
 and flow_stmts ~nscalars ~narrays ~max_stmts depth =
-  Gen.list_size (Gen.int_bound max_stmts) (flow_stmt ~nscalars ~narrays ~max_stmts depth)
+  QCheck2.Gen.list_size (QCheck2.Gen.int_bound max_stmts)
+    (flow_stmt ~nscalars ~narrays ~max_stmts depth)
 
 let flow_body ?(max_regions = 3) ?(max_stmts = 5) ?(max_depth = 2) () =
-  let open Gen in
+  let open QCheck2.Gen in
   let* nscalars = int_range 1 3 in
   let* narrays = int_bound 2 in
   let* storages =

@@ -1,5 +1,5 @@
 (** Domain generators: random well-formed simulator inputs and IR
-    structures, built on {!Gen}.
+    structures, built on [QCheck2.Gen].
 
     Loops are generated through a printable descriptor ({!loop_desc}) so
     a shrunk counterexample can be shown to the user; [build_loop] drops
@@ -29,7 +29,7 @@ val loop_desc :
   ?edge_factor:int ->
   ?offsets:bool ->
   unit ->
-  loop_desc Gen.t
+  loop_desc QCheck2.Gen.t
 
 val loop :
   ?name:string ->
@@ -39,21 +39,21 @@ val loop :
   ?edge_factor:int ->
   ?offsets:bool ->
   unit ->
-  Sim.Input.loop Gen.t
+  Sim.Input.loop QCheck2.Gen.t
 
-val input : ?max_segments:int -> unit -> Sim.Input.t Gen.t
+val input : ?max_segments:int -> unit -> Sim.Input.t QCheck2.Gen.t
 (** Serial and parallel-loop segments mixed. *)
 
-val config : ?max_cores:int -> unit -> Machine.Config.t Gen.t
+val config : ?max_cores:int -> unit -> Machine.Config.t QCheck2.Gen.t
 (** Cores shrink toward 1, queue capacity toward 32 (non-constraining),
     latency toward 0. *)
 
-val policy : Sim.Sched.policy Gen.t
+val policy : Sim.Sched.policy QCheck2.Gen.t
 
-val trace : ?max_segments:int -> unit -> Ir.Trace.t Gen.t
+val trace : ?max_segments:int -> unit -> Ir.Trace.t QCheck2.Gen.t
 (** Always passes [Ir.Trace.validate]. *)
 
-val pdg : ?max_nodes:int -> ?breakers:bool -> ?self_deps:bool -> unit -> Ir.Pdg.t Gen.t
+val pdg : ?max_nodes:int -> ?breakers:bool -> ?self_deps:bool -> unit -> Ir.Pdg.t QCheck2.Gen.t
 (** Acyclic (edges point from lower to higher ids), normalised weights.
     [breakers] (default false) decorates loop-carried edges with
     kind-appropriate breakers; [self_deps] (default false) adds
@@ -65,9 +65,9 @@ val flow_commutative_fn : string
     commutative-group paths of the analyzer and interpreter. *)
 
 val flow_body :
-  ?max_regions:int -> ?max_stmts:int -> ?max_depth:int -> unit -> Flow.Body.t Gen.t
+  ?max_regions:int -> ?max_stmts:int -> ?max_depth:int -> unit -> Flow.Body.t QCheck2.Gen.t
 (** Random loop-body IR, always passing [Flow.Body.validate]: 1-3
     scalars of either storage, up to 2 arrays, [max_regions] (default 3)
     regions of statement lists nested up to [max_depth] (default 2)
-    levels of If/While/Call/Ybranch.  Shrinks by dropping statements and
-    simplifying indices. *)
+    levels of If/While/Call/Ybranch.  Shrinks by dropping trailing
+    statements and simplifying indices. *)

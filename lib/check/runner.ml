@@ -1,21 +1,4 @@
-type failure = {
-  seed : int;
-  case : int;
-  shrink_steps : int;
-  counterexample : string;
-  error : string;
-}
-
-type outcome = Passed of int | Failed of failure
-
-let env_int name =
-  match Sys.getenv_opt name with
-  | None -> None
-  | Some s -> int_of_string_opt (String.trim s)
-
-let default_count () = Option.value ~default:100 (env_int "CHECK_COUNT")
-
-let env_seed () = env_int "CHECK_SEED"
+let env_int name = Option.bind (Sys.getenv_opt name) (fun s -> int_of_string_opt (String.trim s))
 
 (* Stable per-property default seed: independent of hashing randomization
    (we roll our own FNV-1a) so a failure reproduces across runs and
@@ -29,74 +12,25 @@ let seed_of_name name =
     name;
   !h
 
-(* A property either holds, or fails with a reason (false = plain
-   mismatch; an exception is captured with its message). *)
-let check_prop prop x =
-  match prop x with
-  | true -> None
-  | false -> Some "property is false"
-  | exception e -> Some (Printexc.to_string e)
-
-(* Greedy depth-first shrink: repeatedly descend to the first child that
-   still fails.  The step budget bounds pathological shrink spaces. *)
-let shrink ~max_shrink_steps prop tree first_error =
-  let steps = ref 0 in
-  let rec go tree error =
-    if !steps >= max_shrink_steps then (tree, error)
-    else
-      let rec scan seq =
-        (* Forcing a shrink candidate can itself raise (a [bind]
-           continuation replaying on a shrunk outer value); treat that as
-           the end of this node's candidates rather than a crash. *)
-        match (try Some (seq ()) with _ -> None) with
-        | None | Some Seq.Nil -> (tree, error)
-        | Some (Seq.Cons (child, rest)) ->
-          incr steps;
-          if !steps > max_shrink_steps then (tree, error)
-          else (
-            match check_prop prop (Gen.Tree.root child) with
-            | Some err -> go child err
-            | None -> scan rest)
-      in
-      scan (Gen.Tree.children tree)
+let run_prop_exn ?count ?(print = fun _ -> "<no printer>") ~name gen prop =
+  let seed = match env_int "CHECK_SEED" with Some s -> s | None -> seed_of_name name in
+  let count =
+    match count with Some c -> c | None -> Option.value ~default:100 (env_int "CHECK_COUNT")
   in
-  let t, e = go tree first_error in
-  (t, e, !steps)
-
-let run_prop ?count ?seed ?(max_shrink_steps = 2000) ?print ~name gen prop =
-  let count = match count with Some c -> c | None -> default_count () in
-  let seed =
-    match seed with Some s -> s | None -> (match env_seed () with Some s -> s | None -> seed_of_name name)
+  let cell = QCheck2.Test.make_cell ~count ~name gen prop in
+  let fail error counterexample =
+    Printf.ksprintf failwith "property %s failed (%s)%s\n  replay with CHECK_SEED=%d" name
+      error counterexample seed
   in
-  let repr x = match print with Some p -> p x | None -> "<no printer>" in
-  let rec cases i =
-    if i >= count then Passed count
-    else
-      (* One fresh splitmix state per case, derived from (seed, case):
-         a failure is replayed by the same seed and case index alone. *)
-      let rng = Simcore.Rng.create (seed + (0x9E3779B9 * i)) in
-      let tree = Gen.generate gen rng in
-      match check_prop prop (Gen.Tree.root tree) with
-      | None -> cases (i + 1)
-      | Some error ->
-        let tree, error, shrink_steps = shrink ~max_shrink_steps prop tree error in
-        Failed
-          {
-            seed;
-            case = i;
-            shrink_steps;
-            counterexample = repr (Gen.Tree.root tree);
-            error;
-          }
+  let shrunk (c : _ QCheck2.TestResult.counter_ex) =
+    Printf.sprintf "\n  minimal counterexample (after %d shrink steps): %s" c.shrink_steps
+      (print c.instance)
   in
-  cases 0
-
-let pp_failure ~name ppf f =
-  Format.fprintf ppf
-    "property %s failed (%s)@.  minimal counterexample (after %d shrink steps): %s@.  replay with CHECK_SEED=%d (case %d)"
-    name f.error f.shrink_steps f.counterexample f.seed f.case
-
-let run_prop_exn ?count ?seed ?max_shrink_steps ?print ~name gen prop =
-  match run_prop ?count ?seed ?max_shrink_steps ?print ~name gen prop with
-  | Passed _ -> ()
-  | Failed f -> failwith (Format.asprintf "%a" (pp_failure ~name) f)
+  match
+    QCheck2.TestResult.get_state
+      (QCheck2.Test.check_cell ~rand:(Random.State.make [| seed |]) cell)
+  with
+  | Success -> ()
+  | Failed { instances } -> fail "property is false" (shrunk (List.hd instances))
+  | Error { instance; exn; _ } -> fail (Printexc.to_string exn) (shrunk instance)
+  | Failed_other { msg } -> fail msg ""

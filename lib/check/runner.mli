@@ -1,10 +1,10 @@
-(** Property driver: run a generator against a predicate, shrink any
-    failure to a minimal counterexample, and report a replayable seed.
+(** Property driver: run a QCheck2 generator against a predicate, shrink
+    any failure to a minimal counterexample, and name the seed that
+    replays it.
 
-    Determinism contract: every case [i] of a run with seed [s] draws
-    from [Simcore.Rng.create (s + 0x9E3779B9 * i)], so a reported
-    [(seed, case)] pair replays the exact failing input (and its whole
-    shrink sequence) on any machine.
+    Determinism contract: a property with seed [s] draws every case from
+    one [Random.State.make [| s |]], so [CHECK_SEED=s] alone replays the
+    exact failing input and its whole shrink sequence on any machine.
 
     Environment knobs:
     - [CHECK_COUNT] — cases per property when the caller does not pass
@@ -13,39 +13,14 @@
       hash of the property name), letting CI explore fresh inputs while
       still printing the seed needed to replay a failure. *)
 
-type failure = {
-  seed : int;
-  case : int;  (** 0-based index of the failing case *)
-  shrink_steps : int;
-  counterexample : string;  (** printed minimal counterexample *)
-  error : string;  (** "property is false" or the escaping exception *)
-}
-
-type outcome = Passed of int | Failed of failure
-
-val default_count : unit -> int
-
 val seed_of_name : string -> int
-
-val run_prop :
-  ?count:int ->
-  ?seed:int ->
-  ?max_shrink_steps:int ->
-  ?print:('a -> string) ->
-  name:string ->
-  'a Gen.t ->
-  ('a -> bool) ->
-  outcome
-
-val pp_failure : name:string -> Format.formatter -> failure -> unit
 
 val run_prop_exn :
   ?count:int ->
-  ?seed:int ->
-  ?max_shrink_steps:int ->
   ?print:('a -> string) ->
   name:string ->
-  'a Gen.t ->
+  'a QCheck2.Gen.t ->
   ('a -> bool) ->
   unit
-(** Raises [Failure] with the formatted failure report. *)
+(** Raises [Failure] with a report naming the property, the error, the
+    shrunk counterexample and [replay with CHECK_SEED=<n>]. *)

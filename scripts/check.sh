@@ -6,9 +6,11 @@
 #   CHECK_SEED=1234 scripts/check.sh   # re-seed every randomized property
 #
 # Every schedule simulated by the tests is re-checked by Sim.Oracle
-# (SIM_VALIDATE=1).  The @prop alias runs each randomized property at
-# 1000 cases; a failure prints the CHECK_SEED that replays its minimal
-# counterexample.
+# (SIM_VALIDATE=1).  Every randomized property runs on QCheck2 through
+# Check.Runner, seeded from CHECK_SEED or else from its name, so it draws
+# the same inputs on every run unless CHECK_SEED is set.  The @prop alias
+# runs each property that fixes no count at 1000 cases; a failure prints
+# its shrunk counterexample and the CHECK_SEED that alone replays it.
 #
 # Behaviour is checked by `dune runtest`: test/golden snapshots every
 # deterministic output of bench/main.exe and repro (the tables and
@@ -65,8 +67,8 @@ dune build @prop
 # scaling measurement with GC-barrier noise).  Oracle coverage comes
 # from dune runtest / @prop above, whose snapshot rules all set
 # SIM_VALIDATE=1.
-SIM_VALIDATE=0 REPRO_JOBS=1 dune exec bench/main.exe -- quick > /dev/null
-SIM_VALIDATE=0 REPRO_JOBS="$SCALE_JOBS" dune exec bench/main.exe -- quick > /dev/null
+SIM_VALIDATE=0 REPRO_JOBS=1 dune exec bench/main.exe > /dev/null
+SIM_VALIDATE=0 REPRO_JOBS="$SCALE_JOBS" dune exec bench/main.exe > /dev/null
 
 # Trace smoke: run one registry study with SIM_TRACE set, then parse the
 # emitted Chrome trace back and assert it has slices + counter tracks.

@@ -61,11 +61,11 @@ let produce ?(sandbox = false) ?(env = []) out action =
        @ (if sandbox then [ L [ A "deps"; L [ A "sandbox"; A "always" ] ] ] else [])
        @ [ L [ A "action"; action ] ]))
 
-let stdout_of ?(exit_code = 0) cmd =
+let output_of ?(stderr = false) ?(exit_code = 0) cmd =
   let run = L (A "run" :: atoms cmd) in
   L
     [
-      A "with-stdout-to";
+      A (if stderr then "with-stderr-to" else "with-stdout-to");
       A "%{targets}";
       (if exit_code = 0 then run
        else L [ A "with-accepted-exit-codes"; A (string_of_int exit_code); run ]);
@@ -86,15 +86,15 @@ let check name outs =
            ];
        ])
 
-let snapshot ?exit_code name cmd =
-  produce (name ^ ".out") (stdout_of ?exit_code cmd);
+let snapshot ?stderr ?exit_code name cmd =
+  produce (name ^ ".out") (output_of ?stderr ?exit_code cmd);
   check name [ name ^ ".out" ]
 
 (* The same command at 1 and 4 jobs, both against one expected file:
    output must not depend on the job count. *)
 let jobs_pair ?sandbox ?(env = fun _ -> []) name cmd =
   let out j = Printf.sprintf "%s-j%d.out" name j in
-  List.iter (fun j -> produce ?sandbox ~env:(env j) (out j) (stdout_of (cmd j))) [ 1; 4 ];
+  List.iter (fun j -> produce ?sandbox ~env:(env j) (out j) (output_of (cmd j))) [ 1; 4 ];
   check name [ out 1; out 4 ]
 
 (* The self-tests: each corrupts a known-good artifact, so the command
@@ -110,7 +110,7 @@ let () =
      keeps them inside _build and discards them after the run. *)
   jobs_pair "bench-quick" ~sandbox:true
     ~env:(fun j -> [ ("BENCH_DIR", "."); ("REPRO_JOBS", string_of_int j) ])
-    (fun _ -> "%{exe:../../bench/main.exe} quick");
+    (fun _ -> "%{exe:../../bench/main.exe}");
   List.iter
     (fun (s : Benchmarks.Study.t) ->
       let b = s.Benchmarks.Study.spec_name in
@@ -144,4 +144,8 @@ let () =
     lint_mutations;
   snapshot ~exit_code:1 "audit-pdg-164.gzip-mutate-drop-write"
     (cmd "audit-pdg -b 164.gzip --mutate drop-write");
-  snapshot "plan-164.gzip-corrupt-candidates" (cmd "plan -b 164.gzip --corrupt-candidates --jobs 2")
+  snapshot "plan-164.gzip-corrupt-candidates" (cmd "plan -b 164.gzip --corrupt-candidates --jobs 2");
+  (* A count below 1 is a usage error: exit 124, usage on stderr. *)
+  snapshot ~stderr:true ~exit_code:124 "explain-164.gzip-threads0"
+    (cmd "explain -b 164.gzip --threads 0");
+  snapshot ~stderr:true ~exit_code:124 "plan-164.gzip-beam0" (cmd "plan -b 164.gzip --beam 0")

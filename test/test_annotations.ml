@@ -103,7 +103,7 @@ let commutative_rng_call_count () =
    cache contents.  The call list and the permutation are both random and
    both shrink, so a failure would print a minimal reordering. *)
 let commutative_permutation_property () =
-  let module G = Check.Gen in
+  let module G = QCheck2.Gen in
   let registry = C.create () in
   C.annotate registry ~fn:"memo_square" ~rollback:"memo_forget" ();
   Alcotest.(check bool) "modeled function is annotated" true
@@ -126,6 +126,23 @@ let commutative_permutation_property () =
       List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) cache [])
     in
     (List.sort compare outputs, state)
+  in
+  (* A permutation of [0 .. n-1] as its Fisher-Yates swaps, each of
+     which shrinks toward no swap, so the permutation shrinks toward the
+     identity. *)
+  let permutation n =
+    let swap i = G.map (fun j -> (i, j)) (G.int_range ~origin:i 0 i) in
+    G.map
+      (fun swaps ->
+        let a = Array.init n Fun.id in
+        List.iter
+          (fun (i, j) ->
+            let t = a.(i) in
+            a.(i) <- a.(j);
+            a.(j) <- t)
+          swaps;
+        Array.to_list a)
+      (G.flatten_l (List.init (max 0 (n - 1)) (fun k -> swap (n - 1 - k))))
   in
   let gen =
     let open G in

@@ -1,126 +1,120 @@
-(* Self-tests for the lib/check property engine: generator ranges,
-   deterministic replay from a printed seed, and — the point of
-   integrated shrinking — convergence to the known-minimal
-   counterexample. *)
+(* Self-tests for Check.Runner, the QCheck2 wrapper every property runs
+   through: a failure report carries the shrunk counterexample and the
+   seed that replays it, and the seed alone replays it.  Plus the
+   well-formedness of the Check.Gen_ir domain generators. *)
 
-module G = Check.Gen
+module G = QCheck2.Gen
 module R = Check.Runner
 
-let expect_pass ~name gen prop =
-  match R.run_prop ~count:200 ~name gen prop with
-  | R.Passed _ -> ()
-  | R.Failed f -> Alcotest.failf "%s: unexpected failure: %a" name (R.pp_failure ~name) f
+let expect_pass ~name gen prop = R.run_prop_exn ~count:200 ~name gen prop
 
-let expect_fail ?print ~name gen prop =
-  match R.run_prop ~count:500 ?print ~name gen prop with
-  | R.Passed _ -> Alcotest.failf "%s: expected a counterexample" name
-  | R.Failed f -> f
+(* The report of a property that must fail. *)
+let failure_report ?print ~name gen prop =
+  match R.run_prop_exn ~count:500 ?print ~name gen prop with
+  | () -> Alcotest.failf "%s: expected a counterexample" name
+  | exception Failure report -> report
 
-(* ------------------------------------------------------------------ *)
-(* Generator ranges                                                    *)
-
-let int_range_bounds () =
-  expect_pass ~name:"int_range in bounds" (G.int_range 3 17) (fun n -> 3 <= n && n <= 17);
-  expect_pass ~name:"int_bound in bounds" (G.int_bound 9) (fun n -> 0 <= n && n <= 9)
-
-let list_size_bounds () =
-  expect_pass ~name:"list_size length"
-    (G.list_size (G.int_range 2 5) (G.int_bound 10))
-    (fun l ->
-      let n = List.length l in
-      2 <= n && n <= 5)
-
-let such_that_filters () =
-  expect_pass ~name:"such_that even"
-    (G.such_that (fun n -> n mod 2 = 0) (G.int_bound 100))
-    (fun n -> n mod 2 = 0)
-
-let permutation_is_permutation () =
-  expect_pass ~name:"permutation valid" (G.permutation 8) (fun p ->
-      List.sort compare p = List.init 8 Fun.id)
-
-let shuffle_preserves_multiset () =
-  let xs = [ 5; 1; 4; 1; 3 ] in
-  expect_pass ~name:"shuffle multiset" (G.shuffle xs) (fun p ->
-      List.sort compare p = List.sort compare xs)
-
-(* ------------------------------------------------------------------ *)
-(* Shrinking                                                           *)
-
-(* Integer shrinking must land exactly on the boundary: the smallest
-   failing value of [n >= 50] is 50, and the halving candidate sequence
-   always contains n-1, so greedy descent can only stop there. *)
-let shrink_int_to_boundary () =
-  let f =
-    expect_fail ~print:string_of_int ~name:"int boundary" (G.int_range 0 1000) (fun n -> n < 50)
+let index_of s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i =
+    if i + m > n then Alcotest.failf "%S not found in %S" sub s
+    else if String.sub s i m = sub then i
+    else go (i + 1)
   in
-  Alcotest.(check string) "minimal is the boundary" "50" f.R.counterexample
+  go 0
+
+let counterexample report =
+  let start = index_of report "shrink steps): " + String.length "shrink steps): " in
+  String.sub report start (index_of report "\n  replay with" - start)
+
+(* The report ends with the seed. *)
+let replay_seed report =
+  let at = index_of report "CHECK_SEED=" + String.length "CHECK_SEED=" in
+  int_of_string (String.sub report at (String.length report - at))
+
+(* Run [f] with the variable set to [value]; the empty string reads as
+   unset. *)
+let with_env var value f =
+  let old = Option.value (Sys.getenv_opt var) ~default:"" in
+  Unix.putenv var value;
+  Fun.protect f ~finally:(fun () -> Unix.putenv var old)
+
+(* ------------------------------------------------------------------ *)
+(* Shrinking: the report shows the shrunk counterexample               *)
+
+(* The smallest failing value of [n >= 50] is 50, and the halving
+   candidates always contain n-1, so greedy descent can only stop
+   there. *)
+let shrink_int_to_boundary () =
+  let report =
+    failure_report ~print:string_of_int ~name:"int boundary" (G.int_range 0 1000) (fun n ->
+        n < 50)
+  in
+  Alcotest.(check string) "minimal is the boundary" "50" (counterexample report)
 
 let shrink_list_to_singleton () =
-  (* The minimal list containing a 7 is [7]; element shrinking cannot
-     escape (7's shrink candidates avoid 7) and chunk removal reaches a
-     singleton. *)
-  let print l = "[" ^ String.concat ";" (List.map string_of_int l) ^ "]" in
-  let f =
-    match
-      R.run_prop ~count:500 ~print ~name:"list minimal"
-        (G.list_size (G.int_range 0 8) (G.int_bound 10))
-        (fun l -> not (List.mem 7 l))
-    with
-    | R.Passed _ -> Alcotest.fail "expected a list containing 7"
-    | R.Failed f -> f
+  (* The minimal list containing a 7 is [7]: dropping elements reaches a
+     singleton, and 7's own shrink candidates all pass. *)
+  let report =
+    failure_report ~print:QCheck2.Print.(list int) ~name:"list minimal"
+      (G.list (G.int_bound 10))
+      (fun l -> not (List.mem 7 l))
   in
-  Alcotest.(check string) "minimal list" "[7]" f.R.counterexample
+  Alcotest.(check string) "minimal list" "[7]" (counterexample report)
 
 let shrink_pair_left_first () =
   (* Both components can fail the property; shrinking must minimise the
      left one first and then the right, ending at the joint minimum. *)
-  let f =
-    expect_fail
+  let report =
+    failure_report
       ~print:(fun (a, b) -> Printf.sprintf "%d,%d" a b)
       ~name:"pair minimal"
       (G.pair (G.int_bound 100) (G.int_bound 100))
       (fun (a, b) -> a + b < 10)
   in
-  let a, b = Scanf.sscanf f.R.counterexample "%d,%d" (fun a b -> (a, b)) in
+  let a, b = Scanf.sscanf (counterexample report) "%d,%d" (fun a b -> (a, b)) in
   Alcotest.(check int) "sum is the boundary" 10 (a + b)
 
 (* ------------------------------------------------------------------ *)
 (* Determinism and replay                                              *)
 
+(* The loops one property run draws. *)
+let drawn_loops () =
+  let seen = ref [] in
+  R.run_prop_exn ~count:20 ~name:"drawn loops" (Check.Gen_ir.loop_desc ()) (fun d ->
+      seen := d :: !seen;
+      true);
+  !seen
+
 let generation_deterministic () =
-  let gen = Check.Gen_ir.loop_desc () in
-  let once seed = G.Tree.root (G.generate gen (Simcore.Rng.create seed)) in
-  Alcotest.(check bool) "same seed, same loop" true (once 42 = once 42);
-  Alcotest.(check bool) "different seed, different loop" true (once 42 <> once 43)
+  let unset = with_env "CHECK_SEED" "" drawn_loops in
+  Alcotest.(check bool) "no CHECK_SEED: same loops every run" true
+    (unset = with_env "CHECK_SEED" "" drawn_loops);
+  let seeded = with_env "CHECK_SEED" "42" drawn_loops in
+  Alcotest.(check bool) "same CHECK_SEED, same loops" true
+    (seeded = with_env "CHECK_SEED" "42" drawn_loops);
+  Alcotest.(check bool) "CHECK_SEED changes the loops" true (seeded <> unset);
+  Alcotest.(check bool) "different CHECK_SEED, different loops" true
+    (seeded <> with_env "CHECK_SEED" "43" drawn_loops)
 
 let replay_reproduces_failure () =
-  let gen = G.list (G.int_bound 100) in
-  let prop l = List.fold_left ( + ) 0 l < 150 in
-  let print l = "[" ^ String.concat ";" (List.map string_of_int l) ^ "]" in
-  let run seed = R.run_prop ~count:300 ~seed ~print ~name:"replay" gen prop in
-  match run 7 with
-  | R.Passed _ -> Alcotest.fail "expected a failing sum"
-  | R.Failed f1 -> (
-    (* Replaying the printed seed must reproduce the identical failing
-       case and the identical minimal counterexample. *)
-    match run f1.R.seed with
-    | R.Passed _ -> Alcotest.fail "replay did not fail"
-    | R.Failed f2 ->
-      Alcotest.(check int) "same case" f1.R.case f2.R.case;
-      Alcotest.(check string) "same counterexample" f1.R.counterexample f2.R.counterexample)
+  let run () =
+    failure_report ~print:QCheck2.Print.(list int) ~name:"replay"
+      (G.list_size (G.int_range 0 20) (G.int_bound 100))
+      (fun l -> List.fold_left ( + ) 0 l < 150)
+  in
+  let first = run () in
+  (* The printed seed alone, with no case index, must reproduce the
+     identical report: same counterexample, same shrink steps. *)
+  let replayed = with_env "CHECK_SEED" (string_of_int (replay_seed first)) run in
+  Alcotest.(check string) "same report" first replayed
 
 let failure_prints_seed () =
-  let f = expect_fail ~name:"seed printing" (G.int_bound 10) (fun _ -> false) in
-  let report = Format.asprintf "%a" (R.pp_failure ~name:"seed printing") f in
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "report names CHECK_SEED" true (contains report "CHECK_SEED=");
-  Alcotest.(check bool) "report has the seed value" true
-    (contains report (string_of_int f.R.seed))
+  let fail ~name = failure_report ~name (G.int_bound 10) (fun _ -> false) in
+  Alcotest.(check int) "no CHECK_SEED: the name's seed" (R.seed_of_name "seed printing")
+    (replay_seed (with_env "CHECK_SEED" "" (fun () -> fail ~name:"seed printing")));
+  Alcotest.(check int) "CHECK_SEED is echoed" 1234
+    (replay_seed (with_env "CHECK_SEED" "1234" (fun () -> fail ~name:"seed printing")))
 
 let distinct_names_distinct_seeds () =
   Alcotest.(check bool) "FNV seeds differ" true
@@ -154,14 +148,6 @@ let gen_pdgs_are_acyclic () =
 let () =
   Alcotest.run "check"
     [
-      ( "generators",
-        [
-          Alcotest.test_case "int_range bounds" `Quick int_range_bounds;
-          Alcotest.test_case "list_size bounds" `Quick list_size_bounds;
-          Alcotest.test_case "such_that filters" `Quick such_that_filters;
-          Alcotest.test_case "permutation is a permutation" `Quick permutation_is_permutation;
-          Alcotest.test_case "shuffle preserves multiset" `Quick shuffle_preserves_multiset;
-        ] );
       ( "shrinking",
         [
           Alcotest.test_case "int shrinks to the boundary" `Quick shrink_int_to_boundary;

@@ -103,16 +103,16 @@ let planner_many_cores () =
     Alcotest.(check (list int)) "B pool" [ 1; 2; 3; 4; 5; 6 ] a.Pl.b_cores
 
 let planner_b_count =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:50 ~name:"cores are partitioned exactly"
-       QCheck2.Gen.(int_range 2 32)
-       (fun n ->
-         match Pl.plan (Machine.Config.default ~cores:n) with
-         | None -> false
-         | Some a ->
-           let b = List.length a.Pl.b_cores in
-           if n = 2 then b = 1 && a.Pl.a_core = a.Pl.c_core
-           else b = n - 2 && a.Pl.a_core <> a.Pl.c_core))
+  Alcotest.test_case "cores are partitioned exactly" `Quick (fun () ->
+      Check.Runner.run_prop_exn ~count:50 ~print:string_of_int
+        ~name:"cores are partitioned exactly" QCheck2.Gen.(int_range 2 32)
+        (fun n ->
+          match Pl.plan (Machine.Config.default ~cores:n) with
+          | None -> false
+          | Some a ->
+            let b = List.length a.Pl.b_cores in
+            if n = 2 then b = 1 && a.Pl.a_core = a.Pl.c_core
+            else b = n - 2 && a.Pl.a_core <> a.Pl.c_core))
 
 let () =
   Alcotest.run "dswp"

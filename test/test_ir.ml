@@ -151,22 +151,24 @@ let pdg_self_edge () =
 
 (* Property: SCC components partition the node set. *)
 let pdg_scc_partition =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:100 ~name:"sccs partition the nodes"
-       QCheck2.Gen.(pair (int_range 1 15) (list (pair (int_bound 14) (int_bound 14))))
-       (fun (n, edges) ->
-         let g = Ir.Pdg.create "random" in
-         for i = 0 to n - 1 do
-           ignore (Ir.Pdg.add_node g ~label:(string_of_int i) ~weight:1.0 ())
-         done;
-         List.iter
-           (fun (s, d) ->
-             if s < n && d < n && s <> d then
-               Ir.Pdg.add_edge g ~src:s ~dst:d ~kind:Ir.Dep.Register ())
-           edges;
-         let comps = Ir.Pdg.sccs g () in
-         let all = List.concat comps |> List.sort compare in
-         all = List.init n Fun.id))
+  Alcotest.test_case "sccs partition the nodes" `Quick (fun () ->
+      Check.Runner.run_prop_exn ~count:100
+        ~print:QCheck2.Print.(pair int (list (pair int int)))
+        ~name:"sccs partition the nodes"
+        QCheck2.Gen.(pair (int_range 1 15) (list (pair (int_bound 14) (int_bound 14))))
+        (fun (n, edges) ->
+          let g = Ir.Pdg.create "random" in
+          for i = 0 to n - 1 do
+            ignore (Ir.Pdg.add_node g ~label:(string_of_int i) ~weight:1.0 ())
+          done;
+          List.iter
+            (fun (s, d) ->
+              if s < n && d < n && s <> d then
+                Ir.Pdg.add_edge g ~src:s ~dst:d ~kind:Ir.Dep.Register ())
+            edges;
+          let comps = Ir.Pdg.sccs g () in
+          let all = List.concat comps |> List.sort compare in
+          all = List.init n Fun.id))
 
 let () =
   Alcotest.run "ir"

@@ -3,7 +3,6 @@
    that corrupting a known-good plan produces the named diagnostic. *)
 
 module D = Lint.Diagnostic
-module G = Check.Gen
 module R = Check.Runner
 
 let kinds ds = List.map (fun (d : D.t) -> d.D.kind) ds
@@ -11,9 +10,7 @@ let kinds ds = List.map (fun (d : D.t) -> d.D.kind) ds
 let has_kind k ds = List.mem k (kinds ds)
 
 let expect_pass ~name gen prop =
-  match R.run_prop ~count:200 ~name gen prop with
-  | R.Passed _ -> ()
-  | R.Failed f -> Alcotest.failf "%s: unexpected failure: %a" name (R.pp_failure ~name) f
+  R.run_prop_exn ~count:200 ~print:(Format.asprintf "%a" Ir.Pdg.pp) ~name gen prop
 
 (* ------------------------------------------------------------------ *)
 (* Pdg_check                                                           *)

@@ -107,29 +107,30 @@ let vm_logical_order_enforced () =
 (* Property: committing all tasks in order leaves committed state equal
    to sequential execution of the same writes. *)
 let vm_matches_sequential =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:200 ~name:"in-order commit = sequential final state"
-       QCheck2.Gen.(list (triple (int_bound 4) (int_bound 3) (int_bound 20)))
-       (fun ops ->
-         (* ops: (task 0..4, loc, value); tasks write in task order. *)
-         let by_task = List.stable_sort (fun (t1, _, _) (t2, _, _) -> compare t1 t2) ops in
-         let m = Machine.Versioned_memory.create () in
-         let seq : (int, int) Hashtbl.t = Hashtbl.create 8 in
-         for t = 0 to 4 do
-           Machine.Versioned_memory.begin_task m ~task:t
-         done;
-         List.iter
-           (fun (t, l, v) ->
-             Machine.Versioned_memory.write m ~task:t ~loc:l v;
-             Hashtbl.replace seq l v)
-           by_task;
-         for t = 0 to 4 do
-           ignore (Machine.Versioned_memory.commit m ~task:t)
-         done;
-         Hashtbl.fold
-           (fun l v acc ->
-             acc && Machine.Versioned_memory.committed_value m ~loc:l = Some v)
-           seq true))
+  Alcotest.test_case "in-order commit = sequential final state" `Quick (fun () ->
+      Check.Runner.run_prop_exn ~count:200 ~print:QCheck2.Print.(list (triple int int int))
+        ~name:"in-order commit = sequential final state"
+        QCheck2.Gen.(list (triple (int_bound 4) (int_bound 3) (int_bound 20)))
+        (fun ops ->
+          (* ops: (task 0..4, loc, value); tasks write in task order. *)
+          let by_task = List.stable_sort (fun (t1, _, _) (t2, _, _) -> compare t1 t2) ops in
+          let m = Machine.Versioned_memory.create () in
+          let seq : (int, int) Hashtbl.t = Hashtbl.create 8 in
+          for t = 0 to 4 do
+            Machine.Versioned_memory.begin_task m ~task:t
+          done;
+          List.iter
+            (fun (t, l, v) ->
+              Machine.Versioned_memory.write m ~task:t ~loc:l v;
+              Hashtbl.replace seq l v)
+            by_task;
+          for t = 0 to 4 do
+            ignore (Machine.Versioned_memory.commit m ~task:t)
+          done;
+          Hashtbl.fold
+            (fun l v acc ->
+              acc && Machine.Versioned_memory.committed_value m ~loc:l = Some v)
+            seq true))
 
 let () =
   Alcotest.run "machine"

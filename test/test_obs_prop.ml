@@ -4,13 +4,13 @@
    else at %.6g precision, so Float round-trips only up to representation
    — the structural property holds for every other constructor. *)
 
-module G = Check.Gen
+module G = QCheck2.Gen
 module R = Check.Runner
 module J = Obs.Json
 
 (* Arbitrary bytes, including quotes, backslashes and control
    characters, so the escaper's every branch is exercised. *)
-let string_gen = G.string_size ~char:G.byte_char (G.int_bound 12)
+let string_gen = G.string_size ~gen:(G.char_range '\000' '\255') (G.int_bound 12)
 
 let leaf_gens =
   [

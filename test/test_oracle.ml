@@ -6,7 +6,7 @@
 module I = Sim.Input
 module P = Sim.Pipeline
 module O = Sim.Oracle
-module G = Check.Gen
+module G = QCheck2.Gen
 module R = Check.Runner
 module GI = Check.Gen_ir
 

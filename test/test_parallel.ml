@@ -159,8 +159,7 @@ let registry_sweep_deterministic () =
 let randomized_plans_pool_invariant () =
   let gen = Check.Gen_ir.input () in
   let inputs =
-    List.init 8 (fun i ->
-        Check.Gen.Tree.root (Check.Gen.generate gen (Simcore.Rng.create (1000 + i))))
+    List.init 8 (fun i -> QCheck2.Gen.generate1 ~rand:(Random.State.make [| 1000 + i |]) gen)
   in
   let sweep ~domains =
     Parallel.Pool.with_pool ~domains (fun pool ->
@@ -175,19 +174,15 @@ let randomized_plans_pool_invariant () =
 (* ------------------------------------------------------------------ *)
 (* Property: Pool.map with stealing == List.map, on random workloads    *)
 
-(* Scaled by CHECK_COUNT like the other property suites, so `dune build
-   @prop` stress-tests the scheduler at 1000 random workloads. *)
-let prop_count =
-  match Option.bind (Sys.getenv_opt "CHECK_COUNT") int_of_string_opt with
-  | Some n when n > 0 -> n
-  | Some _ | None -> 100
-
-let pool_map_matches_list_map =
+(* No explicit count: `dune build @prop` stress-tests the scheduler at
+   1000 random workloads through CHECK_COUNT. *)
+let pool_map_matches_list_map () =
   let gen =
     QCheck2.Gen.(
       triple (int_range 1 5) (list_size (int_bound 80) (int_bound 10_000)) (int_bound 500))
   in
-  QCheck2.Test.make ~count:prop_count ~name:"Pool.map = List.map on random workloads" gen
+  Check.Runner.run_prop_exn ~print:QCheck2.Print.(triple int (list int) int)
+    ~name:"Pool.map = List.map on random workloads" gen
     (fun (domains, items, spin) ->
       (* Uneven per-item work provokes stealing; the function is pure so
          placement-by-index is the only thing that can go wrong. *)
@@ -222,7 +217,8 @@ let () =
           Alcotest.test_case "steal-heavy stress" `Quick steal_heavy_stress;
           Alcotest.test_case "stats account for all tasks" `Quick
             stats_account_for_all_tasks;
-          QCheck_alcotest.to_alcotest pool_map_matches_list_map;
+          Alcotest.test_case "Pool.map = List.map on random workloads" `Quick
+            pool_map_matches_list_map;
         ] );
       ( "determinism",
         [

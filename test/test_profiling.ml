@@ -245,72 +245,74 @@ let mem_cross_iteration_filter () =
    profiler reports corresponds to a read that the versioned memory would
    have flagged as a violation had the tasks run fully overlapped. *)
 let profiler_agrees_with_versioned_memory =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:200 ~name:"profiler RAW = versioned-memory violations"
-       QCheck2.Gen.(
-         list_size (int_range 1 30)
-           (triple (int_bound 3) (int_bound 2) (option (int_bound 5))))
-       (fun ops ->
-         (* ops in sequential order; (task, loc, Some v = write / None = read);
-            tasks execute their slices in task order, so sort by task. *)
-         let ops =
-           List.stable_sort (fun (t1, _, _) (t2, _, _) -> compare t1 t2) ops
-         in
-         let tasks_used = List.sort_uniq compare (List.map (fun (t, _, _) -> t) ops) in
-         (* Profiler side. *)
-         let p = P.create ~name:"prop" in
-         let locs = Array.init 3 (fun i -> P.loc p (Printf.sprintf "l%d" i)) in
-         P.begin_loop p "loop";
-         List.iteri
-           (fun idx t ->
-             ignore (P.begin_task p ~iteration:idx ~phase:Ir.Task.B ());
-             List.iter
-               (fun (t', l, op) ->
-                 if t' = t then
-                   match op with
-                   | Some v -> P.write p locs.(l) v
-                   | None -> P.read p locs.(l))
-               ops;
-             P.end_task p)
-           tasks_used;
-         P.end_loop p;
-         let edges =
-           M.analyze ~config:{ M.silent_stores = false } (P.log_of p "loop")
-         in
-         (* Operational side: all tasks open, replay in sequential order,
-            then commit in order.  A cross-task RAW exists iff the reader
-            observed a value from an earlier open version. *)
-         let m = Machine.Versioned_memory.create ~silent_stores:false () in
-         List.iteri (fun idx _ -> Machine.Versioned_memory.begin_task m ~task:idx) tasks_used;
-         let observed = Hashtbl.create 16 in
-         List.iteri
-           (fun idx t ->
-             List.iter
-               (fun (t', l, op) ->
-                 if t' = t then
-                   match op with
-                   | Some v -> Machine.Versioned_memory.write m ~task:idx ~loc:l v
-                   | None -> ignore (Machine.Versioned_memory.read m ~task:idx ~loc:l))
-               ops;
-             ignore idx)
-           tasks_used;
-         List.iteri
-           (fun idx _ ->
-             List.iter
-               (fun (v : Machine.Versioned_memory.violation) ->
-                 Hashtbl.replace observed
-                   (v.Machine.Versioned_memory.writer_task,
-                    v.Machine.Versioned_memory.violated_task, v.Machine.Versioned_memory.loc)
-                   ())
-               (Machine.Versioned_memory.commit m ~task:idx))
-           tasks_used;
-         (* The operational model only flags reads that happened before
-            the write (true violations); the profiler reports every
-            cross-task RAW.  Violations must be a subset of RAW edges. *)
-         Hashtbl.fold
-           (fun (w, r, l) () acc ->
-             acc && List.exists (fun e -> e.M.src = w && e.M.dst = r && e.M.loc = l) edges)
-           observed true))
+  Alcotest.test_case "profiler RAW = versioned-memory violations" `Quick (fun () ->
+      Check.Runner.run_prop_exn ~count:200
+        ~print:QCheck2.Print.(list (triple int int (option int)))
+        ~name:"profiler RAW = versioned-memory violations"
+        QCheck2.Gen.(
+          list_size (int_range 1 30)
+            (triple (int_bound 3) (int_bound 2) (option (int_bound 5))))
+        (fun ops ->
+          (* ops in sequential order; (task, loc, Some v = write / None = read);
+             tasks execute their slices in task order, so sort by task. *)
+          let ops =
+            List.stable_sort (fun (t1, _, _) (t2, _, _) -> compare t1 t2) ops
+          in
+          let tasks_used = List.sort_uniq compare (List.map (fun (t, _, _) -> t) ops) in
+          (* Profiler side. *)
+          let p = P.create ~name:"prop" in
+          let locs = Array.init 3 (fun i -> P.loc p (Printf.sprintf "l%d" i)) in
+          P.begin_loop p "loop";
+          List.iteri
+            (fun idx t ->
+              ignore (P.begin_task p ~iteration:idx ~phase:Ir.Task.B ());
+              List.iter
+                (fun (t', l, op) ->
+                  if t' = t then
+                    match op with
+                    | Some v -> P.write p locs.(l) v
+                    | None -> P.read p locs.(l))
+                ops;
+              P.end_task p)
+            tasks_used;
+          P.end_loop p;
+          let edges =
+            M.analyze ~config:{ M.silent_stores = false } (P.log_of p "loop")
+          in
+          (* Operational side: all tasks open, replay in sequential order,
+             then commit in order.  A cross-task RAW exists iff the reader
+             observed a value from an earlier open version. *)
+          let m = Machine.Versioned_memory.create ~silent_stores:false () in
+          List.iteri (fun idx _ -> Machine.Versioned_memory.begin_task m ~task:idx) tasks_used;
+          let observed = Hashtbl.create 16 in
+          List.iteri
+            (fun idx t ->
+              List.iter
+                (fun (t', l, op) ->
+                  if t' = t then
+                    match op with
+                    | Some v -> Machine.Versioned_memory.write m ~task:idx ~loc:l v
+                    | None -> ignore (Machine.Versioned_memory.read m ~task:idx ~loc:l))
+                ops;
+              ignore idx)
+            tasks_used;
+          List.iteri
+            (fun idx _ ->
+              List.iter
+                (fun (v : Machine.Versioned_memory.violation) ->
+                  Hashtbl.replace observed
+                    (v.Machine.Versioned_memory.writer_task,
+                     v.Machine.Versioned_memory.violated_task, v.Machine.Versioned_memory.loc)
+                    ())
+                (Machine.Versioned_memory.commit m ~task:idx))
+            tasks_used;
+          (* The operational model only flags reads that happened before
+             the write (true violations); the profiler reports every
+             cross-task RAW.  Violations must be a subset of RAW edges. *)
+          Hashtbl.fold
+            (fun (w, r, l) () acc ->
+              acc && List.exists (fun e -> e.M.src = w && e.M.dst = r && e.M.loc = l) edges)
+            observed true))
 
 let () =
   Alcotest.run "profiling"

@@ -272,6 +272,37 @@ let validate_catches_corruption () =
   in
   Alcotest.(check bool) "corrupted run fails" false corrupted.Runtime.Validate.ok
 
+(* validate-real's deterministic columns: the thread counts, the
+   verdict and the simulator's prediction of every point, and no squash
+   while B and C share one domain (1 and 2 threads).  The wall clock and
+   the 3-thread squash count depend on timing and stay unpinned. *)
+let validate_deterministic_columns () =
+  let outcome =
+    Runtime.Validate.run ~benches:[ "164.gzip"; "175.vpr" ] ~max_threads:3
+      ~scale:Benchmarks.Study.Small ()
+  in
+  let row (p : Obs_analysis.History.real_point) =
+    Printf.sprintf "%s t%d sim %.2fx %s" p.Obs_analysis.History.rp_study
+      p.Obs_analysis.History.rp_threads p.Obs_analysis.History.rp_sim_speedup
+      (if p.Obs_analysis.History.rp_ok then "ok" else "MISMATCH")
+  in
+  Alcotest.(check (list string)) "threads, sim-pred, output"
+    [
+      "164.gzip t1 sim 1.00x ok";
+      "164.gzip t2 sim 1.01x ok";
+      "164.gzip t3 sim 1.01x ok";
+      "175.vpr t1 sim 1.00x ok";
+      "175.vpr t2 sim 1.09x ok";
+      "175.vpr t3 sim 1.09x ok";
+    ]
+    (List.map row outcome.Runtime.Validate.points);
+  Alcotest.(check bool) "outcome ok" true outcome.Runtime.Validate.ok;
+  List.iter
+    (fun (p : Obs_analysis.History.real_point) ->
+      if p.Obs_analysis.History.rp_threads <= 2 then
+        Alcotest.(check int) (row p ^ " squashes") 0 p.Obs_analysis.History.rp_squashes)
+    outcome.Runtime.Validate.points
+
 let validate_history_round_trips () =
   let path = Filename.temp_file "validate_real" ".jsonl" in
   Sys.remove path;
@@ -485,6 +516,8 @@ let () =
       ( "validate",
         [
           Alcotest.test_case "catches corrupted output" `Quick validate_catches_corruption;
+          Alcotest.test_case "deterministic columns pinned" `Quick
+            validate_deterministic_columns;
           Alcotest.test_case "history round-trips real block" `Quick
             validate_history_round_trips;
           Alcotest.test_case "sim-vs-real ordering" `Slow sim_vs_real_ordering;

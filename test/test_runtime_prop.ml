@@ -15,8 +15,7 @@
 
 let enabled _ = true
 
-let gen =
-  Check.Gen.pair (Check.Gen_ir.pdg ~max_nodes:12 ()) (Check.Gen.int_range 1 24)
+let gen = QCheck2.Gen.pair (Check.Gen_ir.pdg ~max_nodes:12 ()) (QCheck2.Gen.int_range 1 24)
 
 let lint_clean pdg partition =
   Lint.Diagnostic.errors (Lint.Plan_check.check_enabled ~pdg ~partition ~enabled) = []

@@ -4,7 +4,6 @@
    Core.Plan_search wiring against the benchmark registry. *)
 
 module D = Lint.Diagnostic
-module G = Check.Gen
 module R = Check.Runner
 module P = Dswp.Partition
 module S = Dswp.Search
@@ -12,9 +11,7 @@ module S = Dswp.Search
 (* No explicit ~count: dune runtest uses the engine default (100),
    `dune build @prop` scales it to 1000 via CHECK_COUNT. *)
 let expect_pass ~name gen prop =
-  match R.run_prop ~name gen prop with
-  | R.Passed _ -> ()
-  | R.Failed f -> Alcotest.failf "%s: unexpected failure: %a" name (R.pp_failure ~name) f
+  R.run_prop_exn ~print:(Format.asprintf "%a" Ir.Pdg.pp) ~name gen prop
 
 (* ------------------------------------------------------------------ *)
 (* Real hooks: the same lint / bound / simulate machinery Core.Plan_search
@@ -136,11 +133,11 @@ let deep_chain_both_partitioners () =
 (* ------------------------------------------------------------------ *)
 (* Satellite 2: condensation dedup cost.  A star — one hub component
    with E distinct successors — is the old dedup's worst case: every
-   edge re-scanned the hub's whole adjacency list, Theta(E^2) total
-   (measured: 3.9s at E=60k, 15s at E=120k).  The hashed edge set does
-   one O(1) membership test per edge, so doubling E should roughly
-   double the time (measured ~2.4x with GC noise); the quadratic scan
-   quadruples it.  Assert the doubling ratio stays under 3.2. *)
+   edge re-scanned the hub's whole adjacency list, Theta(E^2) total,
+   tens of seconds at E=120k.  The hashed edge set does one O(1)
+   membership test per edge.  One condense of the 120k-edge star is
+   timed in processor time; the budget is generous for slow machines
+   but far below what the quadratic scan costs. *)
 
 let star_pdg e =
   let pdg = Ir.Pdg.create "star" in
@@ -152,22 +149,16 @@ let star_pdg e =
   done;
   pdg
 
-let condense_time pdg =
-  let best = ref infinity in
-  for _ = 1 to 3 do
-    let t0 = Unix.gettimeofday () in
-    let c = Dswp.Scc_util.condense pdg ~surviving:(fun _ -> true) in
-    let t1 = Unix.gettimeofday () in
-    assert (Dswp.Scc_util.component_count c = Ir.Pdg.node_count pdg);
-    if t1 -. t0 < !best then best := t1 -. t0
-  done;
-  !best
-
 let condensation_dedup_linear () =
-  let t_small = condense_time (star_pdg 60_000) in
-  let t_big = condense_time (star_pdg 120_000) in
-  if t_big > 3.2 *. t_small && t_big > 0.05 then
-    Alcotest.failf "condense grew superlinearly: %.4fs -> %.4fs" t_small t_big
+  let pdg = star_pdg 120_000 in
+  let t0 = Sys.time () in
+  let c = Dswp.Scc_util.condense pdg ~surviving:(fun _ -> true) in
+  let elapsed = Sys.time () -. t0 in
+  Alcotest.(check int) "one component per node" (Ir.Pdg.node_count pdg)
+    (Dswp.Scc_util.component_count c);
+  Alcotest.(check bool)
+    (Printf.sprintf "linear-time dedup (%.2fs, budget 3s)" elapsed)
+    true (elapsed < 3.0)
 
 (* ------------------------------------------------------------------ *)
 (* Slice_partition units. *)

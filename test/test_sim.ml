@@ -185,33 +185,18 @@ let forwarding_enables_overlap () =
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 
-let gen_loop =
-  QCheck2.Gen.(
-    let iter_gen =
-      triple (int_bound 5) (list_size (int_range 1 3) (int_range 0 20)) (int_bound 3)
-    in
-    let* iters = list_size (int_range 1 10) iter_gen in
-    let n = List.length iters in
-    let* raw_edges = list_size (int_range 0 8) (pair (int_bound (n - 1)) (int_bound (n - 1))) in
-    let* spec_flags = list_repeat (List.length raw_edges) bool in
-    return (iters, List.combine raw_edges spec_flags))
-
-let loop_of_gen (iters, edges) =
-  let iters = List.map (fun (a, bs, c) -> (Some a, bs, Some c)) iters in
-  let edges =
-    List.filter_map
-      (fun ((i, j), spec) ->
-        if i < j then Some (i, 0, j, 0, spec) else None)
-      edges
-  in
-  build_loop iters edges
-
+(* Random loops from Check.Gen_ir: up to 10 iterations of up to three
+   B tasks, A and C tasks that may be absent, and up to 8 forward B-to-B
+   edges, each possibly speculated.  The descriptor prints a shrunk
+   counterexample. *)
 let prop_test ?(count = 150) name prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen_loop prop)
+  Alcotest.test_case name `Quick (fun () ->
+      Check.Runner.run_prop_exn ~count ~print:Check.Gen_ir.show_loop_desc ~name
+        (Check.Gen_ir.loop_desc ())
+        (fun d -> prop (Check.Gen_ir.build_loop d)))
 
 let prop_within_bounds =
-  prop_test "span within analytic bounds (zero latency)" (fun g ->
-      let loop = loop_of_gen g in
+  prop_test "span within analytic bounds (zero latency)" (fun loop ->
       List.for_all
         (fun cores ->
           let c = cfg cores in
@@ -220,13 +205,11 @@ let prop_within_bounds =
         [ 2; 4; 8; 32 ])
 
 let prop_single_core_exact =
-  prop_test "single core = total work" (fun g ->
-      let loop = loop_of_gen g in
+  prop_test "single core = total work" (fun loop ->
       span (cfg 1) loop = I.loop_work loop)
 
 let prop_deterministic =
-  prop_test "simulation is deterministic" (fun g ->
-      let loop = loop_of_gen g in
+  prop_test "simulation is deterministic" (fun loop ->
       span (cfg 5) loop = span (cfg 5) loop)
 
 (* Note: "squash is never slower than serialize" and "forwarding is never
@@ -236,15 +219,13 @@ let prop_deterministic =
    conservation and bounds. *)
 
 let prop_squash_wastes_work =
-  prop_test "squash adds exactly the re-executed work" (fun g ->
-      let loop = loop_of_gen g in
+  prop_test "squash adds exactly the re-executed work" (fun loop ->
       let r = P.run_loop (cfg 6) ~policy:{ P.misspec = P.Squash; forwarding = false } loop in
       let busy = Array.fold_left ( + ) 0 r.P.busy in
       busy >= I.loop_work loop && (r.P.squashes > 0 || busy = I.loop_work loop))
 
 let prop_squash_within_bounds =
-  prop_test "squash span within bounds" (fun g ->
-      let loop = loop_of_gen g in
+  prop_test "squash span within bounds" (fun loop ->
       let c = cfg 6 in
       let s = span c ~policy:{ P.misspec = P.Squash; forwarding = false } loop in
       (* The critical path still bounds below: a squashed consumer
@@ -252,8 +233,7 @@ let prop_squash_within_bounds =
       s >= Sim.Analytic.lower_bound c loop)
 
 let prop_forwarding_within_bounds =
-  prop_test "forwarding span within phase bounds" (fun g ->
-      let loop = loop_of_gen g in
+  prop_test "forwarding span within phase bounds" (fun loop ->
       let s =
         span (cfg 6) ~policy:{ P.misspec = P.Serialize; forwarding = true } loop
       in
@@ -264,8 +244,7 @@ let prop_forwarding_within_bounds =
       s >= wa && s >= wc && s >= b_bound && s <= Sim.Analytic.upper_bound loop)
 
 let prop_busy_conservation =
-  prop_test "busy work equals loop work (no squash)" (fun g ->
-      let loop = loop_of_gen g in
+  prop_test "busy work equals loop work (no squash)" (fun loop ->
       let r = P.run_loop (cfg 7) loop in
       Array.fold_left ( + ) 0 r.P.busy = I.loop_work loop)
 
@@ -303,15 +282,13 @@ let schedule_is_valid (loop : I.loop) (r : P.loop_result) =
   durations_ok && coverage_ok && overlap_free
 
 let prop_schedule_valid =
-  prop_test "schedule covers tasks, durations match, no core overlap" (fun g ->
-      let loop = loop_of_gen g in
+  prop_test "schedule covers tasks, durations match, no core overlap" (fun loop ->
       List.for_all
         (fun cores -> schedule_is_valid loop (P.run_loop (cfg cores) loop))
         [ 1; 2; 4; 9 ])
 
 let prop_schedule_valid_squash =
-  prop_test "schedule stays valid under squash" (fun g ->
-      let loop = loop_of_gen g in
+  prop_test "schedule stays valid under squash" (fun loop ->
       let r = P.run_loop (cfg 6) ~policy:{ P.misspec = P.Squash; forwarding = false } loop in
       schedule_is_valid loop r)
 
@@ -428,12 +405,11 @@ let tls_single_core_serial () =
   Alcotest.(check int) "sequential" 39 (Sim.Tls_plan.run_loop (cfg 1) loop).Sim.Tls_plan.span
 
 let tls_within_bounds =
-  prop_test ~count:80 "TLS span within its analytic envelope" (fun g ->
+  prop_test ~count:80 "TLS span within its analytic envelope" (fun loop ->
       (* Unlike DSWP, TLS buffers phase-C work into the speculative
          iteration, so the task-level critical path does not bound it;
          the sound lower bounds are the heaviest single iteration and
          the work/cores ratio. *)
-      let loop = loop_of_gen g in
       let c = cfg 8 in
       let tls = (Sim.Tls_plan.run_loop c loop).Sim.Tls_plan.span in
       let iters = I.iterations loop in

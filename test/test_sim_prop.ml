@@ -10,7 +10,7 @@
    reordering would mean it depends on trace serialization order — an
    artifact, not a property of the program. *)
 
-module G = Check.Gen
+module G = QCheck2.Gen
 module R = Check.Runner
 module GI = Check.Gen_ir
 

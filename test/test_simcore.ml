@@ -1,7 +1,9 @@
 (* Unit and property tests for the simcore substrate. *)
 
-let qtest ?(count = 200) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qtest ?(count = 200) ~print name gen prop =
+  Alcotest.test_case name `Quick (fun () -> Check.Runner.run_prop_exn ~count ~print ~name gen prop)
+
+let ops_print = QCheck2.Print.(list (pair int int))
 
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                 *)
@@ -109,7 +111,8 @@ let heap_fifo_ties () =
   Alcotest.(check (list string)) "insertion order among ties" [ "a"; "b"; "c" ] order
 
 let heap_sorts =
-  qtest "heap pops in sorted order" QCheck2.Gen.(list (int_bound 1000)) (fun xs ->
+  qtest "heap pops in sorted order" ~print:QCheck2.Print.(list int)
+    QCheck2.Gen.(list (int_bound 1000)) (fun xs ->
       let h = Simcore.Heap.create () in
       List.iter (fun x -> Simcore.Heap.add h ~prio:x x) xs;
       let rec drain acc =
@@ -158,7 +161,8 @@ let stats_histogram () =
     (Simcore.Stats.buckets h)
 
 let stats_geomean_property =
-  qtest "geomean <= mean (AM-GM)" QCheck2.Gen.(list_size (int_range 1 20) (float_range 0.1 100.0))
+  qtest "geomean <= mean (AM-GM)" ~print:QCheck2.Print.(list float)
+    QCheck2.Gen.(list_size (int_range 1 20) (float_range 0.1 100.0))
     (fun xs -> Simcore.Stats.geomean xs <= Simcore.Stats.mean xs +. 1e-9)
 
 (* ------------------------------------------------------------------ *)
@@ -194,33 +198,6 @@ let deque_empty_and_clear () =
   Simcore.Deque.clear d;
   Alcotest.(check bool) "cleared" true (Simcore.Deque.is_empty d);
   Alcotest.(check (option int)) "peek cleared" None (Simcore.Deque.peek_front d)
-
-(* Model-based property: a trace of random operations behaves like a
-   reference list (head = front). *)
-let deque_model_property =
-  qtest ~count:300 "deque matches list model"
-    QCheck2.Gen.(list (pair (int_range 0 2) small_int))
-    (fun ops ->
-      let d = Simcore.Deque.create () in
-      let model = ref [] in
-      List.iter
-        (fun (op, x) ->
-          match op with
-          | 0 ->
-            Simcore.Deque.push_back d x;
-            model := !model @ [ x ]
-          | 1 ->
-            Simcore.Deque.push_front d x;
-            model := x :: !model
-          | _ -> (
-            let popped = Simcore.Deque.pop_front d in
-            match !model with
-            | [] -> assert (popped = None)
-            | y :: rest ->
-              assert (popped = Some y);
-              model := rest))
-        ops;
-      Simcore.Deque.to_list d = !model && Simcore.Deque.length d = List.length !model)
 
 let deque_pop_back () =
   let d = Simcore.Deque.create () in
@@ -300,7 +277,7 @@ let ring_empty_behavior () =
   Alcotest.(check bool) "cleared" true (Simcore.Ring.is_empty r)
 
 let ring_model_property =
-  qtest ~count:300 "ring matches deque model"
+  qtest ~count:300 "ring matches deque model" ~print:ops_print
     QCheck2.Gen.(list (pair (int_range 0 2) small_int))
     (fun ops ->
       let r = Simcore.Ring.create ~capacity:2 () in
@@ -351,7 +328,7 @@ let iheap_clear_reuse () =
    priorities and payloads must pop in exactly the same order, including
    FIFO tie-breaks. *)
 let iheap_matches_heap_property =
-  qtest ~count:300 "iheap matches Heap order"
+  qtest ~count:300 "iheap matches Heap order" ~print:ops_print
     QCheck2.Gen.(list (pair (int_bound 50) (int_bound 1000)))
     (fun entries ->
       let ih = Simcore.Iheap.create () in
@@ -399,7 +376,6 @@ let () =
           Alcotest.test_case "empty and clear" `Quick deque_empty_and_clear;
           Alcotest.test_case "pop back" `Quick deque_pop_back;
           Alcotest.test_case "length is O(1)" `Quick deque_length_is_o1;
-          deque_model_property;
         ] );
       ( "heap",
         [

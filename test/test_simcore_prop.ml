@@ -1,9 +1,9 @@
 (* Model-based property tests: Simcore.Deque and Simcore.Heap against a
    naive list reference.  A random operation trace drives both; any
-   divergence shrinks to a minimal trace via lib/check's integrated
+   divergence shrinks to a minimal trace via QCheck2's integrated
    shrinking. *)
 
-module G = Check.Gen
+module G = QCheck2.Gen
 module R = Check.Runner
 
 (* ------------------------------------------------------------------ *)
@@ -71,11 +71,13 @@ let deque_trace_agrees ops =
     ops;
   !obs_d = !obs_m
 
+(* Trace lengths follow QCheck2's [list]: half under 10 operations, one
+   in twenty up to 10k. *)
 let deque_matches_model () =
   R.run_prop_exn
     ~print:(show_ops show_deque_op)
     ~name:"deque matches list model"
-    (G.list_size (G.int_range 0 40) deque_op_gen)
+    (G.list_size G.nat deque_op_gen)
     deque_trace_agrees
 
 (* ------------------------------------------------------------------ *)

@@ -132,16 +132,17 @@ let resolve_explicit_control () =
     ((List.hd sync).R.action = Ir.Dep.Synchronize)
 
 let resolve_stats_consistent =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:100 ~name:"stats partition the edges"
-       QCheck2.Gen.(list (pair (int_bound 2) bool))
-       (fun specs ->
-         let edges =
-           List.map (fun (loc, predicted) -> mem_edge ~predicted 0 1 loc) specs
-         in
-         let plan = SP.make ~alias:SP.Alias_all ~value_locs:[ "beta" ] () in
-         let _, stats = resolve_with plan edges in
-         stats.R.total = stats.R.removed + stats.R.speculated + stats.R.synchronized))
+  Alcotest.test_case "stats partition the edges" `Quick (fun () ->
+      Check.Runner.run_prop_exn ~count:100 ~print:QCheck2.Print.(list (pair int bool))
+        ~name:"stats partition the edges"
+        QCheck2.Gen.(list (pair (int_bound 2) bool))
+        (fun specs ->
+          let edges =
+            List.map (fun (loc, predicted) -> mem_edge ~predicted 0 1 loc) specs
+          in
+          let plan = SP.make ~alias:SP.Alias_all ~value_locs:[ "beta" ] () in
+          let _, stats = resolve_with plan edges in
+          stats.R.total = stats.R.removed + stats.R.speculated + stats.R.synchronized))
 
 (* ------------------------------------------------------------------ *)
 (* Automatic plan inference                                            *)

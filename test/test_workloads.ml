@@ -5,8 +5,12 @@
 
 module W = Workloads
 
-let qtest ?(count = 100) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qtest ?(count = 100) ~print name gen prop =
+  Alcotest.test_case name `Quick (fun () -> Check.Runner.run_prop_exn ~count ~print ~name gen prop)
+
+let quoted = QCheck2.Print.string
+
+let print_ints = QCheck2.Print.(list int)
 
 let ascii_string =
   QCheck2.Gen.(string_size ~gen:(char_range 'a' 'z') (int_range 0 300))
@@ -43,7 +47,7 @@ let lz77_roundtrip_text () =
   Alcotest.(check string) "roundtrip" text (W.Lz77.decompress r.W.Lz77.tokens)
 
 let lz77_roundtrip_prop =
-  qtest "lz77 roundtrip on random strings" ascii_string (fun s ->
+  qtest "lz77 roundtrip on random strings" ~print:quoted ascii_string (fun s ->
       W.Lz77.decompress (W.Lz77.compress s).W.Lz77.tokens = s)
 
 let lz77_compresses_repetition () =
@@ -52,7 +56,7 @@ let lz77_compresses_repetition () =
   Alcotest.(check bool) "ratio < 0.5" true (W.Lz77.compressed_ratio ~original:s r < 0.5)
 
 let lz77_window_respected =
-  qtest "match distances within window" ascii_string (fun s ->
+  qtest "match distances within window" ~print:quoted ascii_string (fun s ->
       let r = W.Lz77.compress ~window:64 s in
       List.for_all
         (function
@@ -73,15 +77,16 @@ let bwt_roundtrip_known () =
   Alcotest.(check string) "roundtrip" s (W.Bwt.inverse (W.Bwt.transform s))
 
 let bwt_roundtrip_prop =
-  qtest ~count:60 "bwt roundtrip" QCheck2.Gen.(string_size ~gen:(char_range 'a' 'd') (int_range 0 80))
+  qtest ~count:60 "bwt roundtrip" ~print:quoted
+    QCheck2.Gen.(string_size ~gen:(char_range 'a' 'd') (int_range 0 80))
     (fun s -> W.Bwt.inverse (W.Bwt.transform s) = s)
 
 let mtf_roundtrip_prop =
-  qtest "mtf roundtrip" ascii_string (fun s ->
+  qtest "mtf roundtrip" ~print:quoted ascii_string (fun s ->
       W.Bwt.move_to_front_inverse (W.Bwt.move_to_front s) = s)
 
 let rle_roundtrip_prop =
-  qtest "rle roundtrip" QCheck2.Gen.(list (int_bound 5)) (fun codes ->
+  qtest "rle roundtrip" ~print:print_ints QCheck2.Gen.(list (int_bound 5)) (fun codes ->
       W.Bwt.run_length_inverse (W.Bwt.run_length codes) = codes)
 
 let rle_compresses_runs () =
@@ -105,7 +110,7 @@ let huffman_frequent_shorter () =
     Alcotest.(check bool) "common symbol has shortest code" true (len 0 <= len 1)
 
 let huffman_beats_fixed =
-  qtest ~count:60 "huffman no worse than fixed-width"
+  qtest ~count:60 "huffman no worse than fixed-width" ~print:print_ints
     QCheck2.Gen.(list_size (int_range 2 200) (int_bound 7))
     (fun symbols ->
       let freqs =
@@ -125,7 +130,7 @@ let huffman_empty () =
   Alcotest.(check bool) "no tree on empty" true (W.Huffman.build [] = None)
 
 let huffman_encode_decode_roundtrip =
-  qtest ~count:80 "huffman encode/decode roundtrip"
+  qtest ~count:80 "huffman encode/decode roundtrip" ~print:print_ints
     QCheck2.Gen.(list_size (int_range 1 150) (int_bound 9))
     (fun symbols ->
       let freqs =
@@ -298,7 +303,8 @@ let parser_accepts_pp_attachment () =
   Alcotest.(check bool) "PP attaches" true r.W.Chart_parser.grammatical
 
 let parser_generated_sentences_parse =
-  qtest ~count:50 "generated sentences are grammatical" QCheck2.Gen.(int_range 4 20)
+  qtest ~count:50 "generated sentences are grammatical" ~print:string_of_int
+    QCheck2.Gen.(int_range 4 20)
     (fun len ->
       let rng = Simcore.Rng.create (len * 31) in
       let s = W.Chart_parser.sentence_of_length rng len in
@@ -320,7 +326,8 @@ let parser_empty_sentence () =
 (* Anneal                                                              *)
 
 let anneal_cost_consistency =
-  qtest ~count:30 "incremental cost stays consistent" QCheck2.Gen.(int_range 0 200)
+  qtest ~count:30 "incremental cost stays consistent" ~print:string_of_int
+    QCheck2.Gen.(int_range 0 200)
     (fun swaps ->
       let t = W.Anneal.create ~seed:42 ~blocks:30 ~grid:8 ~nets:20 in
       for _ = 1 to swaps do
@@ -357,7 +364,8 @@ let anneal_rng_calls_variable () =
 (* Netflow                                                             *)
 
 let netflow_feasible_and_optimal =
-  qtest ~count:20 "solver yields feasible optimal flow" QCheck2.Gen.(int_range 0 1000)
+  qtest ~count:20 "solver yields feasible optimal flow" ~print:string_of_int
+    QCheck2.Gen.(int_range 0 1000)
     (fun seed ->
       let g = W.Netflow.generate ~seed ~sources:3 ~sinks:3 ~transit:6 in
       let s = W.Netflow.solve g in
@@ -391,7 +399,7 @@ let netflow_prefers_cheap_path () =
 (* B-tree                                                              *)
 
 let btree_model_based =
-  qtest ~count:60 "btree agrees with Map"
+  qtest ~count:60 "btree agrees with Map" ~print:QCheck2.Print.(list (pair bool int))
     QCheck2.Gen.(list (pair bool (int_bound 200)))
     (fun ops ->
       let t = W.Btree.create ~degree:3 in
@@ -505,7 +513,8 @@ let stackvm_gc_collects_garbage () =
   Alcotest.(check bool) "heap bounded" true (W.Stackvm.live_objects st <= 5)
 
 let stackvm_gen_programs_run =
-  qtest ~count:30 "generated programs execute cleanly" QCheck2.Gen.(int_range 0 500)
+  qtest ~count:30 "generated programs execute cleanly" ~print:string_of_int
+    QCheck2.Gen.(int_range 0 500)
     (fun seed ->
       let prog = W.Stackvm.gen_program ~seed ~stmts:40 ~globals:6 ~chain:0.5 ~alloc_rate:0.4 in
       let st = W.Stackvm.create_state ~globals:6 ~heap_limit:20 in
@@ -524,7 +533,8 @@ let minicc_front_end_parses_generated () =
   | Error e -> Alcotest.fail e
 
 let minicc_optimize_preserves_semantics =
-  qtest ~count:50 "optimization preserves evaluation" QCheck2.Gen.(int_range 0 1000)
+  qtest ~count:50 "optimization preserves evaluation" ~print:string_of_int
+    QCheck2.Gen.(int_range 0 1000)
     (fun seed ->
       let src = W.Minicc.gen_source ~seed ~functions:2 in
       match W.Minicc.front_end src with

@@ -1,10 +1,10 @@
-(* Round-trip properties for every workload codec, driven by lib/check:
+(* Round-trip properties for every workload codec, driven by Check.Runner:
    decode (encode x) = x over random inputs, shrinking any failure to a
    minimal string.  Equivalence properties: the optimized kernels return
    exactly what the reference kernels in ref_kernels.ml return, work
    counters included. *)
 
-module G = Check.Gen
+module G = QCheck2.Gen
 module R = Check.Runner
 module W = Workloads
 module Ref = Ref_kernels
@@ -14,9 +14,10 @@ let quoted s = Printf.sprintf "%S" s
 (* Short repetitive-ish strings: a small alphabet makes matches, runs and
    dictionary hits actually occur, so the interesting codec paths run. *)
 let text_gen ?(max_len = 120) () =
-  G.string_size ~char:(G.char_range 'a' 'e') (G.int_range 0 max_len)
+  G.string_size ~gen:(G.char_range 'a' 'e') (G.int_range 0 max_len)
 
-let byte_gen ?(max_len = 80) () = G.string_size ~char:G.byte_char (G.int_range 0 max_len)
+let byte_gen ?(max_len = 80) () =
+  G.string_size ~gen:(G.char_range '\000' '\255') (G.int_range 0 max_len)
 
 (* ------------------------------------------------------------------ *)
 (* LZ77                                                                *)
@@ -38,7 +39,7 @@ let lz77_roundtrip_bytes () =
 let chain_text_gen =
   G.bind (G.int_range 1 4) (fun k ->
       G.string_size
-        ~char:(G.char_range 'a' (Char.chr (Char.code 'a' + k - 1)))
+        ~gen:(G.char_range 'a' (Char.chr (Char.code 'a' + k - 1)))
         (G.int_range 0 1500))
 
 let level_name = function W.Lz77.Fast -> "fast" | W.Lz77.Best -> "best"
@@ -82,7 +83,7 @@ let bwt_roundtrip () =
 let periodic_gen =
   G.map2
     (fun unit k -> String.concat "" (List.init k (fun _ -> unit)))
-    (G.string_size ~char:(G.char_range 'a' 'c') (G.int_range 1 4))
+    (G.string_size ~gen:(G.char_range 'a' 'c') (G.int_range 1 4))
     (G.int_range 1 12)
 
 let bwt_matches_reference () =
@@ -98,7 +99,7 @@ let rle_roundtrip () =
   R.run_prop_exn
     ~print:(fun l -> "[" ^ String.concat ";" (List.map string_of_int l) ^ "]")
     ~name:"rle inverse . rle = id"
-    (G.list (G.int_bound 255))
+    (G.list_size (G.int_range 0 20) (G.int_bound 255))
     (fun l -> W.Bwt.run_length_inverse (W.Bwt.run_length l) = l)
 
 let bzip2_chain_roundtrip () =
