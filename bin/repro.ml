@@ -792,7 +792,8 @@ let validate_real_cmd =
   Cmd.v
     (Cmd.info "validate-real"
        ~doc:"Execute benchmarks on real OCaml domains (A|B|C pipeline over lock-free \
-             SPSC queues, speculative stages through versioned memory) and validate \
+             SPSC queues; speculative stages read a lock-free store and commit after \
+             validation) and validate \
              against the simulator: parallel output must be byte-identical to the \
              sequential reference at every thread count, and measured wall-clock \
              speedup is printed beside the simulator's prediction. Exits 0 when every \

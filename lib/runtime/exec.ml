@@ -1,5 +1,3 @@
-module VM = Machine.Versioned_memory
-
 type role_stats = {
   rs_role : string;
   rs_items : int;
@@ -162,6 +160,30 @@ let push_acct acct ~slot q ((i, _) as x) =
   end;
   note_queue acct Push q i
 
+(* A [Spec] location's value in a flat store; a read past the end sees
+   0, as an unknown location does in [Staged.run_seq]. *)
+let value a loc = if loc < Array.length a then a.(loc) else 0
+
+(* A copy of [a] long enough to index [loc], padded with [fill]. *)
+let grown a loc fill =
+  let a' = Array.make (max (loc + 1) (2 * Array.length a)) fill in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
+
+(* A B replica's forwarding overlay: [owner.(loc)] is the youngest of
+   its own iterations that wrote [loc] (-1 if none) and [latest.(loc)]
+   what it wrote.  An entry is live while [owner.(loc)] is not yet
+   committed; after that the store holds the value, or a younger one. *)
+type overlay = { mutable owner : int array; mutable latest : int array }
+
+let forward ov i (loc, v) =
+  if loc >= Array.length ov.owner then begin
+    ov.owner <- grown ov.owner loc (-1);
+    ov.latest <- grown ov.latest loc 0
+  end;
+  ov.owner.(loc) <- i;
+  ov.latest.(loc) <- v
+
 let no_recording = { loop = ""; span_us = 0; rings = [||] }
 
 let seq_result staged =
@@ -262,17 +284,16 @@ let run ?pool ?(queue_capacity = 64) ?(probe = false) ~threads ~name staged =
       qs
     in
     (* The role skeleton, written once for both pipeline kinds.  A runs
-       [produce] then the [opened] hook; B runs [exec]; C runs
-       [validate] untimed, then [consume] as its stage body, then
-       [finish] after the last iteration. *)
-    let pipeline ~produce ~opened ~exec ~validate ~consume ~finish =
+       [produce]; B runs [exec]; C runs [validate] untimed, then
+       [consume] as its stage body, then [finish] after the last
+       iteration. *)
+    let pipeline ~produce ~exec ~validate ~consume ~finish =
       let a2b = new_queues Obs.Event.In_queue r in
       let b2c = if fused then [||] else new_queues Obs.Event.Out_queue r in
       let role_a () =
         let acct = accts.(0) in
         for i = 0 to n - 1 do
           let item = stage acct produce i () in
-          opened i;
           push_acct acct ~slot:(i mod r) a2b.(i mod r) (i, item)
         done;
         Array.iter Spsc.close a2b
@@ -322,89 +343,93 @@ let run ?pool ?(queue_capacity = 64) ?(probe = false) ~threads ~name staged =
       | Staged.Pure s ->
         pipeline
           ~produce:(fun i () -> s.Staged.produce i)
-          ~opened:ignore
           ~exec:(fun _ item -> s.Staged.transform item)
           ~validate:(fun _ _ res -> res)
           ~consume:(fun i res -> s.Staged.consume buf i res)
           ~finish:(fun () -> s.Staged.finish buf)
       | Staged.Spec s ->
-        let vm = VM.create () in
-        let vml = Mutex.create () in
-        List.iter (fun (loc, v) -> VM.set_committed vm ~loc v) s.Staged.sp_init;
-        let locked f =
-          Mutex.lock vml;
-          match f () with
-          | v ->
-            Mutex.unlock vml;
-            v
-          | exception e ->
-            Mutex.unlock vml;
-            raise e
+        (* The committed store.  Only C writes it, growing it on a write
+           past its end; B replicas read it without a lock.  Publishing
+           a grown array through the [Atomic] makes its copied prefix
+           visible to every reader that sees the new array. *)
+        let size = List.fold_left (fun m (loc, _) -> max m (loc + 1)) 0 s.Staged.sp_init in
+        let store = Atomic.make (Array.make size 0) in
+        let committed loc = value (Atomic.get store) loc in
+        let set loc v =
+          let a = Atomic.get store in
+          if loc < Array.length a then a.(loc) <- v
+          else begin
+            let a = grown a loc 0 in
+            a.(loc) <- v;
+            Atomic.set store a
+          end
         in
-        let committed loc =
-          match VM.committed_value vm ~loc with Some v -> v | None -> 0
+        List.iter (fun (loc, v) -> set loc v) s.Staged.sp_init;
+        (* The count of committed iterations, published by C after each
+           commit's writes. *)
+        let commits = Atomic.make 0 in
+        let overlays =
+          Array.init r (fun _ -> { owner = Array.make size (-1); latest = Array.make size 0 })
         in
-        let read_committed loc = locked (fun () -> committed loc) in
         let exec i item =
+          let ov = overlays.(i mod r) in
           let reads = ref [] in
           let read loc =
             let v =
-              locked (fun () -> match VM.read vm ~task:i ~loc with Some v -> v | None -> 0)
+              if loc < Array.length ov.owner && ov.owner.(loc) >= Atomic.get commits then
+                ov.latest.(loc)
+              else committed loc
             in
             reads := (loc, v) :: !reads;
             v
           in
-          let writes, res = s.Staged.sp_exec ~read item in
-          locked (fun () -> List.iter (fun (loc, v) -> VM.write vm ~task:i ~loc v) writes);
-          (item, !reads, writes, res)
+          (* A stale read may make the body raise; C decides whether the
+             exception is real. *)
+          match s.Staged.sp_exec ~read item with
+          | (writes, _) as attempt ->
+            List.iter (forward ov i) writes;
+            (item, !reads, Ok attempt)
+          | exception e ->
+            let bt = Printexc.get_raw_backtrace () in
+            (item, !reads, Error (e, bt))
         in
         (* Commit-time validation: every value iteration [i] read must
            equal the committed value now that all earlier iterations
-           have committed — i.e. exactly what the sequential run would
-           have read.  A mismatch squashes the iteration: re-execute
-           against committed state, neutralize stale buffered writes
-           (re-writing the committed value is a silent store), and only
-           then commit. *)
-        let validate acct i (item, reads, writes, res) =
+           have committed — exactly what the sequential run would have
+           read.  A stale read squashes the attempt, and C re-executes
+           the iteration against committed state before committing it.
+           An attempt that raised without a stale read raises in the
+           sequential run too. *)
+        let validate acct i (item, reads, attempt) =
           let tv = mark acct in
           let stale =
-            locked (fun () -> List.exists (fun (loc, obs) -> committed loc <> obs) reads)
+            List.fold_left (fun n (loc, v) -> if committed loc <> v then n + 1 else n) 0 reads
           in
           note_span acct Validate ~since:tv ~b:i;
           let writes, res =
-            if not stale then (writes, res)
+            if stale = 0 then
+              match attempt with
+              | Ok attempt -> attempt
+              | Error (e, bt) -> Printexc.raise_with_backtrace e bt
             else begin
               incr squashes;
+              violations := !violations + stale;
               let tb = now () in
-              let writes', res' = s.Staged.sp_exec ~read:read_committed item in
+              let attempt = s.Staged.sp_exec ~read:committed item in
               acct.busy <- acct.busy +. (now () -. tb);
               note_span acct Squash ~since:(us_since acct tb) ~b:i;
-              locked (fun () ->
-                  List.iter
-                    (fun (loc, _) ->
-                      if not (List.mem_assoc loc writes') then
-                        VM.write vm ~task:i ~loc (committed loc))
-                    writes);
-              (writes', res')
+              attempt
             end
           in
-          let viols =
-            locked (fun () ->
-                List.iter (fun (loc, v) -> VM.write vm ~task:i ~loc v) writes;
-                VM.commit vm ~task:i)
-          in
-          violations := !violations + List.length viols;
+          List.iter (fun (loc, v) -> set loc v) writes;
+          Atomic.set commits (i + 1);
           res
         in
         pipeline
           ~produce:(fun i () -> s.Staged.sp_produce i)
-            (* Versions open in logical order before dispatch, so a
-               replica's speculative reads can forward from every
-               earlier in-flight iteration. *)
-          ~opened:(fun i -> locked (fun () -> VM.begin_task vm ~task:i))
           ~exec ~validate
           ~consume:(fun i res -> s.Staged.sp_consume buf i res)
-          ~finish:(fun () -> s.Staged.sp_finish ~read:read_committed buf)
+          ~finish:(fun () -> s.Staged.sp_finish ~read:committed buf)
     in
     let origin = now () in
     Array.iter (fun a -> a.origin <- origin) accts;

@@ -16,16 +16,25 @@
     guarantees every role reaches a domain even when a role-chunk lands
     behind a running role in some slot's deque.
 
-    [Spec] pipelines speculate through {!Machine.Versioned_memory}: A
-    opens one version per iteration in logical order, B replicas read
-    pre-iteration state through the versioned store (forwarding from
-    earlier in-flight writes) and buffer their writes, and C validates
-    at commit — every value the iteration read must equal the committed
-    (i.e. sequential) value; a stale read squashes the iteration, which
-    re-executes against committed state on C's domain before its
-    version commits.  Mis-speculation therefore costs time, never
-    correctness, and the squash count is reported in {!stats} rather
-    than in the output bytes (which timing must not influence). *)
+    [Spec] pipelines speculate against a store that only C writes:
+    committed values in a flat [int] array indexed by location, sized
+    from [sp_init] and grown by C on a write past its end (a read past
+    the end sees 0).  B replicas read it without a lock and log every
+    [(location, value)] they read.  Each replica also forwards the
+    writes of its own iterations that C has not yet committed, from a
+    private overlay that C's commit count retires, so a single replica
+    reads every value the sequential run would.  C validates at commit:
+    every value the iteration read must equal the committed (i.e.
+    sequential) value.  A stale read squashes the attempt, and the
+    iteration re-executes against committed state on C's domain before
+    it commits.  An attempt that raised is validated the same way: after
+    a stale read the exception is dropped with the attempt, and
+    otherwise it is re-raised, as {!Staged.run_seq} would raise it.
+    Mis-speculation therefore costs time, never correctness, and the
+    squash count is reported in {!stats} rather than in the output bytes
+    (which timing must not influence).  The store stands in for the
+    paper's versioned-memory hardware; [Machine.Versioned_memory], the
+    reference model of that hardware, is not used here. *)
 
 type role_stats = {
   rs_role : string;  (** "A", "B0".."Bn", "C" *)
@@ -40,7 +49,7 @@ type stats = {
   replicas : int;  (** B replica count actually used *)
   seconds : float;  (** wall clock of the pipeline section *)
   squashes : int;  (** iterations re-executed after a stale read *)
-  violations : int;  (** violation reports from the versioned memory *)
+  violations : int;  (** stale reads found by commit-time validation *)
   roles : role_stats array;  (** A, B replicas, C — in that order *)
 }
 
@@ -62,7 +71,7 @@ type role_probe = {
   rp_push_stall : Obs.Hist.t;  (** time blocked pushing a full ring *)
   rp_pop_stall : Obs.Hist.t;  (** time blocked popping an empty ring *)
   rp_squash : Obs.Hist.t;  (** re-execution cost after a stale read *)
-  rp_validate : Obs.Hist.t;  (** versioned-memory commit validation *)
+  rp_validate : Obs.Hist.t;  (** commit-time validation of a [Spec] attempt's reads *)
 }
 
 type telemetry = {
@@ -107,7 +116,8 @@ val run :
     writes preallocated rings — so output stays byte-identical to a
     probe-off run.  With probes off no telemetry clock is read and no
     event is built: each would-be record costs one pattern match.  If
-    a stage body raises, all queues are poisoned, every role unwinds,
+    a stage body raises (a speculative B attempt only once C finds none
+    of its reads stale), all queues are poisoned, every role unwinds,
     and the first exception is re-raised on the caller. *)
 
 val events : result -> Obs.Event.t list

@@ -10,8 +10,8 @@
 
     [175.vpr] and [300.twolf] are [Spec] pipelines: their B stage reads
     and writes a shared placement through the speculation protocol, so
-    real runs exercise versioned-memory commit and squash.  The other
-    nine are [Pure] pipelines. *)
+    real runs exercise {!Exec}'s lock-free store, commit-time validation
+    and squash.  The other nine are [Pure] pipelines. *)
 
 val staged : ?scale:Benchmarks.Study.scale -> string -> Staged.t
 (** [staged name] builds a fresh pipeline for registry benchmark [name]

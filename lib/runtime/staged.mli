@@ -10,9 +10,10 @@
       fresh value of {!t} must be built per run.
     - {b B} ([transform] / [sp_exec]): the replicable parallel stage.
       Pure in the [Pure] case; in the [Spec] case it may read and write
-      a shared integer store through the speculation protocol
-      ({!Exec}) — reads see pre-iteration state, writes apply at commit,
-      exactly the versioned-memory semantics of the paper.
+      a shared integer store, indexed by non-negative locations, through
+      the speculation protocol ({!Exec}) — reads see pre-iteration
+      state, writes apply at commit, exactly the versioned-memory
+      semantics of the paper.
     - {b C} ([consume]): the sequential in-order consume stage, folding
       results into the observable output buffer.
 
@@ -30,14 +31,20 @@ type ('i, 'r) stages = {
 
 type ('i, 'r) spec_stages = {
   sp_iterations : int;
-  sp_init : (int * int) list;  (** initial committed (location, value) store *)
+  sp_init : (int * int) list;
+      (** initial committed (location, value) store; locations are
+          non-negative here and in every read and write *)
   sp_produce : int -> 'i;
   sp_exec : read:(int -> int) -> 'i -> (int * int) list * 'r;
       (** Stage B body: reads pre-iteration shared state through [read]
           (unknown locations read as 0), returns the (location, value)
           writes to commit plus the result payload.  Must be a pure
           function of the item and the values [read] returned — it may
-          be re-executed after a mis-speculation squash. *)
+          be re-executed after a mis-speculation squash.  Under
+          {!Exec.run} a speculative attempt may see stale values, values
+          no sequential run produces, and may raise on them; such an
+          attempt is squashed, and only an exception the sequential
+          values also raise reaches the caller. *)
   sp_consume : Buffer.t -> int -> 'r -> unit;
   sp_finish : read:(int -> int) -> Buffer.t -> unit;
       (** May inspect the final committed store. *)

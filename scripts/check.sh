@@ -153,8 +153,9 @@ done
 dune exec scripts/validate_trace.exe -- "$prof_trace"
 
 # Speculative trace smoke: the same decoded probe stream on the Spec
-# path (175.vpr squashes and re-executes), fused at two domains and
-# replicated at three; validate-real writes one trace per point.
+# path (175.vpr), fused at two domains and with one B replica at three,
+# where forwarding leaves nothing to squash; validate-real writes one
+# trace per point.
 vpr_trace="$(mktemp -d -t vpr_trace.XXXXXX)"
 trap 'rm -f "$trace_tmp" "$prof_trace" "$prof_dump" "$prof_out"; rm -rf "$vpr_trace"' EXIT
 dune exec bin/repro.exe -- validate-real -b 175.vpr -t 3 -s small \

@@ -146,10 +146,16 @@ let stage_exception_propagates () =
 (* ------------------------------------------------------------------ *)
 (* Speculation: conflicts squash, output stays sequential              *)
 
+(* B work is padded so iterations genuinely overlap. *)
+let pad_body pad =
+  for k = 0 to 2000 do
+    pad := !pad + k
+  done
+
 (* Every iteration reads the location the previous iteration wrote, so
    any replica running ahead of the commit point reads a stale value;
    the runtime must squash it and still reproduce the sequential
-   output.  B work is padded so iterations genuinely overlap. *)
+   output. *)
 let conflict_staged () =
   let pad = ref 0 in
   Staged.Spec
@@ -159,13 +165,30 @@ let conflict_staged () =
       sp_produce = (fun i -> i);
       sp_exec =
         (fun ~read i ->
-          for k = 0 to 2000 do
-            pad := !pad + k
-          done;
+          pad_body pad;
           let v = read 0 in
           ([ (0, Staged.mix v i) ], Staged.mix v i));
       sp_consume = (fun buf i d -> Buffer.add_string buf (Printf.sprintf "%d %s\n" i (Staged.hex d)));
       sp_finish = (fun ~read buf -> Buffer.add_string buf (Staged.hex (read 0) ^ "\n"));
+    }
+
+(* Iteration i reads location 0, whose sequential value is i, and writes
+   i + 1; [check i v] sees the value it read and may raise. *)
+let counter_staged check =
+  let pad = ref 0 in
+  Staged.Spec
+    {
+      Staged.sp_iterations = 64;
+      sp_init = [ (0, 0) ];
+      sp_produce = (fun i -> i);
+      sp_exec =
+        (fun ~read i ->
+          pad_body pad;
+          let v = read 0 in
+          check i v;
+          ([ (0, i + 1) ], v));
+      sp_consume = (fun buf i v -> Buffer.add_string buf (Printf.sprintf "%d %d\n" i v));
+      sp_finish = (fun ~read buf -> Buffer.add_string buf (string_of_int (read 0) ^ "\n"));
     }
 
 (* The decoded probe stream: bracketed by the loop markers, time-sorted,
@@ -247,6 +270,53 @@ let speculation_squashes_and_recovers () =
      across 5 runs at least one speculative read must have gone stale. *)
   Alcotest.(check bool) "mis-speculation actually occurred" true (!squashes > 0)
 
+(* A body that raises on a stale value must cost a squash, not the run:
+   C finds the stale read and re-executes the iteration. *)
+let stale_read_exception_squashes () =
+  let staged () =
+    counter_staged (fun i v -> if v <> i then failwith (Printf.sprintf "stale read at %d: %d" i v))
+  in
+  let seq = Staged.run_seq (staged ()) in
+  List.iter
+    (fun threads ->
+      let r = Exec.run ~threads ~name:"stale raise" (staged ()) in
+      Alcotest.(check string) (Printf.sprintf "byte-identical at %d threads" threads) seq
+        r.Exec.output)
+    [ 2; 3 ];
+  let squashes = ref 0 in
+  for _attempt = 1 to 5 do
+    let r = Exec.run ~threads:4 ~name:"stale raise" (staged ()) in
+    Alcotest.(check string) "byte-identical at 4 threads" seq r.Exec.output;
+    squashes := !squashes + r.Exec.stats.Exec.squashes
+  done;
+  Alcotest.(check bool) "a raising attempt was squashed" true (!squashes > 0)
+
+(* The [Spec] twin of "stage exception propagates": a body that raises
+   on its sequential value raises in [run_seq], so it must re-raise on
+   the caller at every thread count. *)
+let spec_exception_propagates () =
+  let staged () = counter_staged (fun i v -> if i = 57 && v = i then failwith "boom") in
+  Alcotest.check_raises "run_seq raises" (Failure "boom") (fun () ->
+      ignore (Staged.run_seq (staged ())));
+  List.iter
+    (fun threads ->
+      match Exec.run ~threads ~name:"boom" (staged ()) with
+      | exception Failure m ->
+        Alcotest.(check string) (Printf.sprintf "original exception at %d threads" threads) "boom" m
+      | _ -> Alcotest.failf "stage exception must re-raise on the caller at %d threads" threads)
+    [ 2; 3; 4 ]
+
+(* With one B replica (3 threads) every earlier uncommitted iteration is
+   the replica's own, so forwarding gives every read its sequential
+   value and nothing squashes, whatever the timing. *)
+let one_replica_never_squashes () =
+  let seq = Staged.run_seq (conflict_staged ()) in
+  for _attempt = 1 to 5 do
+    let r = Exec.run ~threads:3 ~name:"conflict" (conflict_staged ()) in
+    Alcotest.(check string) "output sequential" seq r.Exec.output;
+    Alcotest.(check int) "no squash" 0 r.Exec.stats.Exec.squashes
+  done
+
 let spec_benches_squash_and_match () =
   List.iter
     (fun name ->
@@ -274,8 +344,9 @@ let validate_catches_corruption () =
 
 (* validate-real's deterministic columns: the thread counts, the
    verdict and the simulator's prediction of every point, and no squash
-   while B and C share one domain (1 and 2 threads).  The wall clock and
-   the 3-thread squash count depend on timing and stay unpinned. *)
+   up to 3 threads: B and C share one domain at 1 and 2, and at 3 the
+   one B replica forwards its own uncommitted writes.  The wall clock
+   depends on timing and stays unpinned. *)
 let validate_deterministic_columns () =
   let outcome =
     Runtime.Validate.run ~benches:[ "164.gzip"; "175.vpr" ] ~max_threads:3
@@ -299,7 +370,7 @@ let validate_deterministic_columns () =
   Alcotest.(check bool) "outcome ok" true outcome.Runtime.Validate.ok;
   List.iter
     (fun (p : Obs_analysis.History.real_point) ->
-      if p.Obs_analysis.History.rp_threads <= 2 then
+      if p.Obs_analysis.History.rp_threads <= 3 then
         Alcotest.(check int) (row p ^ " squashes") 0 p.Obs_analysis.History.rp_squashes)
     outcome.Runtime.Validate.points
 
@@ -502,6 +573,11 @@ let () =
             speculation_squashes_and_recovers;
           Alcotest.test_case "spec benches match with speculation" `Quick
             spec_benches_squash_and_match;
+          Alcotest.test_case "stale read that raises squashes" `Quick
+            stale_read_exception_squashes;
+          Alcotest.test_case "spec stage exception propagates" `Quick
+            spec_exception_propagates;
+          Alcotest.test_case "one replica never squashes" `Quick one_replica_never_squashes;
         ] );
       ( "probe",
         [
