@@ -1,6 +1,6 @@
 (* Bechamel micro-benchmarks of the primitives under the profiled studies,
-   the simulator, the partitioner, the profiler and the schedule
-   analysis: one kernel call per run, reported in ns/run.  Use it for a
+   the simulator and its event heap, the partitioner, the profiler and
+   the schedule analysis: one kernel call per run, reported in ns/run.  Use it for a
    before/after of a single primitive; the end-to-end benchmark is
    bench/perf.
 
@@ -45,21 +45,25 @@ let gzip_loop =
 
 let sim_cfg = Machine.Config.default ~cores:8
 
-(* The 300.twolf loop at Large scale (9000 tasks), simulated at the
-   study's thread count with its events recorded: the input of one
-   attribution timeline and one oracle pass. *)
-let twolf_run =
+(* The 300.twolf loop at Large scale (9000 tasks). *)
+let twolf_loop =
   lazy
     (let twolf = Benchmarks.B300_twolf.study in
      let profile = twolf.Benchmarks.Study.run ~scale:Benchmarks.Study.Large in
      let built = Core.Framework.build ~plan:twolf.Benchmarks.Study.plan profile in
-     let loop =
-       List.find_map
-         (function Sim.Input.Parallel l -> Some l | Sim.Input.Serial _ -> None)
-         built.Core.Framework.input.Sim.Input.segments
-       |> Option.get
-     in
-     let cfg = Machine.Config.default ~cores:twolf.Benchmarks.Study.paper_threads in
+     List.find_map
+       (function Sim.Input.Parallel l -> Some l | Sim.Input.Serial _ -> None)
+       built.Core.Framework.input.Sim.Input.segments
+     |> Option.get)
+
+(* That loop simulated at the study's thread count with its events
+   recorded: the input of one attribution timeline and one oracle
+   pass. *)
+let twolf_run =
+  lazy
+    (let loop = Lazy.force twolf_loop in
+     let threads = Benchmarks.B300_twolf.study.Benchmarks.Study.paper_threads in
+     let cfg = Machine.Config.default ~cores:threads in
      let recorder = Obs.Sink.recorder () in
      let r =
        Sim.Pipeline.run_loop cfg ~validate:false ~obs:(Obs.Sink.record recorder) loop
@@ -67,6 +71,26 @@ let twolf_run =
      (cfg, loop, r, Obs.Sink.events recorder))
 
 let simulate loop = ignore (Sim.Pipeline.run_loop sim_cfg ~validate:false loop)
+
+(* The twolf loop, untraced, at a small and at the largest sweep point:
+   a simulated task should cost about the same at both. *)
+let simulate_twolf cores =
+  let cfg = Machine.Config.default ~cores in
+  Staged.stage (fun () ->
+      Sim.Pipeline.run_loop cfg ~validate:false (Lazy.force twolf_loop))
+
+(* One event heap's worth of traffic: 1024 adds at scattered times, then
+   1024 pops, as the simulator's event and wake-request heaps see it. *)
+let iheap = Simcore.Iheap.create ()
+
+let iheap_add_pop () =
+  Simcore.Iheap.clear iheap;
+  for i = 0 to 1023 do
+    Simcore.Iheap.add iheap ~prio:(i * 7919 land 4095) i 0
+  done;
+  while Simcore.Iheap.pop iheap do
+    ()
+  done
 
 let tests =
   let open Workloads in
@@ -86,10 +110,13 @@ let tests =
            simulate { (Lazy.force gzip_loop) with Sim.Input.name = string_of_int !copies }));
     Test.make ~name:"sim/gzip-loop-warm-static"
       (Staged.stage (fun () -> simulate (Lazy.force gzip_loop)));
+    Test.make ~name:"sim/twolf-loop-4-cores" (simulate_twolf 4);
+    Test.make ~name:"sim/twolf-loop-32-cores" (simulate_twolf 32);
     (* The whole 164.gzip input, serial segments included, on 32 cores. *)
     Test.make ~name:"sim/gzip-input-32-cores"
       (Staged.stage (fun () ->
            Sim.Pipeline.run (Machine.Config.default ~cores:32) (Lazy.force gzip_input)));
+    Test.make ~name:"simcore/iheap-add-pop" (Staged.stage iheap_add_pop);
     Test.make ~name:"dswp-partition/all-pdgs"
       (Staged.stage (fun () ->
            List.iter

@@ -39,7 +39,7 @@ let of_events (cfg : Machine.Config.t) ?(policy = Sim.Sched.default_policy)
   let crit_lower = Sim.Analytic.critical_path loop in
   let a_work, b_work, c_work = Sim.Analytic.phase_work loop in
   let b_cores = Dswp.Planner.b_core_count cfg in
-  let lower_bound = Sim.Analytic.lower_bound cfg loop in
+  let lower_bound = max crit_lower (Sim.Analytic.stage_bound cfg loop) in
   (* Which term of the lower bound dominates.  The structural critical
      path always exceeds the dominant stage's serial work by the
      pipeline fill/drain, so a strict argmax would never name a stage;

@@ -74,10 +74,12 @@ let phase_work (loop : Input.loop) =
       | Ir.Task.C -> (a, b, c + t.Ir.Task.work))
     (0, 0, 0) loop.Input.tasks
 
-let lower_bound cfg loop =
+let stage_bound cfg loop =
   let wa, wb, wc = phase_work loop in
   let b_cores = max 1 (Dswp.Planner.b_core_count cfg) in
   let b_bound = (wb + b_cores - 1) / b_cores in
-  List.fold_left max (critical_path loop) [ wa; wc; b_bound ]
+  max wa (max wc b_bound)
+
+let lower_bound cfg loop = max (critical_path loop) (stage_bound cfg loop)
 
 let upper_bound loop = Input.loop_work loop

@@ -13,10 +13,15 @@ val critical_path : Input.loop -> int
 val phase_work : Input.loop -> int * int * int
 (** Total work per phase (A, B, C). *)
 
+val stage_bound : Machine.Config.t -> Input.loop -> int
+(** Max of the serial-stage bottlenecks: phase A and phase C work each
+    bound the span (they run on one core), and phase B work divided by
+    the B-core count bounds it too. *)
+
 val lower_bound : Machine.Config.t -> Input.loop -> int
-(** Max of the critical path and the serial-stage bottlenecks: phase A
-    and phase C work each bound the span (they run on one core), and
-    phase B work divided by the B-core count bounds it too. *)
+(** Max of {!critical_path} and {!stage_bound}.  A caller that already
+    holds the critical path takes the max with {!stage_bound} instead of
+    computing the path again. *)
 
 val upper_bound : Input.loop -> int
 (** Total work: no legal schedule is slower than serial execution when

@@ -32,20 +32,6 @@ let length t = t.size
 
 let is_empty t = t.size = 0
 
-let less t i j =
-  t.prio.(i) < t.prio.(j) || (t.prio.(i) = t.prio.(j) && t.seq.(i) < t.seq.(j))
-
-let swap t i j =
-  let swap_in (a : int array) =
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  in
-  swap_in t.prio;
-  swap_in t.seq;
-  swap_in t.pa;
-  swap_in t.pb
-
 let grow t =
   let cap = Array.length t.prio in
   let extend a =
@@ -58,34 +44,54 @@ let grow t =
   t.pa <- extend t.pa;
   t.pb <- extend t.pb
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if less t i parent then begin
-      swap t i parent;
-      sift_up t parent
-    end
-  end
+(* Both sifts carry the moving entry in locals and shift the entries it
+   passes into the hole, writing it once where it lands. *)
+let move t ~src ~dst =
+  t.prio.(dst) <- t.prio.(src);
+  t.seq.(dst) <- t.seq.(src);
+  t.pa.(dst) <- t.pa.(src);
+  t.pb.(dst) <- t.pb.(src)
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = if l < t.size && less t l i then l else i in
-  let smallest = if r < t.size && less t r smallest then r else smallest in
-  if smallest <> i then begin
-    swap t i smallest;
-    sift_down t smallest
+let place t i prio seq a b =
+  t.prio.(i) <- prio;
+  t.seq.(i) <- seq;
+  t.pa.(i) <- a;
+  t.pb.(i) <- b
+
+let rec sift_up t i prio seq a b =
+  let parent = (i - 1) / 2 in
+  if i > 0 && (prio < t.prio.(parent) || (prio = t.prio.(parent) && seq < t.seq.(parent)))
+  then begin
+    move t ~src:parent ~dst:i;
+    sift_up t parent prio seq a b
+  end
+  else place t i prio seq a b
+
+let rec sift_down t i prio seq a b =
+  let l = (2 * i) + 1 in
+  if l >= t.size then place t i prio seq a b
+  else begin
+    let r = l + 1 in
+    let c =
+      if r < t.size
+         && (t.prio.(r) < t.prio.(l) || (t.prio.(r) = t.prio.(l) && t.seq.(r) < t.seq.(l)))
+      then r
+      else l
+    in
+    if t.prio.(c) < prio || (t.prio.(c) = prio && t.seq.(c) < seq) then begin
+      move t ~src:c ~dst:i;
+      sift_down t c prio seq a b
+    end
+    else place t i prio seq a b
   end
 
 let add t ~prio a b =
   if t.size = Array.length t.prio then grow t;
   let i = t.size in
-  t.prio.(i) <- prio;
-  t.seq.(i) <- t.next_seq;
-  t.pa.(i) <- a;
-  t.pb.(i) <- b;
-  t.next_seq <- t.next_seq + 1;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
   t.size <- t.size + 1;
-  sift_up t i
+  sift_up t i prio seq a b
 
 let pop t =
   if t.size = 0 then false
@@ -96,14 +102,12 @@ let pop t =
     t.size <- t.size - 1;
     if t.size > 0 then begin
       let last = t.size in
-      t.prio.(0) <- t.prio.(last);
-      t.seq.(0) <- t.seq.(last);
-      t.pa.(0) <- t.pa.(last);
-      t.pb.(0) <- t.pb.(last);
-      sift_down t 0
+      sift_down t 0 t.prio.(last) t.seq.(last) t.pa.(last) t.pb.(last)
     end;
     true
   end
+
+let min_prio t = t.prio.(0)
 
 let popped_prio t = t.out_prio
 

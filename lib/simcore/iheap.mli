@@ -23,6 +23,10 @@ val pop : t -> bool
 (** Remove the minimum entry; [false] when empty.  On [true], the
     popped entry is available via the accessors below. *)
 
+val min_prio : t -> int
+(** Priority of the minimum entry, without removing it; only meaningful
+    on a non-empty heap. *)
+
 val popped_prio : t -> int
 
 val popped_a : t -> int

@@ -62,7 +62,7 @@ dune build @prop
 # runtest above already compared at jobs 1 and 4.
 #
 # These two runs are the perf record, so they measure the simulator
-# hot path alone: SIM_VALIDATE is off (the oracle re-simulates every
+# hot path alone: SIM_VALIDATE is off (the oracle re-checks every
 # schedule with allocation-heavy bookkeeping, which would swamp the
 # scaling measurement with GC-barrier noise).  Oracle coverage comes
 # from dune runtest / @prop above, whose snapshot rules all set

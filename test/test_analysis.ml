@@ -12,16 +12,22 @@ module H = Obs_analysis.History
 
 (* ------------------------------------------------------------------ *)
 (* Registry sweep: every study's loops on machines from serial to the
-   paper's largest, both misspec policies.  Each timeline, and each
-   exclusivity verdict on the schedule with its last entry moved onto
-   its first entry's core and start, must equal the reference
-   implementation's (test/ref_analysis.ml).  Up to 8 cores both
+   paper's largest, both misspec policies.  Each loop_result and event
+   stream must equal the reference simulator's (test/ref_sim.ml); each
+   timeline, and each exclusivity verdict on the schedule with its last
+   entry moved onto its first entry's core and start, must equal the
+   reference implementation's (test/ref_analysis.ml).  Up to 8 cores both
    attribution invariants hold too; at 32 cores under Squash the
    critical path's fallback search is quadratic, too slow for the suite. *)
 
 let record cfg ~policy loop =
   let rec_ = Obs.Sink.recorder () in
   let r = Sim.Pipeline.run_loop cfg ~policy ~validate:true ~obs:(Obs.Sink.record rec_) loop in
+  (r, Obs.Sink.events rec_)
+
+let record_reference cfg ~policy loop =
+  let rec_ = Obs.Sink.recorder () in
+  let r = Ref_sim.simulate_loop cfg ~policy ~obs:(Obs.Sink.record rec_) loop in
   (r, Obs.Sink.events rec_)
 
 let move_last_onto_first (r : Sim.Sched.loop_result) =
@@ -62,6 +68,8 @@ let registry_sweep () =
                     let case = Printf.sprintf "%s cores=%d" loop.Sim.Input.name cores in
                     (* validate:true also runs the schedule oracle. *)
                     let r, events = record cfg ~policy loop in
+                    Alcotest.(check bool) (case ^ ": simulation = reference") true
+                      ((r, events) = record_reference cfg ~policy loop);
                     Alcotest.(check bool) (case ^ ": timeline = reference") true
                       (T.of_events cfg loop r events
                       = Ref_analysis.Timeline.of_events cfg loop r events);

@@ -88,3 +88,103 @@ let () =
       let permuted = permute_within_iterations salt loop in
       Sim.Calibrate.fit ~bench:"prop" loop
       = Sim.Calibrate.fit ~bench:"prop" permuted)
+
+(* Property: the simulator takes every decision the reference rescan
+   simulator (test/ref_sim.ml) takes.  Random loops, widened toward the
+   registry's shapes: forwarding offsets, iterations without B tasks,
+   and extra cross-iteration edges that may leave or enter A and C
+   tasks; 1-12 cores (2, where A and C share a core, drawn often), queue
+   capacity down to 1, latency 0-7 and all four policies.  The
+   loop_result and the recorded event stream, Wake events included, are
+   equal — or both runs deadlock with the same message after the same
+   events. *)
+
+type sim_case = {
+  desc : GI.loop_desc;
+  no_b : int list;  (* iterations whose B tasks are dropped *)
+  extra : (int * int * bool * int * int) list;
+      (* (src, dst, speculated, src_offset, dst_offset), endpoints in
+         thousandths of the task count; kept when src's iteration is
+         before dst's *)
+  cfg : Machine.Config.t;
+  policy : Sim.Sched.policy;
+}
+
+let print_sim_case c =
+  let misspec =
+    match c.policy.Sim.Sched.misspec with
+    | Sim.Sched.Serialize -> "serialize"
+    | Sim.Sched.Squash -> "squash"
+  in
+  Format.asprintf "%a misspec=%s fwd=%b no_b=[%s] extra=[%s]@ %a" Machine.Config.pp c.cfg
+    misspec c.policy.Sim.Sched.forwarding
+    (String.concat ";" (List.map string_of_int c.no_b))
+    (String.concat ";"
+       (List.map
+          (fun (a, b, spec, so, dofs) -> Printf.sprintf "%d->%d%s so=%d do=%d" a b
+              (if spec then " spec" else "") so dofs)
+          c.extra))
+    GI.pp_loop_desc c.desc
+
+let sim_case =
+  let open G in
+  let* desc = GI.loop_desc ~max_iters:16 ~max_bs:4 ~edge_factor:12 ~offsets:true () in
+  let* no_b = list_size (int_range 0 3) (int_range 0 15) in
+  let edge =
+    let* a = int_range 0 999 and* b = int_range 0 999 and* spec = bool in
+    let* so = int_range 0 20 and* dofs = int_range 0 20 in
+    return (a, b, spec, so, dofs)
+  in
+  let* extra = list_size (int_range 0 6) edge in
+  let* cores = oneof [ return 2; int_range 1 12 ] in
+  let* cap = oneof [ int_range 1 4; int_range 1 32 ] in
+  let* lat = int_range 0 7 in
+  let* policy = GI.policy in
+  return
+    {
+      desc;
+      no_b;
+      extra;
+      cfg = Machine.Config.make ~cores ~queue_capacity:cap ~comm_latency:lat ();
+      policy;
+    }
+
+let build_case c =
+  let desc =
+    {
+      c.desc with
+      GI.ld_iters =
+        List.mapi (fun i (a, bs, cw) -> (a, (if List.mem i c.no_b then [] else bs), cw))
+          c.desc.GI.ld_iters;
+    }
+  in
+  let l = GI.build_loop desc in
+  let tasks = l.Sim.Input.tasks in
+  let n = Array.length tasks in
+  let iter k = tasks.(k).Ir.Task.iteration in
+  let extra =
+    List.filter_map
+      (fun (a, b, speculated, src_offset, dst_offset) ->
+        let src = a * n / 1000 and dst = b * n / 1000 in
+        if n > 0 && iter src < iter dst then
+          Some { Sim.Input.src; dst; speculated; src_offset; dst_offset }
+        else None)
+      c.extra
+  in
+  Sim.Input.make_loop ~name:"gen" ~tasks ~edges:(l.Sim.Input.edges @ extra)
+
+let recorded simulate =
+  let rec_ = Obs.Sink.recorder () in
+  let outcome =
+    match simulate (Obs.Sink.record rec_) with
+    | r -> Ok r
+    | exception Failure m -> Error m
+  in
+  (outcome, Obs.Sink.events rec_)
+
+let () =
+  R.run_prop_exn ~print:print_sim_case ~name:"simulator = reference rescan simulator" sim_case
+    (fun c ->
+      let loop = build_case c and cfg = c.cfg and policy = c.policy in
+      recorded (fun obs -> Sim.Pipeline.run_loop cfg ~policy ~validate:false ~obs loop)
+      = recorded (fun obs -> Ref_sim.simulate_loop cfg ~policy ~obs loop))

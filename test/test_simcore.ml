@@ -305,6 +305,8 @@ let iheap_sorted_and_fifo () =
   Simcore.Iheap.add h ~prio:1 10 7;
   Simcore.Iheap.add h ~prio:5 51 1;
   Simcore.Iheap.add h ~prio:3 30 2;
+  Alcotest.(check int) "min_prio peeks" 1 (Simcore.Iheap.min_prio h);
+  Alcotest.(check int) "peeking removes nothing" 4 (Simcore.Iheap.length h);
   let popped = ref [] in
   while Simcore.Iheap.pop h do
     popped :=
