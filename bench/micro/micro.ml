@@ -1,8 +1,9 @@
 (* Bechamel micro-benchmarks of the primitives under the profiled studies,
-   the simulator and its event heap, the partitioner, the profiler and
-   the schedule analysis: one kernel call per run, reported in ns/run.  Use it for a
-   before/after of a single primitive; the end-to-end benchmark is
-   bench/perf.
+   the simulator and its event heap, the partitioner, the profiler, the
+   dependence build, the static dependence analysis, the schedule
+   analysis and the real runtime's queue and probe: one kernel call per
+   run, reported in ns/run.  Use it for a before/after of a single
+   primitive; the end-to-end benchmark is bench/perf.
 
      dune exec bench/micro/micro.exe            # every test
      dune exec bench/micro/micro.exe -- lz77    # tests whose name contains "lz77" *)
@@ -70,6 +71,11 @@ let twolf_run =
      in
      (cfg, loop, r, Obs.Sink.events recorder))
 
+(* A 175.vpr Large profile: the input of one dependence build (memory
+   profile, resolution against the plan, edge merge), profiled once
+   outside the timed closure. *)
+let vpr_profile = lazy (Benchmarks.B175_vpr.study.Benchmarks.Study.run ~scale:Benchmarks.Study.Large)
+
 let simulate loop = ignore (Sim.Pipeline.run_loop sim_cfg ~validate:false loop)
 
 (* The twolf loop, untraced, at a small and at the largest sweep point:
@@ -91,6 +97,36 @@ let iheap_add_pop () =
   while Simcore.Iheap.pop iheap do
     ()
   done
+
+(* One hand-off through the real runtime's queue, both ends on this
+   domain: a push then the pop of the same cell. *)
+let spsc = Runtime.Spsc.create ~capacity:64 ()
+
+let spsc_push_pop () =
+  Runtime.Spsc.push spsc 1;
+  ignore (Runtime.Spsc.pop spsc)
+
+let probe = Obs.Probe.create ~domain:0 ()
+
+let probe_tick = ref 0
+
+let probe_record () =
+  incr probe_tick;
+  Obs.Probe.record probe ~kind:1 ~time:!probe_tick ~a:2 ~b:3
+
+(* Flow.Analyze on each study's loop-body IR, under the study's
+   Commutative annotations. *)
+let flow_tests =
+  List.filter_map
+    (fun (s : Benchmarks.Study.t) ->
+      Option.map
+        (fun body ->
+          let commutative = s.Benchmarks.Study.plan.Speculation.Spec_plan.commutative in
+          Test.make
+            ~name:("flow/analyze-" ^ String.map (function ' ' -> '-' | c -> c) body.Flow.Body.b_name)
+            (Staged.stage (fun () -> Flow.Analyze.run ~commutative body)))
+        s.Benchmarks.Study.flow_body)
+    Benchmarks.Registry.all
 
 let tests =
   let open Workloads in
@@ -138,7 +174,18 @@ let tests =
       (Staged.stage (fun () ->
            let cfg, loop, r, _ = Lazy.force twolf_run in
            Sim.Oracle.validate cfg loop r));
+    Test.make ~name:"critpath/twolf-8-cores"
+      (Staged.stage (fun () ->
+           let cfg, loop, r, events = Lazy.force twolf_run in
+           Obs_analysis.Critpath.extract cfg loop r events));
+    Test.make ~name:"build/vpr-large"
+      (Staged.stage (fun () ->
+           Core.Framework.build ~plan:Benchmarks.B175_vpr.study.Benchmarks.Study.plan
+             (Lazy.force vpr_profile)));
+    Test.make ~name:"spsc/push-pop" (Staged.stage spsc_push_pop);
+    Test.make ~name:"probe/record" (Staged.stage probe_record);
   ]
+  @ flow_tests
 
 let contains ~sub s =
   let n = String.length sub in

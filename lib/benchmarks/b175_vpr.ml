@@ -14,8 +14,8 @@ let value_speculated_blocks =
 let run ~scale =
   let p = Profiling.Profile.create ~name:"175.vpr" in
   let seed_loc = Profiling.Profile.loc p "rand_seed" in
-  let net_loc n = Profiling.Profile.loc p (Printf.sprintf "net_%d" n) in
-  let block_loc b = Profiling.Profile.loc p (Printf.sprintf "block_%d" b) in
+  let net_loc = Driver_util.loc_family p (Printf.sprintf "net_%d") in
+  let block_loc = Driver_util.loc_family p (Printf.sprintf "block_%d") in
   let placer = Workloads.Anneal.create ~seed:175 ~blocks ~grid ~nets in
   Profiling.Profile.serial_work p 1000;
   List.iteri

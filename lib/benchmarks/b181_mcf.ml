@@ -75,7 +75,7 @@ let run_profile ~scale =
   let blocks = max 2 (arcs / arc_block) in
   let p = Profiling.Profile.create ~name:"181.mcf" in
   let dist_loc = Profiling.Profile.loc p "node_potentials" in
-  let mark_loc b = Profiling.Profile.loc p (Printf.sprintf "arc_mark_%d" b) in
+  let mark_loc = Driver_util.loc_family p (Printf.sprintf "arc_mark_%d") in
   Profiling.Profile.serial_work p 800 (* problem read + initial basis *);
   let round = ref 0 in
   List.iteri

@@ -15,7 +15,7 @@ let run ~scale =
   let stack_sp = Profiling.Profile.loc p "PL_stack_sp" in
   let tmps_ix = Profiling.Profile.loc p "PL_tmps_ix" in
   let stdout_loc = Profiling.Profile.loc p "stdout" in
-  let global_loc g = Profiling.Profile.loc p (Printf.sprintf "PL_global_%d" g) in
+  let global_loc = Driver_util.loc_family p (Printf.sprintf "PL_global_%d") in
   Profiling.Profile.serial_work p 600 (* interpreter startup, input parse *);
   Profiling.Profile.begin_loop p "Perl_runops_standard";
   List.iteri

@@ -15,7 +15,7 @@ let run_with_commutative_alloc alloc_commutative ~scale =
   let alloc_ptr = Profiling.Profile.loc p "masterPointer" in
   let heap_layout = Profiling.Profile.loc p "heap_layout" in
   let stdout_loc = Profiling.Profile.loc p "stdout" in
-  let global_loc g = Profiling.Profile.loc p (Printf.sprintf "gvar_%d" g) in
+  let global_loc = Driver_util.loc_family p (Printf.sprintf "gvar_%d") in
   let bag_loc h = Profiling.Profile.loc p (Printf.sprintf "bag_%d" h) in
   let rng = Simcore.Rng.create 2540 in
   Profiling.Profile.serial_work p 900 (* interpreter startup *);

@@ -51,8 +51,8 @@ let instrument_swap p ~iteration ~rng_commutative ~seed_loc ~net_loc ~block_loc
 let run_with_commutative_rng rng_commutative ~scale =
   let p = Profiling.Profile.create ~name:"300.twolf" in
   let seed_loc = Profiling.Profile.loc p "randVarS" in
-  let net_loc n = Profiling.Profile.loc p (Printf.sprintf "net_%d" n) in
-  let block_loc b = Profiling.Profile.loc p (Printf.sprintf "block_%d" b) in
+  let net_loc = Driver_util.loc_family p (Printf.sprintf "net_%d") in
+  let block_loc = Driver_util.loc_family p (Printf.sprintf "block_%d") in
   let placer = Workloads.Anneal.create ~seed:300 ~blocks ~grid ~nets in
   Profiling.Profile.serial_work p 800;
   Profiling.Profile.begin_loop p "uloop";

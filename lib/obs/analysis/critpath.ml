@@ -32,9 +32,85 @@ let phase_letter = function Ir.Task.A -> 'A' | Ir.Task.B -> 'B' | Ir.Task.C -> '
 type justification =
   | Producer of edge_kind * int * int  (* edge kind, producer task, anchor (producer cut) *)
   | Hop of edge_kind * int * int  (* edge kind, task whose *start* freed us, its start *)
-  | Attempt of int * int  (* squashed attempt of task, attempt start (ends at [s]) *)
+  | Attempt of int  (* a squashed attempt (index in event order), ending at [s] *)
   | Fallback of int option * int  (* interval task (None: attempt-less wait), its end < s *)
   | Root
+
+(* Time-sorted indexes.  An index is an int array of ids sorted by
+   their time; the ids at one instant sit in one run, which [first_at]
+   finds by binary search and the callers scan (such runs are short:
+   the tasks of different cores that finish or start together).
+
+   [by_time] is a stable natural merge sort: it splits its input into
+   maximal ascending runs and merges neighbours until one is left, so it
+   costs O(n log r) for r runs.  The inputs it gets are nearly sorted:
+   the schedule lists tasks in completion order, each core's tasks
+   start in that order too, and the event stream is in time order. *)
+let by_time time ids =
+  let n = Array.length ids in
+  let bounds = ref [ n ] in
+  for k = n - 1 downto 1 do
+    if time ids.(k) < time ids.(k - 1) then bounds := k :: !bounds
+  done;
+  let bounds = ref (Array.of_list (0 :: !bounds)) in
+  let src = ref ids and dst = ref (Array.make n 0) in
+  while Array.length !bounds > 2 do
+    let b = !bounds and a = !src and out = !dst in
+    let runs = Array.length b - 1 in
+    let merged = Array.make (((runs + 1) / 2) + 1) n in
+    for r = 0 to (runs / 2) - 1 do
+      let lo = b.(2 * r) and mid = b.((2 * r) + 1) and hi = b.((2 * r) + 2) in
+      merged.(r) <- lo;
+      let i = ref lo and j = ref mid in
+      for k = lo to hi - 1 do
+        if !j >= hi || (!i < mid && time a.(!i) <= time a.(!j)) then begin
+          out.(k) <- a.(!i);
+          incr i
+        end
+        else begin
+          out.(k) <- a.(!j);
+          incr j
+        end
+      done
+    done;
+    if runs mod 2 = 1 then begin
+      let lo = b.(runs - 1) in
+      merged.(runs / 2) <- lo;
+      Array.blit a lo out lo (n - lo)
+    end;
+    bounds := merged;
+    src := out;
+    dst := a
+  done;
+  !src
+
+(* The first position of [idx] (sorted by [time]) whose time is at least
+   [t]; the run at [t] goes on from there while the time stays [t]. *)
+let first_at time idx t =
+  let lo = ref 0 and hi = ref (Array.length idx) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if time idx.(mid) < t then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* The largest position <= [k] that is not [dead], or -1.  Positions
+   only ever die, so [left] short-cuts each run of dead positions once
+   it has been walked (path compression): a walk that kills positions
+   as it goes pays O(log n) amortized per query. *)
+let live_at_or_before left dead k =
+  let r = ref k in
+  while !r >= 0 && dead !r do
+    r := left.(!r)
+  done;
+  let root = !r in
+  let j = ref k in
+  while !j > root do
+    let next = left.(!j) in
+    left.(!j) <- root;
+    j := next
+  done;
+  root
 
 let extract (cfg : Machine.Config.t) ?(policy = Sim.Sched.default_policy)
     (loop : Sim.Input.loop) (r : Sim.Sched.loop_result) events =
@@ -73,15 +149,14 @@ let extract (cfg : Machine.Config.t) ?(policy = Sim.Sched.default_policy)
       (not e.Sim.Input.speculated) || policy.Sim.Sched.misspec = Sim.Sched.Serialize
     in
     (* Event-derived lookups: dispatch time and slot per B task, squash
-       flags, squashed-attempt intervals, out-queue pop times. *)
+       flags, squashed attempts (task, core, start, end, in event order),
+       out-queue pops (slot, time). *)
     let dispatch_t = Array.make nt (-1) in
     let slot_of = Array.make nt (-1) in
     let squashed = Array.make nt false in
-    let open_runs : (int, int * int) Hashtbl.t = Hashtbl.create 64 in
-    (* (core, end time) -> (task, attempt start) for aborted runs. *)
-    let attempts_end : (int * int, int * int) Hashtbl.t = Hashtbl.create 16 in
-    let attempt_ends = ref [] in
-    let out_pops : (int * int, unit) Hashtbl.t = Hashtbl.create 64 in
+    let run_open = Array.make nt false in
+    let run_start = Array.make nt 0 and run_core = Array.make nt 0 in
+    let attempts = ref [] and pops = ref [] in
     List.iter
       (fun e ->
         match e with
@@ -90,34 +165,92 @@ let extract (cfg : Machine.Config.t) ?(policy = Sim.Sched.default_policy)
             dispatch_t.(task) <- time;
             slot_of.(task) <- slot
           end
-        | E.Task_start { time; task; core; _ } -> Hashtbl.replace open_runs task (time, core)
-        | E.Task_finish { task; _ } -> Hashtbl.remove open_runs task
+        | E.Task_start { time; task; core; _ } ->
+          if task >= 0 && task < nt then begin
+            run_open.(task) <- true;
+            run_start.(task) <- time;
+            run_core.(task) <- core
+          end
+        | E.Task_finish { task; _ } -> if task >= 0 && task < nt then run_open.(task) <- false
         | E.Task_squash { time = _; task; core; elapsed } ->
           if task < nt then squashed.(task) <- true;
-          (match Hashtbl.find_opt open_runs task with
-          | Some (s, c) when c = core ->
-            Hashtbl.remove open_runs task;
-            Hashtbl.replace attempts_end (core, s + elapsed) (task, s);
-            attempt_ends := (s + elapsed, task, s) :: !attempt_ends
-          | _ -> ())
-        | E.Queue_pop { queue = E.Out_queue; slot; time; _ } ->
-          Hashtbl.replace out_pops (slot, time) ()
+          if task >= 0 && task < nt && run_open.(task) && run_core.(task) = core then begin
+            run_open.(task) <- false;
+            let s = run_start.(task) in
+            attempts := (task, core, s, s + elapsed) :: !attempts
+          end
+        | E.Queue_pop { queue = E.Out_queue; slot; time; _ } -> pops := (slot, time) :: !pops
         | _ -> ())
       events;
-    (* Tasks starting / finishing at a given instant. *)
-    let starters_at : (int, int) Hashtbl.t = Hashtbl.create 256 in
-    let finishes_on : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
-    for tid = nt - 1 downto 0 do
-      if start.(tid) >= 0 then begin
-        Hashtbl.add starters_at start.(tid) tid;
-        (* add (not replace): prefer the latest-added (lowest id) only as
-           a tiebreak; all candidates are filtered by visited flags. *)
-        Hashtbl.add finishes_on (core_of.(tid), finish.(tid)) tid
-      end
+    let attempts = Array.of_list (List.rev !attempts) in
+    let na = Array.length attempts in
+    let att_task k = let x, _, _, _ = attempts.(k) in x in
+    let att_core k = let _, c, _, _ = attempts.(k) in c in
+    let att_start k = let _, _, s, _ = attempts.(k) in s in
+    let att_end k = let _, _, _, e = attempts.(k) in e in
+    (* An attempt is identified by its (task, start) pair: a task squashed
+       at the instant it started can start again at that instant, and
+       both attempts share one visited flag, kept at [same.(k)], the
+       first attempt with attempt k's pair. *)
+    let same = Array.init na Fun.id in
+    let by_pair = by_time att_task (by_time att_start (Array.init na Fun.id)) in
+    for j = 1 to na - 1 do
+      let k = by_pair.(j) and k' = by_pair.(j - 1) in
+      if att_task k = att_task k' && att_start k = att_start k' then same.(k) <- same.(k')
     done;
+    let visited_attempt = Array.make na false in
+    let attempt_visited k = visited_attempt.(same.(k)) in
+    let by_end = by_time att_end (Array.init na Fun.id) in
+    let pops = Array.of_list (List.rev !pops) in
+    let pop_time k = snd pops.(k) in
+    let pops_by_time = by_time pop_time (Array.init (Array.length pops) Fun.id) in
+    (* Scheduled tasks by finish (the schedule's own order) and, built on
+       first use, by start: the finish order regrouped by core (stably;
+       cores outside the machine last) is a few runs of ascending starts
+       to merge. *)
+    let listed = Array.make nt false and count = ref 0 in
+    let scheduled = Array.make nt 0 in
+    List.iter
+      (fun (s : Sim.Sched.sched_entry) ->
+        let tid = s.Sim.Sched.s_task in
+        if start.(tid) >= 0 && not listed.(tid) then begin
+          listed.(tid) <- true;
+          scheduled.(!count) <- tid;
+          incr count
+        end)
+      r.Sim.Sched.schedule;
+    let scheduled = Array.sub scheduled 0 !count in
+    let fin t = finish.(t) and st t = start.(t) in
+    let by_finish = by_time fin scheduled in
+    let by_start =
+      lazy
+        (let cores = cfg.Machine.Config.cores in
+         let group t = if core_of.(t) >= 0 && core_of.(t) < cores then core_of.(t) else cores in
+         let next = Array.make (cores + 2) 0 in
+         Array.iter (fun t -> next.(group t + 1) <- next.(group t + 1) + 1) by_finish;
+         for c = 1 to cores + 1 do
+           next.(c) <- next.(c) + next.(c - 1)
+         done;
+         let grouped = Array.make (Array.length by_finish) 0 in
+         Array.iter
+           (fun t ->
+             grouped.(next.(group t)) <- t;
+             next.(group t) <- next.(group t) + 1)
+           by_finish;
+         by_time st grouped)
+    in
     let visited_exec = Array.make nt false in
     let visited_hop = Array.make nt false in
-    let visited_attempt : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
+    (* The lowest id in [idx]'s run at [t] that [ok] accepts. *)
+    let lowest time idx t ok =
+      let best = ref (-1) and k = ref (first_at time idx t) in
+      while !k < Array.length idx && time idx.(!k) = t do
+        let x = idx.(!k) in
+        if ok x && (!best < 0 || x < !best) then best := x;
+        incr k
+      done;
+      if !best < 0 then None else Some !best
+    in
     (* Constraint one in-edge puts on its consumer, mirroring the
        simulator's [constraint_of]. *)
     let edge_constraint (e : Sim.Input.edge) =
@@ -178,6 +311,12 @@ let extract (cfg : Machine.Config.t) ?(policy = Sim.Sched.default_policy)
               Some (Producer (Queue_hop, a, finish.(a)))
             else None
       in
+      (* A task other than [tid] starting at [t], not yet on the path:
+         the lowest such id. *)
+      let starter_at t =
+        lowest st (Lazy.force by_start) t (fun b' ->
+            b' <> tid && (not visited_hop.(b')) && not visited_exec.(b'))
+      in
       (* 4. B start at queue arrival: dispatch + one hop.  The dispatch
          itself happened either right at the iteration's A finish (clean
          hand-off) or when another B start freed an in-queue slot
@@ -189,56 +328,77 @@ let extract (cfg : Machine.Config.t) ?(policy = Sim.Sched.default_policy)
           let a = if iter < Array.length a_of then a_of.(iter) else -1 in
           if a >= 0 && finish.(a) = d && not visited_exec.(a) then
             Some (Producer (Queue_hop, a, finish.(a)))
-          else
-            Hashtbl.find_all starters_at d
-            |> find_first (fun b' -> b' <> tid && not visited_hop.(b') && not visited_exec.(b'))
-            |> Option.map (fun b' -> Hop (Backpressure, b', d))
+          else starter_at d |> Option.map (fun b' -> Hop (Backpressure, b', d))
         end
       in
       (* 5. B start released by its out-queue draining (a commit popped
          the slot at exactly this instant); follow whichever task
          started with the commit. *)
       let c5 () =
-        if phase <> Ir.Task.B || slot_of.(tid) < 0 || not (Hashtbl.mem out_pops (slot_of.(tid), s))
-        then None
-        else
-          Hashtbl.find_all starters_at s
-          |> find_first (fun c' -> c' <> tid && not visited_hop.(c') && not visited_exec.(c'))
-          |> Option.map (fun c' -> Hop (Backpressure, c', s))
+        let slot = slot_of.(tid) in
+        let popped () =
+          let n = Array.length pops_by_time in
+          let rec any k =
+            k < n
+            && pop_time pops_by_time.(k) = s
+            && (fst pops.(pops_by_time.(k)) = slot || any (k + 1))
+          in
+          any (first_at pop_time pops_by_time s)
+        in
+        if phase <> Ir.Task.B || slot < 0 || not (popped ()) then None
+        else starter_at s |> Option.map (fun c' -> Hop (Backpressure, c', s))
       in
       (* 6. the same core's previous execution ending exactly here. *)
       let c6 () =
-        Hashtbl.find_all finishes_on (core_of.(tid), s)
-        |> find_first (fun q -> q <> tid && not visited_exec.(q))
+        lowest fin by_finish s (fun q ->
+            core_of.(q) = core_of.(tid) && q <> tid && not visited_exec.(q))
         |> Option.map (fun q -> Producer (Same_core, q, s))
       in
-      (* 7. a squashed attempt on the same core ending exactly here. *)
+      (* 7. the latest squashed attempt on the same core ending exactly
+         here, unless already on the path. *)
       let c7 () =
-        match Hashtbl.find_opt attempts_end (core_of.(tid), s) with
-        | Some (x, a_start) when not (Hashtbl.mem visited_attempt (x, a_start)) ->
-          Some (Attempt (x, a_start))
-        | _ -> None
+        let latest = ref (-1) and k = ref (first_at att_end by_end s) in
+        while !k < na && att_end by_end.(!k) = s do
+          let x = by_end.(!k) in
+          if att_core x = core_of.(tid) && x > !latest then latest := x;
+          incr k
+        done;
+        if !latest >= 0 && not (attempt_visited !latest) then Some (Attempt !latest) else None
       in
       let ( <|> ) a b = match a with Some _ -> a | None -> b () in
       c1 <|> c2 <|> c3 <|> c4 <|> c5 <|> c6 <|> c7
     in
     (* Fallback: the latest execution (final or attempt) ending strictly
-       before [s]; covers anything the exact-match candidates miss so
-       the tiling never breaks. *)
+       before [s], a final one on a tie, the lowest task id among final
+       ones; covers anything the exact-match candidates miss so the
+       tiling never breaks. *)
+    let finish_left = lazy (Array.init (Array.length by_finish) (fun k -> k - 1)) in
+    let end_left = lazy (Array.init na (fun k -> k - 1)) in
     let fallback s =
-      let best = ref None in
-      for tid = 0 to nt - 1 do
-        if start.(tid) >= 0 && finish.(tid) < s && not visited_exec.(tid) then
-          match !best with
-          | Some (f, _) when f >= finish.(tid) -> ()
-          | _ -> best := Some (finish.(tid), Some tid)
-      done;
-      List.iter
-        (fun (e, x, a_start) ->
-          if e < s && not (Hashtbl.mem visited_attempt (x, a_start)) then
-            match !best with Some (f, _) when f >= e -> () | _ -> best := Some (e, None))
-        !attempt_ends;
-      match !best with Some (f, who) -> Fallback (who, f) | None -> Root
+      let task_best =
+        let k =
+          live_at_or_before (Lazy.force finish_left)
+            (fun k -> visited_exec.(by_finish.(k)))
+            (first_at fin by_finish s - 1)
+        in
+        if k < 0 then None
+        else
+          let f = fin by_finish.(k) in
+          Option.map (fun tid -> (f, tid)) (lowest fin by_finish f (fun q -> not visited_exec.(q)))
+      in
+      let attempt_end =
+        let k =
+          live_at_or_before (Lazy.force end_left)
+            (fun k -> attempt_visited by_end.(k))
+            (first_at att_end by_end s - 1)
+        in
+        if k < 0 then None else Some (att_end by_end.(k))
+      in
+      match (task_best, attempt_end) with
+      | Some (f, tid), Some e when f >= e -> Fallback (Some tid, f)
+      | Some (f, tid), None -> Fallback (Some tid, f)
+      | _, Some e -> Fallback (None, e)
+      | None, None -> Root
     in
     let steps = ref [] in
     let push s = steps := s :: !steps in
@@ -268,8 +428,9 @@ let extract (cfg : Machine.Config.t) ?(policy = Sim.Sched.default_policy)
           push_edge kind p_start s;
           visited_hop.(p) <- true;
           justify p p_start
-        | Some (Attempt (x, a_start)) ->
-          Hashtbl.replace visited_attempt (x, a_start) ();
+        | Some (Attempt k) ->
+          let x = att_task k and a_start = att_start k in
+          visited_attempt.(same.(k)) <- true;
           push
             (Exec
                {
@@ -297,11 +458,17 @@ let extract (cfg : Machine.Config.t) ?(policy = Sim.Sched.default_policy)
         resolve_attempt f
       | _ -> push_edge Wait 0 s
     and resolve_attempt f =
-      (* Find the attempt ending at [f] and consume it. *)
-      let found = List.find_opt (fun (e, x, a) -> e = f && not (Hashtbl.mem visited_attempt (x, a))) !attempt_ends in
-      match found with
-      | Some (_, x, a_start) ->
-        Hashtbl.replace visited_attempt (x, a_start) ();
+      (* Consume the latest attempt ending at [f] not yet on the path. *)
+      let found = ref (-1) and k = ref (first_at att_end by_end f) in
+      while !k < na && att_end by_end.(!k) = f do
+        let x = by_end.(!k) in
+        if (not (attempt_visited x)) && x > !found then found := x;
+        incr k
+      done;
+      if !found >= 0 then begin
+        let k = !found in
+        let x = att_task k and a_start = att_start k in
+        visited_attempt.(same.(k)) <- true;
         push
           (Exec
              {
@@ -313,7 +480,8 @@ let extract (cfg : Machine.Config.t) ?(policy = Sim.Sched.default_policy)
                t1 = f;
              });
         justify x a_start
-      | None -> push_edge Wait 0 f
+      end
+      else push_edge Wait 0 f
     in
     (* Seed: the task whose finish is the span. *)
     let rec find_end tid best =

@@ -159,20 +159,23 @@ let work t w =
     | Some _ -> () (* out-of-task work inside a loop: pipeline overhead, ignored *)
     | None -> t.serial_acc <- t.serial_acc + w)
 
-let record_access t ~loc_id ~op =
+(* Inside a loop every access needs a task: the log has no owner for one
+   made between tasks. *)
+let record_access t what ~loc_id ~op =
   match t.loop with
   | None -> ()
-  | Some l ->
-    let task, offset =
-      match t.task with Some task -> (task.task_id, task.task_work) | None -> (-1, 0)
-    in
-    Access_log.record l.loop_log ~task ~loc:loc_id ~op ?group:t.group ~offset ()
+  | Some l -> (
+    match t.task with
+    | Some task ->
+      Access_log.record l.loop_log ~task:task.task_id ~loc:loc_id ~op ?group:t.group
+        ~offset:task.task_work ()
+    | None -> invalid_arg (Printf.sprintf "Profile.%s: inside a loop but no open task" what))
 
-let read t loc_id = record_access t ~loc_id ~op:Access_log.Read
+let read t loc_id = record_access t "read" ~loc_id ~op:Access_log.Read
 
 let write t loc_id v =
-  Hashtbl.replace t.values loc_id v;
-  record_access t ~loc_id ~op:(Access_log.Write v)
+  record_access t "write" ~loc_id ~op:(Access_log.Write v);
+  Hashtbl.replace t.values loc_id v
 
 let add_dep t ~src ~dst ~kind =
   let l = the_loop t "add_dep" in

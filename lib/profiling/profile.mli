@@ -69,11 +69,14 @@ val work : t -> int -> unit
     is open). *)
 
 val read : t -> int -> unit
-(** Record a read of a shared location by the open task. *)
+(** Record a read of a shared location by the open task.  Outside any
+    loop nothing is logged; inside a loop a task must be open, else
+    [Invalid_argument]. *)
 
 val write : t -> int -> int -> unit
 (** [write t loc v] records a store of value [v]; values feed
-    silent-store detection and the last-value predictor. *)
+    silent-store detection and the last-value predictor.  Like {!read},
+    raises [Invalid_argument] inside a loop with no open task. *)
 
 val add_dep : t -> src:int -> dst:int -> kind:Ir.Dep.kind -> unit
 (** Declare an explicit register/control dependence between two tasks of

@@ -12,30 +12,55 @@ type segment = Serial of int | Parallel of loop
 
 type t = { program_name : string; segments : segment list }
 
-let merge_edges edges =
-  let tbl : (int * int, edge) Hashtbl.t = Hashtbl.create 64 in
-  let order = ref [] in
-  List.iter
-    (fun e ->
-      let key = (e.src, e.dst) in
-      match Hashtbl.find_opt tbl key with
-      | None ->
-        Hashtbl.add tbl key e;
-        order := key :: !order
-      | Some old ->
-        (* Keep the strongest combination: a synchronized edge dominates a
-           speculated one; the tightest offsets dominate. *)
-        let merged =
+(* Duplicate (src, dst) pairs merge into the place of the pair's first
+   edge, keeping the strongest combination: a synchronized edge
+   dominates a speculated one, the tightest offsets dominate.  Edges are
+   bucketed by dst (a counting sort over the [n] task ids, stable), and
+   within a bucket [first_of] finds each src's first edge. *)
+let merge_edges n edges =
+  let es = Array.of_list edges in
+  let ne = Array.length es in
+  let off = Array.make (n + 1) 0 in
+  Array.iter (fun e -> off.(e.dst + 1) <- off.(e.dst + 1) + 1) es;
+  for t = 0 to n - 1 do
+    off.(t + 1) <- off.(t + 1) + off.(t)
+  done;
+  let by_dst = Array.make ne 0 in
+  let next = Array.sub off 0 n in
+  Array.iteri
+    (fun k e ->
+      by_dst.(next.(e.dst)) <- k;
+      next.(e.dst) <- next.(e.dst) + 1)
+    es;
+  let absorbed = Array.make ne false in
+  let first_of = Array.make n (-1) and bucket_of = Array.make n (-1) in
+  for d = 0 to n - 1 do
+    for j = off.(d) to off.(d + 1) - 1 do
+      let k = by_dst.(j) in
+      let e = es.(k) in
+      if bucket_of.(e.src) <> d then begin
+        bucket_of.(e.src) <- d;
+        first_of.(e.src) <- k
+      end
+      else begin
+        let f = first_of.(e.src) in
+        let old = es.(f) in
+        es.(f) <-
           {
-            e with
+            old with
             speculated = old.speculated && e.speculated;
-            src_offset = max old.src_offset e.src_offset;
-            dst_offset = min old.dst_offset e.dst_offset;
-          }
-        in
-        Hashtbl.replace tbl key merged)
-    edges;
-  List.rev_map (fun key -> Hashtbl.find tbl key) !order
+            src_offset = Int.max old.src_offset e.src_offset;
+            dst_offset = Int.min old.dst_offset e.dst_offset;
+          };
+        absorbed.(k) <- true
+      end
+    done
+  done;
+  let out = ref [] in
+  for k = ne - 1 downto 0 do
+    if not absorbed.(k) then out := es.(k) :: !out
+  done;
+  !out
 
 let make_loop ~name ~tasks ~edges =
   let n = Array.length tasks in
@@ -67,7 +92,7 @@ let make_loop ~name ~tasks ~edges =
       if e.src < 0 || e.src >= n || e.dst < 0 || e.dst >= n || e.src = e.dst then
         invalid_arg "Input.make_loop: bad edge")
     edges;
-  { name; tasks; edges = merge_edges edges }
+  { name; tasks; edges = merge_edges n edges }
 
 let make ~name ~segments = { program_name = name; segments }
 

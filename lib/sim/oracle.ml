@@ -17,132 +17,202 @@ exception Bad of violation
 
 let fail invariant fmt = Format.kasprintf (fun detail -> raise (Bad { invariant; detail })) fmt
 
-(* Per-iteration task structure, mirroring Pipeline.build_iter_views. *)
+(* Per-iteration task structure in flat arrays: iteration i's A and C
+   task ids (-1: none) and its B tasks at [b_ids.(b_off.(i)) ..
+   b_off.(i + 1) - 1], listed from the highest task index down. *)
+type structure = {
+  a_of : int array;
+  c_of : int array;
+  b_off : int array;
+  b_ids : int array;
+}
+
 let iteration_structure (loop : Input.loop) =
   let iters = Input.iterations loop in
-  let a = Array.make iters None and c = Array.make iters None in
-  let bs = Array.make iters [] in
+  let a_of = Array.make iters (-1) and c_of = Array.make iters (-1) in
+  let b_off = Array.make (iters + 1) 0 in
   Array.iter
     (fun (t : Ir.Task.t) ->
       let i = t.Ir.Task.iteration in
       match t.Ir.Task.phase with
-      | Ir.Task.A -> a.(i) <- Some t.Ir.Task.id
-      | Ir.Task.C -> c.(i) <- Some t.Ir.Task.id
-      | Ir.Task.B -> bs.(i) <- t.Ir.Task.id :: bs.(i))
+      | Ir.Task.A -> a_of.(i) <- t.Ir.Task.id
+      | Ir.Task.C -> c_of.(i) <- t.Ir.Task.id
+      | Ir.Task.B -> b_off.(i + 1) <- b_off.(i + 1) + 1)
     loop.Input.tasks;
-  (a, bs, c)
+  for i = 0 to iters - 1 do
+    b_off.(i + 1) <- b_off.(i + 1) + b_off.(i)
+  done;
+  let b_ids = Array.make b_off.(iters) 0 in
+  let next = Array.sub b_off 0 iters in
+  for k = Array.length loop.Input.tasks - 1 downto 0 do
+    let t = loop.Input.tasks.(k) in
+    if t.Ir.Task.phase = Ir.Task.B then begin
+      let i = t.Ir.Task.iteration in
+      b_ids.(next.(i)) <- t.Ir.Task.id;
+      next.(i) <- next.(i) + 1
+    end
+  done;
+  { a_of; c_of; b_off; b_ids }
 
-let check_coverage (loop : Input.loop) (r : Sched.loop_result) =
+(* What one walk of the schedule, in list order, records for the checks.
+   Per task: how often it appears, its start and finish.  Per core (in
+   range): its entry count, busy sum and last entry; whether its entries
+   arrive in (start, finish, task) order; and, for such a core, its first
+   overlapping pair of neighbours.  [first_use] lists the cores in the
+   order of their first entry. *)
+type walk = {
+  seen : int array;
+  start : int array;
+  finish : int array;
+  max_finish : int;
+  bad_entry : (int * int) option;  (* task and core of the first out-of-range core *)
+  count : int array;
+  per_core : int array;
+  in_order : bool array;
+  overlap : int array;  (* per core: task, task, finish, start; task -1 if none *)
+  first_use : int array;
+  used : int;
+}
+
+(* Coverage's per-entry conditions fail at the first offending entry, as
+   in a walk that checks nothing else. *)
+let walk_schedule ~cores (loop : Input.loop) (r : Sched.loop_result) =
   let n = Array.length loop.Input.tasks in
-  let seen = Array.make n 0 in
-  let max_finish = ref 0 in
+  let seen = Array.make n 0 and start = Array.make n 0 and finish = Array.make n 0 in
+  let max_finish = ref 0 and bad_entry = ref None in
+  let count = Array.make cores 0 and per_core = Array.make cores 0 in
+  let in_order = Array.make cores true in
+  let last_s = Array.make cores 0 and last_f = Array.make cores 0 in
+  let last_t = Array.make cores 0 in
+  let overlap = Array.make (4 * cores) (-1) in
+  let first_use = Array.make cores 0 and used = ref 0 in
   List.iter
     (fun (e : Sched.sched_entry) ->
-      if e.Sched.s_task < 0 || e.Sched.s_task >= n then
-        fail "schedule-coverage" "entry references unknown task %d" e.Sched.s_task;
-      seen.(e.Sched.s_task) <- seen.(e.Sched.s_task) + 1;
-      let work = loop.Input.tasks.(e.Sched.s_task).Ir.Task.work in
-      if e.Sched.s_start < 0 then
-        fail "schedule-coverage" "task %d starts at %d < 0" e.Sched.s_task e.Sched.s_start;
-      if e.Sched.s_finish - e.Sched.s_start <> work then
-        fail "schedule-coverage" "task %d interval [%d, %d) does not match its work %d"
-          e.Sched.s_task e.Sched.s_start e.Sched.s_finish work;
-      if e.Sched.s_finish > !max_finish then max_finish := e.Sched.s_finish)
+      let tid = e.Sched.s_task and s = e.Sched.s_start and f = e.Sched.s_finish in
+      if tid < 0 || tid >= n then fail "schedule-coverage" "entry references unknown task %d" tid;
+      seen.(tid) <- seen.(tid) + 1;
+      let work = loop.Input.tasks.(tid).Ir.Task.work in
+      if s < 0 then fail "schedule-coverage" "task %d starts at %d < 0" tid s;
+      if f - s <> work then
+        fail "schedule-coverage" "task %d interval [%d, %d) does not match its work %d" tid s f
+          work;
+      if f > !max_finish then max_finish := f;
+      start.(tid) <- s;
+      finish.(tid) <- f;
+      let c = e.Sched.s_core in
+      if c < 0 || c >= cores then (if Option.is_none !bad_entry then bad_entry := Some (tid, c))
+      else begin
+        if count.(c) = 0 then begin
+          first_use.(!used) <- c;
+          incr used
+        end
+        else if
+          s < last_s.(c)
+          || (s = last_s.(c) && (f < last_f.(c) || (f = last_f.(c) && tid < last_t.(c))))
+        then in_order.(c) <- false
+        else if overlap.(4 * c) < 0 && last_f.(c) > s then begin
+          overlap.(4 * c) <- last_t.(c);
+          overlap.((4 * c) + 1) <- tid;
+          overlap.((4 * c) + 2) <- last_f.(c);
+          overlap.((4 * c) + 3) <- s
+        end;
+        count.(c) <- count.(c) + 1;
+        per_core.(c) <- per_core.(c) + (f - s);
+        last_s.(c) <- s;
+        last_f.(c) <- f;
+        last_t.(c) <- tid
+      end)
     r.Sched.schedule;
+  {
+    seen;
+    start;
+    finish;
+    max_finish = !max_finish;
+    bad_entry = !bad_entry;
+    count;
+    per_core;
+    in_order;
+    overlap;
+    first_use;
+    used = !used;
+  }
+
+let check_coverage (loop : Input.loop) (r : Sched.loop_result) w =
   Array.iteri
     (fun tid count ->
       if count <> 1 then
         fail "schedule-coverage" "task %d appears %d times in the schedule" tid count)
-    seen;
-  if n > 0 && !max_finish <> r.Sched.span then
-    fail "schedule-coverage" "span %d but latest finish is %d" r.Sched.span !max_finish
+    w.seen;
+  if Array.length loop.Input.tasks > 0 && w.max_finish <> r.Sched.span then
+    fail "schedule-coverage" "span %d but latest finish is %d" r.Sched.span w.max_finish
 
-(* Start/finish arrays indexed by task id; coverage has already been
-   established. *)
-let interval_arrays (loop : Input.loop) (r : Sched.loop_result) =
-  let n = Array.length loop.Input.tasks in
-  let start = Array.make n 0 and finish = Array.make n 0 and core = Array.make n 0 in
-  List.iter
-    (fun (e : Sched.sched_entry) ->
-      start.(e.Sched.s_task) <- e.Sched.s_start;
-      finish.(e.Sched.s_task) <- e.Sched.s_finish;
-      core.(e.Sched.s_task) <- e.Sched.s_core)
-    r.Sched.schedule;
-  (start, finish, core)
+let by_start (s1, f1, t1) (s2, f2, t2) =
+  if s1 <> s2 then Int.compare s1 s2 else if f1 <> f2 then Int.compare f1 f2 else Int.compare t1 t2
 
-(* Entries are bucketed per core into int arrays, with every core index
-   range-checked first, in schedule order.  Sorted by (start, finish,
-   task), a core's intervals overlap iff two neighbours do, and the first
-   such pair is reported.  The simulator lists the schedule in completion
-   order, which is start order on one core, so a core is sorted only when
-   its entries arrive out of that order.  Cores are visited in the
-   iteration order of a hash table filled in first-use order, which picks
-   the reported core when several overlap. *)
-let check_core_exclusivity (cfg : Machine.Config.t) (r : Sched.loop_result) =
-  let cores = cfg.Machine.Config.cores in
-  let count = Array.make cores 0 in
-  let visit = Hashtbl.create 8 in
-  List.iter
-    (fun (e : Sched.sched_entry) ->
-      let c = e.Sched.s_core in
-      if c < 0 || c >= cores then
-        fail "core-exclusivity" "task %d scheduled on core %d of a %d-core machine"
-          e.Sched.s_task c cores;
-      if count.(c) = 0 then Hashtbl.replace visit c ();
-      count.(c) <- count.(c) + 1)
-    r.Sched.schedule;
-  (* Core c's entries occupy [first.(c), first.(c + 1)). *)
-  let first = Array.make (cores + 1) 0 in
-  for c = 0 to cores - 1 do
-    first.(c + 1) <- first.(c) + count.(c)
+(* Every core index is range-checked first, in schedule order.  Sorted by
+   (start, finish, task), a core's intervals overlap iff two neighbours
+   do, and the first such pair is reported.  The simulator lists the
+   schedule in completion order, which is start order on one core, so
+   the walk has already found each in-order core's first overlap; only a
+   core whose entries arrive out of that order is collected by a second
+   walk and sorted.  Cores are visited in the iteration order of a hash
+   table filled in first-use order, which picks the reported core when
+   several overlap. *)
+let check_core_exclusivity ~cores (r : Sched.loop_result) w =
+  (match w.bad_entry with
+  | Some (tid, c) ->
+    fail "core-exclusivity" "task %d scheduled on core %d of a %d-core machine" tid c cores
+  | None -> ());
+  let clean = ref true in
+  for k = 0 to w.used - 1 do
+    let c = w.first_use.(k) in
+    if w.overlap.(4 * c) >= 0 || not w.in_order.(c) then clean := false
   done;
-  let n = first.(cores) in
-  let start = Array.make n 0 and finish = Array.make n 0 and task = Array.make n 0 in
-  let next = Array.sub first 0 cores in
-  List.iter
-    (fun (e : Sched.sched_entry) ->
-      let k = next.(e.Sched.s_core) in
-      next.(e.Sched.s_core) <- k + 1;
-      start.(k) <- e.Sched.s_start;
-      finish.(k) <- e.Sched.s_finish;
-      task.(k) <- e.Sched.s_task)
-    r.Sched.schedule;
-  let before k l =
-    start.(k) < start.(l)
-    || (start.(k) = start.(l)
-       && (finish.(k) < finish.(l) || (finish.(k) = finish.(l) && task.(k) < task.(l))))
-  in
-  Hashtbl.iter
-    (fun c () ->
-      let lo = first.(c) and hi = first.(c + 1) in
-      let sorted = ref true in
-      for k = lo + 1 to hi - 1 do
-        if before k (k - 1) then sorted := false
-      done;
-      if not !sorted then begin
-        let entries =
-          Array.init (hi - lo) (fun k -> (start.(lo + k), finish.(lo + k), task.(lo + k)))
-        in
-        Array.sort compare entries;
-        Array.iteri
-          (fun k (s, f, t) ->
-            start.(lo + k) <- s;
-            finish.(lo + k) <- f;
-            task.(lo + k) <- t)
-          entries
-      end;
-      for k = lo to hi - 2 do
-        if finish.(k) > start.(k + 1) then
-          fail "core-exclusivity" "tasks %d and %d overlap on core %d (finish %d > start %d)"
-            task.(k) task.(k + 1) c finish.(k) start.(k + 1)
-      done)
-    visit
+  if not !clean then begin
+    let sorted = Array.make cores [||] in
+    let fill = Array.make cores 0 in
+    for k = 0 to w.used - 1 do
+      let c = w.first_use.(k) in
+      if not w.in_order.(c) then sorted.(c) <- Array.make w.count.(c) (0, 0, 0)
+    done;
+    List.iter
+      (fun (e : Sched.sched_entry) ->
+        let c = e.Sched.s_core in
+        if not w.in_order.(c) then begin
+          sorted.(c).(fill.(c)) <- (e.Sched.s_start, e.Sched.s_finish, e.Sched.s_task);
+          fill.(c) <- fill.(c) + 1
+        end)
+      r.Sched.schedule;
+    let visit = Hashtbl.create 8 in
+    for k = 0 to w.used - 1 do
+      Hashtbl.replace visit w.first_use.(k) ()
+    done;
+    Hashtbl.iter
+      (fun c () ->
+        if w.in_order.(c) then begin
+          let o = 4 * c in
+          if w.overlap.(o) >= 0 then
+            fail "core-exclusivity" "tasks %d and %d overlap on core %d (finish %d > start %d)"
+              w.overlap.(o) w.overlap.(o + 1) c w.overlap.(o + 2) w.overlap.(o + 3)
+        end
+        else begin
+          let es = sorted.(c) in
+          Array.sort by_start es;
+          for k = 0 to Array.length es - 2 do
+            let _, f1, t1 = es.(k) and s2, _, t2 = es.(k + 1) in
+            if f1 > s2 then
+              fail "core-exclusivity" "tasks %d and %d overlap on core %d (finish %d > start %d)"
+                t1 t2 c f1 s2
+          done
+        end)
+      visit
+  end
 
 (* The start-time floor one edge imposes on its consumer under the final
    schedule.  Mirrors Pipeline.constraint_of. *)
 let edge_requirement (policy : Sched.policy) lat start finish (e : Input.edge) =
   if policy.Sched.forwarding then
-    max 0 (start.(e.Input.src) + e.Input.src_offset + lat - e.Input.dst_offset)
+    Int.max 0 (start.(e.Input.src) + e.Input.src_offset + lat - e.Input.dst_offset)
   else finish.(e.Input.src) + lat
 
 (* Structural pipeline ordering: the A chain, A_i before the B tasks it
@@ -150,77 +220,85 @@ let edge_requirement (policy : Sched.policy) lat start finish (e : Input.edge) =
    (plus one hop) before C_i, and the C chain.  These hold under every
    policy: A and C tasks are never squashed, and an iteration's B finish
    times are final by the time C commits it. *)
-let check_structural (cfg : Machine.Config.t) (a, bs, c) start finish =
+let check_structural (cfg : Machine.Config.t) st start finish =
   let lat = cfg.Machine.Config.comm_latency in
-  let iters = Array.length a in
-  let last_a = ref None and last_c = ref None in
-  for i = 0 to iters - 1 do
-    (match (!last_a, a.(i)) with
-    | Some p, Some q ->
-      if start.(q) < finish.(p) then
-        fail "dependence-ordering" "A task %d (iteration %d) starts at %d before A task %d finishes at %d"
-          q i start.(q) p finish.(p)
-    | _ -> ());
-    (match a.(i) with Some _ as x -> last_a := x | None -> ());
-    (match a.(i) with
-    | Some ai ->
-      List.iter
-        (fun b ->
-          if start.(b) < finish.(ai) + lat then
-            fail "dependence-ordering"
-              "B task %d starts at %d before its A task %d is delivered (finish %d + latency %d)"
-              b start.(b) ai finish.(ai) lat)
-        bs.(i)
-    | None -> ());
-    match c.(i) with
-    | Some ci ->
-      List.iter
-        (fun b ->
-          if start.(ci) < finish.(b) + lat then
-            fail "dependence-ordering"
-              "C task %d starts at %d before B task %d is delivered (finish %d + latency %d)"
-              ci start.(ci) b finish.(b) lat)
-        bs.(i);
-      (match !last_c with
-      | Some p ->
-        if start.(ci) < finish.(p) then
-          fail "dependence-ordering" "C task %d starts at %d before C task %d finishes at %d"
-            ci start.(ci) p finish.(p)
-      | None -> ());
-      last_c := Some ci
-    | None -> ()
+  let last_a = ref (-1) and last_c = ref (-1) in
+  for i = 0 to Array.length st.a_of - 1 do
+    let ai = st.a_of.(i) in
+    if ai >= 0 then begin
+      let p = !last_a in
+      if p >= 0 && start.(ai) < finish.(p) then
+        fail "dependence-ordering"
+          "A task %d (iteration %d) starts at %d before A task %d finishes at %d" ai i start.(ai)
+          p finish.(p);
+      last_a := ai;
+      for k = st.b_off.(i) to st.b_off.(i + 1) - 1 do
+        let b = st.b_ids.(k) in
+        if start.(b) < finish.(ai) + lat then
+          fail "dependence-ordering"
+            "B task %d starts at %d before its A task %d is delivered (finish %d + latency %d)" b
+            start.(b) ai finish.(ai) lat
+      done
+    end;
+    let ci = st.c_of.(i) in
+    if ci >= 0 then begin
+      for k = st.b_off.(i) to st.b_off.(i + 1) - 1 do
+        let b = st.b_ids.(k) in
+        if start.(ci) < finish.(b) + lat then
+          fail "dependence-ordering"
+            "C task %d starts at %d before B task %d is delivered (finish %d + latency %d)" ci
+            start.(ci) b finish.(b) lat
+      done;
+      let p = !last_c in
+      if p >= 0 && start.(ci) < finish.(p) then
+        fail "dependence-ordering" "C task %d starts at %d before C task %d finishes at %d" ci
+          start.(ci) p finish.(p);
+      last_c := ci
+    end
   done
 
-(* Explicit synchronized / speculated edges.  Sound exactly when the
-   recorded start and finish times are the times the consumer actually
-   observed: under Serialize nothing ever re-executes, and under Squash a
-   zero squash count means the same.  With squashes > 0 a producer may
-   have re-executed after an already-committed consumer sampled it, so
-   the final times cannot be compared edge-wise. *)
+(* Explicit synchronized / speculated edges, in one walk of the edge list
+   that also gathers what speculation-accounting needs under Serialize.
+   The timing check is sound exactly when the recorded start and finish
+   times are the times the consumer actually observed: under Serialize
+   nothing ever re-executes, and under Squash a zero squash count means
+   the same.  With squashes > 0 a producer may have re-executed after an
+   already-committed consumer sampled it, so the final times cannot be
+   compared edge-wise.  Speculated edges only gate the consumer under
+   Serialize; under Squash an early consumer is squashed rather than
+   delayed, and with zero squashes we can only conclude the sync edges
+   held.  Returns the per-task maximal speculated (-1: none) and
+   synchronized requirements under Serialize, and whether any edge is
+   speculated. *)
 let check_edges (cfg : Machine.Config.t) (policy : Sched.policy) (loop : Input.loop)
     (r : Sched.loop_result) start finish =
   let lat = cfg.Machine.Config.comm_latency in
   let serialize = policy.Sched.misspec = Sched.Serialize in
-  if serialize || r.Sched.squashes = 0 then
-    List.iter
-      (fun (e : Input.edge) ->
-        (* Speculated edges only gate the consumer under Serialize; under
-           Squash an early consumer is squashed rather than delayed, and
-           with zero squashes we can only conclude the sync edges held. *)
-        if (not e.Input.speculated) || serialize then begin
-          let req = edge_requirement policy lat start finish e in
-          if start.(e.Input.dst) < req then
-            fail "dependence-ordering"
-              "%s edge %d -> %d violated: consumer starts at %d, needs >= %d"
-              (if e.Input.speculated then "speculated" else "synchronized")
-              e.Input.src e.Input.dst
-              start.(e.Input.dst) req
-        end)
-      loop.Input.edges
+  let n = Array.length loop.Input.tasks in
+  let spec_req = if serialize then Array.make n (-1) else [||] in
+  let sync_req = if serialize then Array.make n 0 else [||] in
+  let any_spec = ref false in
+  let timed = serialize || r.Sched.squashes = 0 in
+  List.iter
+    (fun (e : Input.edge) ->
+      let spec = e.Input.speculated in
+      if spec then any_spec := true;
+      if timed && ((not spec) || serialize) then begin
+        let dst = e.Input.dst in
+        let req = edge_requirement policy lat start finish e in
+        if start.(dst) < req then
+          fail "dependence-ordering" "%s edge %d -> %d violated: consumer starts at %d, needs >= %d"
+            (if spec then "speculated" else "synchronized")
+            e.Input.src dst start.(dst) req;
+        if serialize then
+          if spec then (if req > spec_req.(dst) then spec_req.(dst) <- req)
+          else if req > sync_req.(dst) then sync_req.(dst) <- req
+      end)
+    loop.Input.edges;
+  (spec_req, sync_req, !any_spec)
 
-let check_speculation_accounting (cfg : Machine.Config.t) (policy : Sched.policy)
-    (loop : Input.loop) (r : Sched.loop_result) start finish =
-  let lat = cfg.Machine.Config.comm_latency in
+let check_speculation_accounting (policy : Sched.policy) (loop : Input.loop)
+    (r : Sched.loop_result) start (spec_req, sync_req, any_spec) =
   let n = Array.length loop.Input.tasks in
   if r.Sched.misspec_delayed < 0 then
     fail "speculation-accounting" "negative misspec_delayed %d" r.Sched.misspec_delayed;
@@ -238,13 +316,6 @@ let check_speculation_accounting (cfg : Machine.Config.t) (policy : Sched.policy
        on a core or a queue slot — so equality cannot be demanded.)
        Recount the candidates from the final schedule; the counter can
        never exceed them, and is exactly zero with no speculated edges. *)
-    let spec_req = Array.make n (-1) and sync_req = Array.make n 0 in
-    List.iter
-      (fun (e : Input.edge) ->
-        let req = edge_requirement policy lat start finish e in
-        if e.Input.speculated then spec_req.(e.Input.dst) <- max spec_req.(e.Input.dst) req
-        else sync_req.(e.Input.dst) <- max sync_req.(e.Input.dst) req)
-      loop.Input.edges;
     let candidates = ref 0 in
     for t = 0 to n - 1 do
       if spec_req.(t) >= 0 && spec_req.(t) > sync_req.(t) && start.(t) >= spec_req.(t) then
@@ -254,9 +325,7 @@ let check_speculation_accounting (cfg : Machine.Config.t) (policy : Sched.policy
       fail "speculation-accounting"
         "misspec_delayed = %d but only %d tasks are gated by a dominating speculated edge"
         r.Sched.misspec_delayed !candidates;
-    if (not (List.exists (fun (e : Input.edge) -> e.Input.speculated) loop.Input.edges))
-       && r.Sched.misspec_delayed <> 0
-    then
+    if (not any_spec) && r.Sched.misspec_delayed <> 0 then
       fail "speculation-accounting" "misspec_delayed = %d with no speculated edges"
         r.Sched.misspec_delayed
   | Sched.Squash ->
@@ -266,7 +335,7 @@ let check_speculation_accounting (cfg : Machine.Config.t) (policy : Sched.policy
       fail "speculation-accounting" "misspec_delayed = %d exceeds the %d task starts"
         r.Sched.misspec_delayed (n + r.Sched.squashes)
 
-let check_queue_bounds (cfg : Machine.Config.t) (loop : Input.loop) (r : Sched.loop_result) =
+let check_queue_bounds (cfg : Machine.Config.t) st (r : Sched.loop_result) =
   let cap = cfg.Machine.Config.queue_capacity in
   (* A squash re-inserts the task at the head of its in-queue without
      re-running the capacity check (it reclaims the slot it issued from),
@@ -285,42 +354,30 @@ let check_queue_bounds (cfg : Machine.Config.t) (loop : Input.loop) (r : Sched.l
       (Array.length r.Sched.b_tasks_per_core)
       m;
   if r.Sched.squashes = 0 then begin
-    let b_tasks =
-      Array.fold_left
-        (fun acc (t : Ir.Task.t) -> if t.Ir.Task.phase = Ir.Task.B then acc + 1 else acc)
-        0 loop.Input.tasks
-    in
+    let b_tasks = Array.length st.b_ids in
     let executed = Array.fold_left ( + ) 0 r.Sched.b_tasks_per_core in
     if executed <> b_tasks then
       fail "queue-bounds" "B cores executed %d tasks; the loop has %d B tasks" executed b_tasks
   end
 
-let check_busy (cfg : Machine.Config.t) (loop : Input.loop) (r : Sched.loop_result) =
-  let cores = cfg.Machine.Config.cores in
+let check_busy ~cores (loop : Input.loop) (r : Sched.loop_result) w =
   if Array.length r.Sched.busy <> cores then
     fail "busy-conservation" "busy array has %d slots for %d cores"
       (Array.length r.Sched.busy) cores;
-  let per_core = Array.make cores 0 in
-  List.iter
-    (fun (e : Sched.sched_entry) ->
-      per_core.(e.Sched.s_core) <- per_core.(e.Sched.s_core) + (e.Sched.s_finish - e.Sched.s_start))
-    r.Sched.schedule;
   for c = 0 to cores - 1 do
+    let busy = r.Sched.busy.(c) and sum = w.per_core.(c) in
     if r.Sched.squashes = 0 then begin
-      if r.Sched.busy.(c) <> per_core.(c) then
-        fail "busy-conservation" "core %d busy %d but its intervals sum to %d" c
-          r.Sched.busy.(c) per_core.(c)
+      if busy <> sum then
+        fail "busy-conservation" "core %d busy %d but its intervals sum to %d" c busy sum
     end
-    else if r.Sched.busy.(c) < per_core.(c) then
-      fail "busy-conservation" "core %d busy %d below its final intervals' sum %d" c
-        r.Sched.busy.(c) per_core.(c);
+    else if busy < sum then
+      fail "busy-conservation" "core %d busy %d below its final intervals' sum %d" c busy sum;
     (* Busy charges only time a core actually spent occupied (aborted runs
        count their elapsed portion, not their full work), and a core is
        occupied by at most one task at a time, so busy can never exceed
        the loop's span. *)
-    if r.Sched.busy.(c) > r.Sched.span then
-      fail "busy-conservation" "core %d busy %d exceeds span %d" c r.Sched.busy.(c)
-        r.Sched.span
+    if busy > r.Sched.span then
+      fail "busy-conservation" "core %d busy %d exceeds span %d" c busy r.Sched.span
   done;
   let total = Array.fold_left ( + ) 0 r.Sched.busy in
   let work = Input.loop_work loop in
@@ -329,29 +386,27 @@ let check_busy (cfg : Machine.Config.t) (loop : Input.loop) (r : Sched.loop_resu
   if total < work then
     fail "busy-conservation" "total busy %d below loop work %d" total work
 
-let check_commit_order (_, _, c) start =
-  let last = ref None in
+let check_commit_order st start =
+  let last = ref (-1) in
   Array.iteri
     (fun i ci ->
-      match ci with
-      | None -> ()
-      | Some ci ->
-        (match !last with
-        | Some (j, cj) ->
-          if start.(ci) < start.(cj) then
-            fail "commit-order"
-              "iteration %d commits (C start %d) before iteration %d (C start %d)" i
-              start.(ci) j start.(cj)
-        | None -> ());
-        last := Some (i, ci))
-    c
+      if ci >= 0 then begin
+        let j = !last in
+        if j >= 0 && start.(ci) < start.(st.c_of.(j)) then
+          fail "commit-order" "iteration %d commits (C start %d) before iteration %d (C start %d)"
+            i start.(ci) j start.(st.c_of.(j));
+        last := i
+      end)
+    st.c_of
 
 (* A 0/1-core machine executes the loop serially in task order; edges and
    latency do not apply, so only coverage, exclusivity and conservation
    are meaningful. *)
 let validate_serial (cfg : Machine.Config.t) (loop : Input.loop) (r : Sched.loop_result) =
-  check_coverage loop r;
-  check_core_exclusivity cfg r;
+  let cores = cfg.Machine.Config.cores in
+  let w = walk_schedule ~cores loop r in
+  check_coverage loop r w;
+  check_core_exclusivity ~cores r w;
   let work = Input.loop_work loop in
   if r.Sched.span <> work then
     fail "busy-conservation" "serial span %d does not equal loop work %d" r.Sched.span work;
@@ -365,16 +420,17 @@ let validate (cfg : Machine.Config.t) ?(policy = Sched.default_policy) (loop : I
     if cfg.Machine.Config.cores <= 1 || Array.length loop.Input.tasks = 0 then
       validate_serial cfg loop r
     else begin
-      check_coverage loop r;
-      let start, finish, _core = interval_arrays loop r in
-      check_core_exclusivity cfg r;
-      let structure = iteration_structure loop in
-      check_structural cfg structure start finish;
-      check_edges cfg policy loop r start finish;
-      check_speculation_accounting cfg policy loop r start finish;
-      check_queue_bounds cfg loop r;
-      check_busy cfg loop r;
-      check_commit_order structure start
+      let cores = cfg.Machine.Config.cores in
+      let w = walk_schedule ~cores loop r in
+      check_coverage loop r w;
+      check_core_exclusivity ~cores r w;
+      let st = iteration_structure loop in
+      check_structural cfg st w.start w.finish;
+      let reqs = check_edges cfg policy loop r w.start w.finish in
+      check_speculation_accounting policy loop r w.start reqs;
+      check_queue_bounds cfg st r;
+      check_busy ~cores loop r w;
+      check_commit_order st w.start
     end;
     Ok ()
   with Bad v -> Error v

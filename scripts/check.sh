@@ -63,8 +63,10 @@ dune build @prop
 #
 # These two runs are the perf record, so they measure the simulator
 # hot path alone: SIM_VALIDATE is off (the oracle re-checks every
-# schedule with allocation-heavy bookkeeping, which would swamp the
-# scaling measurement with GC-barrier noise).  Oracle coverage comes
+# schedule, which would add its own time, about a third of the
+# simulation's in a model-sim pass, to the scaling measurement; its
+# bookkeeping is int arrays filled in two walks and allocates little,
+# 0.4 Mword per traced model-sim pass).  Oracle coverage comes
 # from dune runtest / @prop above, whose snapshot rules all set
 # SIM_VALIDATE=1.
 SIM_VALIDATE=0 REPRO_JOBS=1 dune exec bench/main.exe > /dev/null

@@ -14,11 +14,10 @@ module H = Obs_analysis.History
 (* Registry sweep: every study's loops on machines from serial to the
    paper's largest, both misspec policies.  Each loop_result and event
    stream must equal the reference simulator's (test/ref_sim.ml); each
-   timeline, and each exclusivity verdict on the schedule with its last
-   entry moved onto its first entry's core and start, must equal the
-   reference implementation's (test/ref_analysis.ml).  Up to 8 cores both
-   attribution invariants hold too; at 32 cores under Squash the
-   critical path's fallback search is quadratic, too slow for the suite. *)
+   timeline and critical path, and each oracle verdict on the schedule
+   and on a copy with its last entry moved onto its first entry's core
+   and start, must equal the reference implementations'
+   (test/ref_analysis.ml), and both attribution invariants hold. *)
 
 let record cfg ~policy loop =
   let rec_ = Obs.Sink.recorder () in
@@ -73,23 +72,29 @@ let registry_sweep () =
                     Alcotest.(check bool) (case ^ ": timeline = reference") true
                       (T.of_events cfg loop r events
                       = Ref_analysis.Timeline.of_events cfg loop r events);
+                    let moved = move_last_onto_first r in
                     Alcotest.(check bool) (case ^ ": exclusivity verdict = reference") true
-                      (Ref_analysis.Oracle.validate_agrees cfg ~policy loop
-                         (move_last_onto_first r));
-                    if cores <= 8 then begin
-                      let a = A.of_events cfg ~policy loop r events in
-                      (match A.validate a with
-                      | Ok () -> ()
-                      | Error m ->
-                        Alcotest.failf "%s %s cores=%d: %s" s.Benchmarks.Study.spec_name
-                          loop.Sim.Input.name cores m);
-                      Alcotest.(check int)
-                        (case ^ ": stalls sum to span*cores")
-                        (a.A.span * cores)
-                        (List.fold_left (fun acc c -> acc + T.total a.A.timeline c) 0 T.categories);
-                      Alcotest.(check int) (case ^ ": path length = span") a.A.span
-                        (C.length a.A.critpath)
-                    end)
+                      (Ref_analysis.Exclusivity.validate_agrees cfg ~policy loop moved);
+                    List.iter
+                      (fun x ->
+                        Alcotest.(check bool) (case ^ ": oracle verdict = reference") true
+                          (Sim.Oracle.validate cfg ~policy loop x
+                          = Ref_analysis.Oracle.validate cfg ~policy loop x))
+                      [ r; moved ];
+                    let a = A.of_events cfg ~policy loop r events in
+                    Alcotest.(check bool) (case ^ ": critical path = reference") true
+                      (a.A.critpath = Ref_analysis.Critpath.extract cfg ~policy loop r events);
+                    (match A.validate a with
+                    | Ok () -> ()
+                    | Error m ->
+                      Alcotest.failf "%s %s cores=%d: %s" s.Benchmarks.Study.spec_name
+                        loop.Sim.Input.name cores m);
+                    Alcotest.(check int)
+                      (case ^ ": stalls sum to span*cores")
+                      (a.A.span * cores)
+                      (List.fold_left (fun acc c -> acc + T.total a.A.timeline c) 0 T.categories);
+                    Alcotest.(check int) (case ^ ": path length = span") a.A.span
+                      (C.length a.A.critpath))
                   policies)
               [ 1; 2; 3; 8; 32 ])
         built.Core.Framework.input.Sim.Input.segments)
@@ -182,7 +187,13 @@ let overlapping_recording () =
    among 160k queue events.  A timeline that rebuilds the queue step
    functions per gap, or scans the commits from iteration 0 at every gap
    point, is quadratic here (tens of seconds); the budget is generous
-   for slow machines but far below that. *)
+   for slow machines but far below that.  The Squash case chains every
+   third iteration's B task to the next one's by a speculated edge on
+   32 cores: ~68k squashed attempts, and a critical path that falls
+   back to "the latest execution ending before" many thousands of
+   times.  A fallback that scans every task and attempt per call (the
+   reference's) takes 6.4 s for the critical path alone, against
+   0.12 s with the time indexes (2-vCPU x86-64 host). *)
 let attribution_linear_time () =
   let iters = 40_000 in
   let tasks =
@@ -193,16 +204,35 @@ let attribution_linear_time () =
         | 1 -> task id i Ir.Task.B (7 + (i mod 3))
         | _ -> task id i Ir.Task.C 2)
   in
-  let loop = Sim.Input.make_loop ~name:"deep" ~tasks ~edges:[] in
-  let t0 = Sys.time () in
-  let a = A.run (Machine.Config.default ~cores:4) ~validate:true loop in
-  A.validate_exn a;
-  let elapsed = Sys.time () -. t0 in
+  let timed cores ?policy loop =
+    let t0 = Sys.time () in
+    let a = A.run (Machine.Config.default ~cores) ?policy ~validate:true loop in
+    A.validate_exn a;
+    (a, Sys.time () -. t0)
+  in
+  let within name elapsed =
+    Alcotest.(check bool)
+      (Printf.sprintf "linear-time attribution, %s (%.2fs, budget 5s)" name elapsed)
+      true (elapsed < 5.0)
+  in
+  let a, elapsed = timed 4 (Sim.Input.make_loop ~name:"deep" ~tasks ~edges:[]) in
   Alcotest.(check bool) "the A core was producer-blocked" true
     (T.core_total a.A.timeline.T.cores.(0) T.Producer_blocked > a.A.span / 2);
-  Alcotest.(check bool)
-    (Printf.sprintf "linear-time attribution (%.2fs, budget 5s)" elapsed)
-    true (elapsed < 5.0)
+  within "Serialize" elapsed;
+  let edges =
+    List.init (iters - 1) (fun i ->
+        {
+          Sim.Input.src = (3 * i) + 1;
+          dst = (3 * (i + 1)) + 1;
+          speculated = i mod 3 = 0;
+          src_offset = 0;
+          dst_offset = 0;
+        })
+  in
+  let squash = { Sim.Sched.misspec = Sim.Sched.Squash; forwarding = false } in
+  let a, elapsed = timed 32 ~policy:squash (Sim.Input.make_loop ~name:"squashy" ~tasks ~edges) in
+  Alcotest.(check bool) "tens of thousands of squashes" true (a.A.squashes > 20_000);
+  within "Squash" elapsed
 
 (* ------------------------------------------------------------------ *)
 (* History                                                              *)

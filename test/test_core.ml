@@ -137,6 +137,26 @@ let experiment_row_consistent () =
     (row.Core.Experiment.speedup /. row.Core.Experiment.moore)
     row.Core.Experiment.ratio
 
+(* Framework.build's input and diagnostics equal the verbatim reference
+   build's (test/ref_build.ml) on every study at Small and Large. *)
+let build_matches_reference () =
+  List.iter
+    (fun scale ->
+      List.iter
+        (fun (s : Benchmarks.Study.t) ->
+          let profile = s.Benchmarks.Study.run ~scale in
+          let plan = s.Benchmarks.Study.plan in
+          let built = Core.Framework.build ~plan profile in
+          let reference = Ref_build.Framework.build ~plan profile in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s: input = reference" s.Benchmarks.Study.spec_name
+               (Benchmarks.Study.scale_to_string scale))
+            true
+            (built.Core.Framework.input = reference.Core.Framework.input
+            && built.Core.Framework.diagnostics = reference.Core.Framework.diagnostics))
+        Benchmarks.Registry.all)
+    [ Benchmarks.Study.Small; Benchmarks.Study.Large ]
+
 let () =
   let study_cases =
     List.map
@@ -159,6 +179,7 @@ let () =
           Alcotest.test_case "rejects open profile" `Quick build_rejects_open_profile;
           Alcotest.test_case "auto matches hand (gzip)" `Slow build_auto_matches_hand_on_gzip;
           Alcotest.test_case "per-loop plan override" `Quick plan_for_overrides_per_loop;
+          Alcotest.test_case "build = reference on the registry" `Slow build_matches_reference;
         ] );
       ( "report",
         [

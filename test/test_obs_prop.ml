@@ -81,6 +81,31 @@ let () =
             = Ref_analysis.Timeline.of_events cfg loop r evs)
           [ events; prefix ])
 
+(* Property: Obs_analysis.Critpath equals the verbatim reference
+   (test/ref_analysis.ml) on the same random loops, machines and all four
+   policies, over the whole recording and a random prefix, and with the
+   schedule listed in reverse (out of completion order, so the time
+   indexes are sorted rather than taken as listed). *)
+
+let () =
+  R.run_prop_exn ~print:print_timeline_case
+    ~name:"critical path = reference on whole and truncated recordings" timeline_case
+    (fun (d, cfg, policy, cut) ->
+      let loop = GI.build_loop d in
+      let rec_ = Obs.Sink.recorder () in
+      match Sim.Pipeline.run_loop cfg ~policy ~validate:false ~obs:(Obs.Sink.record rec_) loop with
+      | exception Failure _ -> true
+      | r ->
+        let events = Obs.Sink.events rec_ in
+        let keep = List.length events * cut / 1000 in
+        let prefix = List.filteri (fun i _ -> i < keep) events in
+        let reversed = { r with Sim.Sched.schedule = List.rev r.Sim.Sched.schedule } in
+        List.for_all
+          (fun (r, evs) ->
+            Obs_analysis.Critpath.extract cfg ~policy loop r evs
+            = Ref_analysis.Critpath.extract cfg ~policy loop r evs)
+          [ (r, events); (r, prefix); (reversed, events) ])
+
 (* Property: the summary folded from a loop's event stream agrees with
    the simulator's result on 2, 3 and 8 cores under both policies.
    busy/A+B+C is the per-core busy total (a mid-run squash is charged

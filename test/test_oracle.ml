@@ -239,67 +239,273 @@ let prop_random_plans_validate () =
       | Ok () -> true
       | Error _ -> false)
 
-(* Exclusivity against the reference check (test/ref_analysis.ml) on
-   simulated schedules and mutated copies of them: an entry moved onto
-   another's core and start, two entries swapped in the list, an entry
-   shifted earlier.  Indices wrap around the schedule. *)
-type mutation = Move of int * int | Swap of int * int | Shift of int * int
+(* Verdicts against the reference checks (test/ref_analysis.ml) on
+   simulated schedules and mutated copies of them.  Indices wrap around
+   the schedule (or the C entries, or the cores).  Each mutation aims at
+   one invariant, though an earlier check may fire first:
+   - an entry moved onto another's core and start, two entries swapped
+     in the list, an entry shifted earlier (core-exclusivity);
+   - an entry dropped or listed twice, the span changed
+     (schedule-coverage);
+   - a consumer started one tick before the latest, or the earliest,
+     structural or synchronized in-edge allows, two C tasks' starts
+     swapped (dependence-ordering);
+   - [squashes] set, [misspec_delayed] set negative or past every task
+     start (speculation-accounting);
+   - a high-water mark raised past its bound, a B core's task count
+     changed (queue-bounds);
+   - a core's busy time changed (busy-conservation);
+   - a C task committed after the next one: it starts when the next
+     one finishes and, with negative work in a copy of the loop, still
+     finishes where it did, so the C chain holds (commit-order, which
+     the chain implies for any loop of non-negative work). *)
+type mutation =
+  | Move of int * int
+  | Swap of int * int
+  | Shift of int * int
+  | Drop of int
+  | Dup of int
+  | Span of int
+  | Early of int
+  | Earliest of int
+  | Swap_c of int * int
+  | Squashes of int
+  | Misspec of int
+  | In_high of int
+  | Out_high of int
+  | B_tasks of int * int
+  | Busy of int * int
+  | Commit_late of int
 
 let mutation =
   let open G in
   let idx = int_bound 1000 in
-  oneof
+  let delta = oneof [ int_range (-3) (-1); int_range 1 3 ] in
+  (* Any mutation pre-empts those aiming at later invariants in the same
+     case; the weights keep every invariant reached at 100 cases. *)
+  frequency
     [
-      map2 (fun i j -> Move (i, j)) idx idx;
-      map2 (fun i j -> Swap (i, j)) idx idx;
-      map2 (fun i d -> Shift (i, d)) idx (int_range 1 20);
+      (2, map2 (fun i j -> Move (i, j)) idx idx);
+      (1, map2 (fun i j -> Swap (i, j)) idx idx);
+      (1, map2 (fun i d -> Shift (i, d)) idx (int_range 1 20));
+      (1, map (fun i -> Drop i) idx);
+      (1, map (fun i -> Dup i) idx);
+      (1, map (fun d -> Span d) delta);
+      (2, map (fun i -> Early i) idx);
+      (1, map (fun i -> Earliest i) idx);
+      (1, map2 (fun i j -> Swap_c (i, j)) idx idx);
+      (2, map (fun k -> Squashes k) (int_range (-1) 3));
+      (1, map (fun d -> Misspec d) (int_range (-1) 3));
+      (1, map (fun d -> In_high d) (int_range 1 3));
+      (1, map (fun d -> Out_high d) (int_range 1 3));
+      (1, map2 (fun c d -> B_tasks (c, d)) idx delta);
+      (2, map2 (fun c d -> Busy (c, d)) idx delta);
+      (3, map (fun i -> Commit_late i) idx);
     ]
 
 let print_mutation = function
   | Move (i, j) -> Printf.sprintf "move %d onto %d" i j
   | Swap (i, j) -> Printf.sprintf "swap %d %d" i j
   | Shift (i, d) -> Printf.sprintf "shift %d by -%d" i d
+  | Drop i -> Printf.sprintf "drop %d" i
+  | Dup i -> Printf.sprintf "dup %d" i
+  | Span d -> Printf.sprintf "span %+d" d
+  | Early i -> Printf.sprintf "early %d" i
+  | Earliest i -> Printf.sprintf "earliest %d" i
+  | Swap_c (i, j) -> Printf.sprintf "swap C starts %d %d" i j
+  | Squashes k -> Printf.sprintf "squashes := %d" k
+  | Misspec d -> Printf.sprintf "misspec_delayed past the starts by %d" d
+  | In_high d -> Printf.sprintf "in high water past the bound by %d" d
+  | Out_high d -> Printf.sprintf "out high water past the bound by %d" d
+  | B_tasks (c, d) -> Printf.sprintf "b_tasks_per_core %d %+d" c d
+  | Busy (c, d) -> Printf.sprintf "busy %d %+d" c d
+  | Commit_late i -> Printf.sprintf "commit C %d late" i
 
-let mutate (r : P.loop_result) m =
+(* The starts the structural and synchronized in-edges of task [tid]
+   require under the schedule (entries found by task id with [at]). *)
+let requirements (c : Machine.Config.t) (policy : P.policy) (loop : I.loop) at tid =
+  let lat = c.Machine.Config.comm_latency in
+  let t = loop.I.tasks.(tid) in
+  let producers phase =
+    Array.to_list loop.I.tasks
+    |> List.filter_map (fun (u : Ir.Task.t) ->
+           if u.Ir.Task.iteration = t.Ir.Task.iteration && u.Ir.Task.phase = phase then
+             Option.map (fun (e : P.sched_entry) -> e.P.s_finish + lat) (at u.Ir.Task.id)
+           else None)
+  in
+  let structural =
+    match t.Ir.Task.phase with
+    | Ir.Task.A -> []
+    | Ir.Task.B -> producers Ir.Task.A
+    | Ir.Task.C -> producers Ir.Task.B
+  in
+  structural
+  @ List.filter_map
+      (fun (e : I.edge) ->
+        if e.I.dst <> tid || e.I.speculated then None
+        else
+          Option.map
+            (fun (p : P.sched_entry) ->
+              if policy.P.forwarding then
+                max 0 (p.P.s_start + e.I.src_offset + lat - e.I.dst_offset)
+              else p.P.s_finish + lat)
+            (at e.I.src))
+      loop.I.edges
+
+let mutate c policy ((loop : I.loop), (r : P.loop_result)) m =
   let es = Array.of_list r.P.schedule in
   let n = Array.length es in
-  (if n > 0 then
-     match m with
-     | Move (i, j) ->
-       let e = es.(i mod n) and d = es.(j mod n) in
-       es.(i mod n) <-
-         {
-           e with
-           P.s_core = d.P.s_core;
-           s_start = d.P.s_start;
-           s_finish = d.P.s_start + (e.P.s_finish - e.P.s_start);
-         }
-     | Swap (i, j) ->
-       let e = es.(i mod n) in
-       es.(i mod n) <- es.(j mod n);
-       es.(j mod n) <- e
-     | Shift (i, d) ->
-       let e = es.(i mod n) in
-       let d = min d e.P.s_start in
-       es.(i mod n) <- { e with P.s_start = e.P.s_start - d; s_finish = e.P.s_finish - d });
-  { r with P.schedule = Array.to_list es }
+  let at tid = Array.find_opt (fun (e : P.sched_entry) -> e.P.s_task = tid) es in
+  let c_entries () =
+    List.filter
+      (fun (e : P.sched_entry) -> loop.I.tasks.(e.P.s_task).Ir.Task.phase = Ir.Task.C)
+      r.P.schedule
+    |> List.sort (fun (a : P.sched_entry) b -> compare a.P.s_task b.P.s_task)
+    |> Array.of_list
+  in
+  let set_entry (e : P.sched_entry) =
+    { r with P.schedule = List.map (fun (x : P.sched_entry) -> if x.P.s_task = e.P.s_task then e else x) r.P.schedule }
+  in
+  let bump a i d =
+    let a = Array.copy a in
+    if Array.length a > 0 then a.(i mod Array.length a) <- a.(i mod Array.length a) + d;
+    a
+  in
+  if n = 0 then (loop, r)
+  else
+    match m with
+    | Move (i, j) ->
+      let e = es.(i mod n) and d = es.(j mod n) in
+      es.(i mod n) <-
+        {
+          e with
+          P.s_core = d.P.s_core;
+          s_start = d.P.s_start;
+          s_finish = d.P.s_start + (e.P.s_finish - e.P.s_start);
+        };
+      (loop, { r with P.schedule = Array.to_list es })
+    | Swap (i, j) ->
+      let e = es.(i mod n) in
+      es.(i mod n) <- es.(j mod n);
+      es.(j mod n) <- e;
+      (loop, { r with P.schedule = Array.to_list es })
+    | Shift (i, d) ->
+      let e = es.(i mod n) in
+      let d = min d e.P.s_start in
+      es.(i mod n) <- { e with P.s_start = e.P.s_start - d; s_finish = e.P.s_finish - d };
+      (loop, { r with P.schedule = Array.to_list es })
+    | Drop i -> (loop, { r with P.schedule = List.filteri (fun k _ -> k <> i mod n) r.P.schedule })
+    | Dup i -> (loop, { r with P.schedule = es.(i mod n) :: r.P.schedule })
+    | Span d -> (loop, { r with P.span = r.P.span + d })
+    | Early i | Earliest i -> (
+      (* The first entry from [i] on whose task some edge gates, started
+         one tick before the latest (Early) or the earliest (Earliest,
+         so that every gating edge may be violated at once) of its
+         requirements. *)
+      let pick = match m with Early _ -> List.fold_left max 0 | _ -> List.fold_left min max_int in
+      let gated k =
+        let e = es.((i + k) mod n) in
+        let tid = e.P.s_task in
+        if tid < 0 || tid >= Array.length loop.I.tasks then None
+        else
+          match requirements c policy loop at tid with
+          | [] -> None
+          | reqs ->
+            let req = pick reqs in
+            if req > 0 then Some (e, req) else None
+      in
+      match List.find_map gated (List.init n Fun.id) with
+      | None -> (loop, r)
+      | Some (e, req) ->
+        let s = req - 1 in
+        (loop, set_entry { e with P.s_start = s; s_finish = s + (e.P.s_finish - e.P.s_start) }))
+    | Swap_c (i, j) ->
+      let cs = c_entries () in
+      let k = Array.length cs in
+      if k < 2 then (loop, r)
+      else
+        let x = cs.(i mod k) and y = cs.(j mod k) in
+        let moved (e : P.sched_entry) s = { e with P.s_start = s; s_finish = s + (e.P.s_finish - e.P.s_start) } in
+        let x' = moved x y.P.s_start and y' = moved y x.P.s_start in
+        ( loop,
+          {
+            r with
+            P.schedule =
+              List.map
+                (fun (e : P.sched_entry) ->
+                  if e.P.s_task = x.P.s_task then x' else if e.P.s_task = y.P.s_task then y' else e)
+                r.P.schedule;
+          } )
+    | Squashes k -> (loop, { r with P.squashes = k })
+    | Misspec d ->
+      (* Negative, or past every task start. *)
+      let starts = Array.length loop.I.tasks + abs r.P.squashes in
+      (loop, { r with P.misspec_delayed = (if d < 0 then d else starts + d) })
+    | In_high d ->
+      let cap = c.Machine.Config.queue_capacity + max 0 r.P.squashes in
+      (loop, { r with P.in_queue_high_water = cap + d })
+    | Out_high d -> (loop, { r with P.out_queue_high_water = c.Machine.Config.queue_capacity + d })
+    | B_tasks (i, d) -> (loop, { r with P.b_tasks_per_core = bump r.P.b_tasks_per_core i d })
+    | Busy (i, d) -> (loop, { r with P.busy = bump r.P.busy i d })
+    | Commit_late i ->
+      let cs = c_entries () in
+      let k = Array.length cs in
+      if k < 2 then (loop, r)
+      else
+        let j = i mod (k - 1) in
+        let p = cs.(j) and q = cs.(j + 1) in
+        let tid = p.P.s_task in
+        if tid >= Array.length loop.I.tasks || p.P.s_core < 0 || p.P.s_core >= Array.length r.P.busy
+        then (loop, r)
+        else begin
+          let tasks = Array.copy loop.I.tasks in
+          tasks.(tid) <- { tasks.(tid) with Ir.Task.work = p.P.s_finish - q.P.s_finish };
+          let r = set_entry { p with P.s_start = q.P.s_finish } in
+          ( { loop with I.tasks },
+            { r with P.busy = bump r.P.busy p.P.s_core (p.P.s_start - q.P.s_finish) } )
+        end
+
+let print_case (sc, ms) =
+  print_scenario sc ^ "\nmutations: " ^ String.concat ", " (List.map print_mutation ms)
+
+(* Mostly one mutation per case, so a later invariant is not always
+   pre-empted by an earlier one; sometimes up to three. *)
+let mutated_case =
+  G.pair scenario (G.list_size (G.frequency [ (3, G.return 1); (1, G.int_bound 3) ]) mutation)
+
+let run_mutated ((d, cores, lat, policy), ms) =
+  let loop = GI.build_loop d in
+  let c = cfg ~lat cores in
+  let loop, r =
+    List.fold_left (mutate c policy) (loop, P.run_loop c ~policy ~validate:false loop) ms
+  in
+  (c, policy, loop, r)
 
 let prop_exclusivity_matches_reference () =
   let overlaps = ref 0 in
-  R.run_prop_exn
-    ~print:(fun (sc, ms) ->
-      print_scenario sc ^ "\nmutations: " ^ String.concat ", " (List.map print_mutation ms))
-    ~name:"oracle: exclusivity verdicts match the reference"
-    (G.pair scenario (G.list_size (G.int_bound 3) mutation))
-    (fun ((d, cores, lat, policy), ms) ->
-      let loop = GI.build_loop d in
-      let c = cfg ~lat cores in
-      let r = List.fold_left mutate (P.run_loop c ~policy ~validate:false loop) ms in
+  R.run_prop_exn ~print:print_case ~name:"oracle: exclusivity verdicts match the reference"
+    mutated_case (fun case ->
+      let c, policy, loop, r = run_mutated case in
       (match O.validate c ~policy loop r with
       | Error { O.invariant = "core-exclusivity"; _ } -> incr overlaps
       | _ -> ());
-      Ref_analysis.Oracle.validate_agrees c ~policy loop r);
+      Ref_analysis.Exclusivity.validate_agrees c ~policy loop r);
   Alcotest.(check bool) "some mutated schedules overlap" true (!overlaps > 0)
+
+(* The whole verdict, [Ok] or the first violation's invariant and
+   detail, equals the verbatim pre-rewrite oracle's, and the mutations
+   reach every invariant. *)
+let prop_verdict_matches_reference () =
+  let reached = Hashtbl.create 8 in
+  R.run_prop_exn ~print:print_case ~name:"oracle: verdicts match the reference" mutated_case
+    (fun case ->
+      let c, policy, loop, r = run_mutated case in
+      let v = O.validate c ~policy loop r in
+      (match v with Error { O.invariant; _ } -> Hashtbl.replace reached invariant () | Ok () -> ());
+      v = Ref_analysis.Oracle.validate c ~policy loop r);
+  List.iter
+    (fun name -> Alcotest.(check bool) (name ^ " reached") true (Hashtbl.mem reached name))
+    O.invariant_names
 
 let () =
   Alcotest.run "oracle"
@@ -334,5 +540,6 @@ let () =
           Alcotest.test_case "random schedules accepted" `Quick prop_random_plans_validate;
           Alcotest.test_case "exclusivity matches reference" `Quick
             prop_exclusivity_matches_reference;
+          Alcotest.test_case "verdict matches reference" `Quick prop_verdict_matches_reference;
         ] );
     ]

@@ -71,6 +71,28 @@ let profile_commutative_no_nest () =
     (Invalid_argument "Profile.commutative: sections do not nest") (fun () ->
       P.commutative p ~group:"g" (fun () -> P.commutative p ~group:"h" (fun () -> ())))
 
+(* Inside a loop an access needs an open task.  An unowned read used to
+   be logged as task -1: after an in-task write, the profiler emitted
+   edge 0 -> -1 and Framework.build died indexing task -1. *)
+let profile_access_outside_task () =
+  let p = P.create ~name:"t" in
+  let x = P.loc p "x" in
+  P.write p x 1;
+  P.begin_loop p "l";
+  ignore (P.begin_task p ~iteration:0 ~phase:Ir.Task.A ());
+  P.write p x 2;
+  P.end_task p;
+  Alcotest.check_raises "read between tasks"
+    (Invalid_argument "Profile.read: inside a loop but no open task") (fun () -> P.read p x);
+  Alcotest.check_raises "write between tasks"
+    (Invalid_argument "Profile.write: inside a loop but no open task") (fun () -> P.write p x 3);
+  ignore (P.begin_task p ~iteration:0 ~phase:Ir.Task.B ());
+  P.read p x;
+  P.end_task p;
+  P.end_loop p;
+  let built = Core.Framework.build ~plan:Speculation.Spec_plan.default p in
+  Alcotest.(check int) "one loop built" 1 (List.length built.Core.Framework.diagnostics)
+
 (* ------------------------------------------------------------------ *)
 (* Memory profiler                                                     *)
 
@@ -314,6 +336,134 @@ let profiler_agrees_with_versioned_memory =
               acc && List.exists (fun e -> e.M.src = w && e.M.dst = r && e.M.loc = l) edges)
             observed true))
 
+(* Property: the dependence build equals the verbatim reference
+   (test/ref_build.ml) on random access logs.  Tasks come in any order
+   and repeat, values repeat (silent stores, correct predictions), reads
+   and writes may sit in commutative groups, and location ids include a
+   negative and a far one (renumbered densely).  Reads come from tasks
+   0..5; writes also from task -1, as Profile seeds pre-loop memory.
+   Resolve then runs on a six-task loop with explicit dependences under a
+   random plan, and Input.make_loop merges the resolved edges. *)
+type log_case = {
+  entries : (int * int * int option * string option * int) list;
+      (* task, loc, Some v = write / None = read, group, offset *)
+  silent : bool;
+  iterations : bool;
+  phases : int list;
+  deps : (int * int * int) list;  (* src, dst, kind *)
+  alias : int;
+  value : int list;
+  sync : int list;
+  control : bool;
+  groups : string list;
+}
+
+let log_locs = [| 0; 1; 2; 3; -7; 1_000_000 |]
+
+let log_case =
+  let open QCheck2.Gen in
+  let group = oneofl [ None; Some "g"; Some "h" ] in
+  let entry =
+    let* write = bool in
+    let* task = if write then int_range (-1) 5 else int_range 0 5 in
+    let* loc = int_bound (Array.length log_locs - 1) in
+    let* v = int_bound 3 in
+    let* g = group in
+    let* offset = int_bound 9 in
+    return (task, log_locs.(loc), (if write then Some v else None), g, offset)
+  in
+  let locs = list_size (int_bound 3) (int_bound (Array.length log_locs - 1)) in
+  let* entries = list_size (int_range 0 60) entry in
+  let* silent = bool in
+  let* iterations = bool in
+  (* Two tasks per iteration, never two A or two C tasks. *)
+  let* pairs = list_repeat 3 (oneofl [ (0, 1); (1, 0); (0, 2); (2, 0); (1, 2); (2, 1); (1, 1) ]) in
+  let phases = List.concat_map (fun (x, y) -> [ x; y ]) pairs in
+  let* deps = list_size (int_bound 4) (triple (int_bound 5) (int_bound 5) (int_bound 2)) in
+  let* alias = int_bound 2 in
+  let* value = locs in
+  let* sync = locs in
+  let* control = bool in
+  let* groups = oneofl [ []; [ "g" ]; [ "g"; "h" ] ] in
+  return { entries; silent; iterations; phases; deps; alias; value; sync; control; groups }
+
+let print_log_case c =
+  Printf.sprintf "silent=%b iterations=%b phases=[%s] deps=%d alias=%d control=%b groups=[%s]\n%s"
+    c.silent c.iterations
+    (String.concat ";" (List.map string_of_int c.phases))
+    (List.length c.deps) c.alias c.control (String.concat ";" c.groups)
+    (String.concat "\n"
+       (List.map
+          (fun (t, l, op, g, o) ->
+            Printf.sprintf "  task %d loc %d %s%s off %d" t l
+              (match op with Some v -> Printf.sprintf "write %d" v | None -> "read")
+              (match g with Some g -> " group " ^ g | None -> "")
+              o)
+          c.entries))
+
+let build_matches_reference =
+  Alcotest.test_case "dependence build = reference on random logs" `Quick (fun () ->
+      Check.Runner.run_prop_exn ~print:print_log_case
+        ~name:"dependence build = reference on random logs" log_case (fun c ->
+          let log = Profiling.Access_log.create () in
+          List.iter
+            (fun (task, loc, op, group, offset) ->
+              let op = match op with Some v -> Profiling.Access_log.Write v | None -> Read in
+              Profiling.Access_log.record log ~task ~loc ~op ?group ~offset ())
+            c.entries;
+          let config = { M.silent_stores = c.silent } in
+          let iteration_of = if c.iterations then Some (fun t -> t / 2) else None in
+          let edges = M.analyze ~config ?iteration_of log in
+          let name i = Printf.sprintf "l%d" log_locs.(i) in
+          let commutative = Annotations.Commutative.create () in
+          List.iter (fun g -> Annotations.Commutative.annotate commutative ~fn:g ()) c.groups;
+          let plan =
+            Speculation.Spec_plan.make
+              ~alias:
+                (match c.alias with
+                | 0 -> Speculation.Spec_plan.No_alias
+                | 1 -> Speculation.Spec_plan.Alias_all
+                | _ -> Speculation.Spec_plan.Alias_locs (List.map name c.value))
+              ~value_locs:(List.map name c.value) ~sync_locs:(List.map name c.sync)
+              ~control_speculated:c.control ~commutative ()
+          in
+          let tasks =
+            Array.of_list
+              (List.mapi
+                 (fun id ph ->
+                   Ir.Task.make ~id ~iteration:(id / 2)
+                     ~phase:[| Ir.Task.A; Ir.Task.B; Ir.Task.C |].(ph)
+                     ~work:1 ())
+                 c.phases)
+          in
+          let loop =
+            {
+              Ir.Trace.loop_name = "l";
+              tasks;
+              explicit_deps =
+                List.filter_map
+                  (fun (src, dst, k) ->
+                    if src = dst then None
+                    else
+                      Some
+                        (Ir.Dep.make ~src ~dst
+                           ~kind:[| Ir.Dep.Register; Ir.Dep.Memory; Ir.Dep.Control |].(k)
+                           ()))
+                  c.deps;
+            }
+          in
+          let loc_name l = Printf.sprintf "l%d" l in
+          let resolved = Speculation.Resolve.resolve ~plan ~loc_name ~loop ~mem_edges:edges in
+          let sim_input r =
+            Sim.Input.make_loop ~name:"l" ~tasks ~edges:(Ref_build.Framework.sim_edges (fst r))
+          in
+          edges = Ref_build.Mem_profile.analyze ~config ?iteration_of log
+          && resolved = Ref_build.Resolve.resolve ~plan ~loc_name ~loop ~mem_edges:edges
+          && (sim_input resolved).Sim.Input.edges
+             = (Ref_build.Input.make_loop ~name:"l" ~tasks
+                  ~edges:(Ref_build.Framework.sim_edges (fst resolved)))
+                 .Sim.Input.edges))
+
 let () =
   Alcotest.run "profiling"
     [
@@ -326,6 +476,7 @@ let () =
           Alcotest.test_case "iteration monotonic" `Quick profile_iteration_monotonic;
           Alcotest.test_case "trace requires closed" `Quick profile_trace_requires_closed;
           Alcotest.test_case "commutative no nest" `Quick profile_commutative_no_nest;
+          Alcotest.test_case "access outside a task" `Quick profile_access_outside_task;
         ] );
       ( "mem-profile",
         [
@@ -338,6 +489,7 @@ let () =
           Alcotest.test_case "value prediction" `Quick mem_value_prediction;
           Alcotest.test_case "initial values" `Quick mem_initial_values_seed_silence;
           Alcotest.test_case "cross-iteration filter" `Quick mem_cross_iteration_filter;
+          build_matches_reference;
           profiler_agrees_with_versioned_memory;
         ] );
     ]

@@ -171,6 +171,64 @@ let heap_drain_sorted () =
       in
       drained = expected)
 
+(* ------------------------------------------------------------------ *)
+(* Iset vs Hashtbl                                                     *)
+
+type iset_op = Iadd of int | Iremove of int | Imem of int | Iclear
+
+(* Keys from a small range so adds, removes and lookups meet, with some
+   negatives and far keys, and multiples of 256, which share a home slot
+   in every table up to 256 slots (long probe runs to shift back). *)
+let iset_key =
+  G.oneof
+    [
+      G.int_range (-3) 40;
+      G.map (fun k -> 256 * k) (G.int_range (-4) 12);
+      G.oneofl [ max_int; -1_000_000; 1 lsl 40 ];
+    ]
+
+let iset_op_gen =
+  G.frequency
+    [
+      (6, G.map (fun k -> Iadd k) iset_key);
+      (4, G.map (fun k -> Iremove k) iset_key);
+      (3, G.map (fun k -> Imem k) iset_key);
+      (1, G.return Iclear);
+    ]
+
+let show_iset_op = function
+  | Iadd k -> Printf.sprintf "add %d" k
+  | Iremove k -> Printf.sprintf "remove %d" k
+  | Imem k -> Printf.sprintf "mem %d" k
+  | Iclear -> "clear"
+
+let iset_matches_model () =
+  R.run_prop_exn ~print:(show_ops show_iset_op) ~name:"iset matches Hashtbl model"
+    (G.list_size G.nat iset_op_gen) (fun ops ->
+      let s = Simcore.Iset.create () and model = Hashtbl.create 16 in
+      List.for_all
+        (fun op ->
+          let agrees =
+            match op with
+            | Iadd k ->
+              let fresh = not (Hashtbl.mem model k) in
+              Hashtbl.replace model k ();
+              Simcore.Iset.add s k = fresh
+            | Iremove k ->
+              Hashtbl.remove model k;
+              Simcore.Iset.remove s k;
+              true
+            | Imem k -> Simcore.Iset.mem s k = Hashtbl.mem model k
+            | Iclear ->
+              Hashtbl.reset model;
+              Simcore.Iset.clear s;
+              true
+          in
+          agrees
+          && Simcore.Iset.cardinal s = Hashtbl.length model
+          && Hashtbl.fold (fun k () ok -> ok && Simcore.Iset.mem s k) model true)
+        ops)
+
 let () =
   Alcotest.run "simcore-prop"
     [
@@ -182,4 +240,5 @@ let () =
           Alcotest.test_case "agrees with sorted model on random traces" `Quick heap_matches_model;
           Alcotest.test_case "drains sorted with FIFO tie-break" `Quick heap_drain_sorted;
         ] );
+      ("iset", [ Alcotest.test_case "agrees with Hashtbl on random traces" `Quick iset_matches_model ]);
     ]
