@@ -277,9 +277,20 @@ type mutation =
   | Busy of int * int
   | Commit_late of int
 
+let idx = G.int_bound 1000
+
+(* The layout mutations alone, as the exclusivity property draws them. *)
+let layout_mutation =
+  let open G in
+  oneof
+    [
+      map2 (fun i j -> Move (i, j)) idx idx;
+      map2 (fun i j -> Swap (i, j)) idx idx;
+      map2 (fun i d -> Shift (i, d)) idx (int_range 1 20);
+    ]
+
 let mutation =
   let open G in
-  let idx = int_bound 1000 in
   let delta = oneof [ int_range (-3) (-1); int_range 1 3 ] in
   (* Any mutation pre-empts those aiming at later invariants in the same
      case; the weights keep every invariant reached at 100 cases. *)
@@ -468,8 +479,11 @@ let mutate c policy ((loop : I.loop), (r : P.loop_result)) m =
 let print_case (sc, ms) =
   print_scenario sc ^ "\nmutations: " ^ String.concat ", " (List.map print_mutation ms)
 
-(* Mostly one mutation per case, so a later invariant is not always
-   pre-empted by an earlier one; sometimes up to three. *)
+(* Up to three layout mutations per case for the exclusivity property;
+   for the verdict property mostly one mutation of any kind, so a later
+   invariant is not always pre-empted by an earlier one. *)
+let layout_case = G.pair scenario (G.list_size (G.int_bound 3) layout_mutation)
+
 let mutated_case =
   G.pair scenario (G.list_size (G.frequency [ (3, G.return 1); (1, G.int_bound 3) ]) mutation)
 
@@ -484,7 +498,7 @@ let run_mutated ((d, cores, lat, policy), ms) =
 let prop_exclusivity_matches_reference () =
   let overlaps = ref 0 in
   R.run_prop_exn ~print:print_case ~name:"oracle: exclusivity verdicts match the reference"
-    mutated_case (fun case ->
+    layout_case (fun case ->
       let c, policy, loop, r = run_mutated case in
       (match O.validate c ~policy loop r with
       | Error { O.invariant = "core-exclusivity"; _ } -> incr overlaps
