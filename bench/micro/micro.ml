@@ -74,7 +74,8 @@ let twolf_run =
 (* A 175.vpr Large profile: the input of one dependence build (memory
    profile, resolution against the plan, edge merge), profiled once
    outside the timed closure. *)
-let vpr_profile = lazy (Benchmarks.B175_vpr.study.Benchmarks.Study.run ~scale:Benchmarks.Study.Large)
+let vpr_profile =
+  lazy (Benchmarks.B175_vpr.study.Benchmarks.Study.run ~scale:Benchmarks.Study.Large)
 
 let simulate loop = ignore (Sim.Pipeline.run_loop sim_cfg ~validate:false loop)
 
@@ -123,7 +124,8 @@ let flow_tests =
         (fun body ->
           let commutative = s.Benchmarks.Study.plan.Speculation.Spec_plan.commutative in
           Test.make
-            ~name:("flow/analyze-" ^ String.map (function ' ' -> '-' | c -> c) body.Flow.Body.b_name)
+            ~name:
+              ("flow/analyze-" ^ String.map (function ' ' -> '-' | c -> c) body.Flow.Body.b_name)
             (Staged.stage (fun () -> Flow.Analyze.run ~commutative body)))
         s.Benchmarks.Study.flow_body)
     Benchmarks.Registry.all

@@ -375,7 +375,13 @@ let mutate c policy ((loop : I.loop), (r : P.loop_result)) m =
     |> Array.of_list
   in
   let set_entry (e : P.sched_entry) =
-    { r with P.schedule = List.map (fun (x : P.sched_entry) -> if x.P.s_task = e.P.s_task then e else x) r.P.schedule }
+    {
+      r with
+      P.schedule =
+        List.map
+          (fun (x : P.sched_entry) -> if x.P.s_task = e.P.s_task then e else x)
+          r.P.schedule;
+    }
   in
   let bump a i d =
     let a = Array.copy a in
@@ -436,7 +442,9 @@ let mutate c policy ((loop : I.loop), (r : P.loop_result)) m =
       if k < 2 then (loop, r)
       else
         let x = cs.(i mod k) and y = cs.(j mod k) in
-        let moved (e : P.sched_entry) s = { e with P.s_start = s; s_finish = s + (e.P.s_finish - e.P.s_start) } in
+        let moved (e : P.sched_entry) s =
+          { e with P.s_start = s; s_finish = s + (e.P.s_finish - e.P.s_start) }
+        in
         let x' = moved x y.P.s_start and y' = moved y x.P.s_start in
         ( loop,
           {

@@ -240,5 +240,6 @@ let () =
           Alcotest.test_case "agrees with sorted model on random traces" `Quick heap_matches_model;
           Alcotest.test_case "drains sorted with FIFO tie-break" `Quick heap_drain_sorted;
         ] );
-      ("iset", [ Alcotest.test_case "agrees with Hashtbl on random traces" `Quick iset_matches_model ]);
+      ( "iset",
+        [ Alcotest.test_case "agrees with Hashtbl on random traces" `Quick iset_matches_model ] );
     ]
