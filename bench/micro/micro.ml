@@ -32,11 +32,10 @@ let gzip_input =
      let profile = gzip.Benchmarks.Study.run ~scale:Benchmarks.Study.Small in
      (Core.Framework.build ~plan:gzip.Benchmarks.Study.plan profile).Core.Framework.input)
 
-(* Its loop, simulated on 8 cores.  The simulator memoizes a loop's
-   static data by physical identity, so a fresh copy of the record is a
-   cold build and the loop itself a warm one; the difference between the
-   two tests is the static-data build.  Each copy gets its own name so
-   that copies do not all hash to one bucket of the memo. *)
+(* Its loop, simulated on 8 cores.  A loop keeps its index
+   (Sim.Input.index) once built, so the loop itself is a warm run and a
+   loop rebuilt through Sim.Input.make_loop a cold one; the difference
+   between the two tests is the rebuild and the index build. *)
 let gzip_loop =
   lazy
     (List.find_map
@@ -76,6 +75,22 @@ let twolf_run =
    outside the timed closure. *)
 let vpr_profile =
   lazy (Benchmarks.B175_vpr.study.Benchmarks.Study.run ~scale:Benchmarks.Study.Large)
+
+(* Its parallel loops, each rebuilt through make_loop per run for
+   input/*-vpr-large: the rebuild alone, and the rebuild plus the first
+   Sim.Input.index, whose difference is the index build. *)
+let vpr_loops =
+  lazy
+    (let vpr = Benchmarks.B175_vpr.study in
+     let built =
+       Core.Framework.build ~plan:vpr.Benchmarks.Study.plan (Lazy.force vpr_profile)
+     in
+     List.filter_map
+       (function Sim.Input.Parallel l -> Some l | Sim.Input.Serial _ -> None)
+       built.Core.Framework.input.Sim.Input.segments)
+
+let rebuild (l : Sim.Input.loop) =
+  Sim.Input.make_loop ~name:l.Sim.Input.name ~tasks:l.Sim.Input.tasks ~edges:l.Sim.Input.edges
 
 let simulate loop = ignore (Sim.Pipeline.run_loop sim_cfg ~validate:false loop)
 
@@ -142,10 +157,7 @@ let tests =
     Test.make ~name:"alphabeta/search-depth3"
       (Staged.stage (fun () -> Alphabeta.search ~depth:3 crafty_position));
     Test.make ~name:"sim/gzip-loop-cold-static"
-      (let copies = ref 0 in
-       Staged.stage (fun () ->
-           incr copies;
-           simulate { (Lazy.force gzip_loop) with Sim.Input.name = string_of_int !copies }));
+      (Staged.stage (fun () -> simulate (rebuild (Lazy.force gzip_loop))));
     Test.make ~name:"sim/gzip-loop-warm-static"
       (Staged.stage (fun () -> simulate (Lazy.force gzip_loop)));
     Test.make ~name:"sim/twolf-loop-4-cores" (simulate_twolf 4);
@@ -184,6 +196,11 @@ let tests =
       (Staged.stage (fun () ->
            Core.Framework.build ~plan:Benchmarks.B175_vpr.study.Benchmarks.Study.plan
              (Lazy.force vpr_profile)));
+    Test.make ~name:"input/make-loop-vpr-large"
+      (Staged.stage (fun () -> List.map rebuild (Lazy.force vpr_loops)));
+    Test.make ~name:"input/index-vpr-large"
+      (Staged.stage (fun () ->
+           List.map (fun l -> Sim.Input.index (rebuild l)) (Lazy.force vpr_loops)));
     Test.make ~name:"spsc/push-pop" (Staged.stage spsc_push_pop);
     Test.make ~name:"probe/record" (Staged.stage probe_record);
   ]

@@ -1,12 +1,16 @@
 (* Descriptor of a random well-formed A/B/C loop: one (a, bs, c) work
-   tuple per iteration plus cross-iteration B-to-B edges addressed by
-   (iteration, intra) so the descriptor survives shrinking — an edge
-   whose endpoint was shrunk away is simply dropped by [build_loop]. *)
+   tuple per iteration, the B tasks' intra values, and cross-iteration
+   B-to-B edges addressed by (iteration, position among the iteration's
+   B tasks) so the descriptor survives shrinking — an edge whose
+   endpoint was shrunk away is simply dropped by [build_loop]. *)
 type loop_desc = {
   ld_iters : (int option * int list * int option) list;
   ld_edges : (int * int * int * int * bool * int * int) list;
-      (* src iter, src intra, dst iter, dst intra, speculated,
+      (* src iter, src position, dst iter, dst position, speculated,
          src_offset, dst_offset *)
+  ld_intra : int list;
+      (* the loop's B tasks' intra values in id order; a B task past the
+         end takes its position *)
 }
 
 let pp_loop_desc ppf d =
@@ -23,14 +27,17 @@ let pp_loop_desc ppf d =
       Format.fprintf ppf "  edge B(%d,%d) -> B(%d,%d)%s so=%d do=%d@," si sj di dj
         (if spec then " spec" else "") so dofs)
     d.ld_edges;
+  if d.ld_intra <> [] then
+    Format.fprintf ppf "  B intra [%s]@," (String.concat ";" (List.map string_of_int d.ld_intra));
   Format.fprintf ppf "@]"
 
 let show_loop_desc d = Format.asprintf "%a" pp_loop_desc d
 
 let build_loop ?(name = "gen") d =
   let iters = Array.of_list d.ld_iters in
+  let intra = Array.of_list d.ld_intra in
   let tasks = ref [] in
-  let id = ref 0 in
+  let id = ref 0 and b_count = ref 0 in
   let b_ids = Hashtbl.create 16 in
   Array.iteri
     (fun i (a, bs, c) ->
@@ -42,9 +49,11 @@ let build_loop ?(name = "gen") d =
       List.iteri
         (fun j w ->
           Hashtbl.replace b_ids (i, j) !id;
+          let intra = if !b_count < Array.length intra then intra.(!b_count) else j in
           tasks :=
-            Ir.Task.make ~id:!id ~iteration:i ~phase:Ir.Task.B ~intra:j ~work:w () :: !tasks;
-          incr id)
+            Ir.Task.make ~id:!id ~iteration:i ~phase:Ir.Task.B ~intra ~work:w () :: !tasks;
+          incr id;
+          incr b_count)
         bs;
       match c with
       | Some w ->
@@ -87,7 +96,12 @@ let loop_desc ?(max_iters = 10) ?(max_bs = 3) ?(max_work = 20) ?(edge_factor = 8
     return (si, sj, di, dj, spec, so, dofs)
   in
   let* edges = list_size (int_range 0 edge_factor) edge in
-  return { ld_iters = iters; ld_edges = edges }
+  (* Intra values from a small range, so that an iteration's B tasks can
+     tie or come in descending order; none keeps the positions. *)
+  let* intra =
+    oneof [ return []; list_size (int_range 0 (n * max_bs)) (int_range 0 (max_bs - 1)) ]
+  in
+  return { ld_iters = iters; ld_edges = edges; ld_intra = intra }
 
 let loop ?name ?max_iters ?max_bs ?max_work ?edge_factor ?offsets () =
   QCheck2.Gen.map (build_loop ?name)

@@ -11,8 +11,14 @@ type loop_desc = {
       (** per-iteration (A work, B works, C work); [None] elides the
           phase for that iteration *)
   ld_edges : (int * int * int * int * bool * int * int) list;
-      (** (src iter, src intra, dst iter, dst intra, speculated,
-          src_offset, dst_offset) — B-to-B cross-iteration edges *)
+      (** (src iter, src position, dst iter, dst position, speculated,
+          src_offset, dst_offset) — B-to-B cross-iteration edges; a
+          position counts the iteration's B tasks from 0 *)
+  ld_intra : int list;
+      (** the B tasks' [intra] values in task-id order, drawn from
+          [0, max_bs - 1] so that one iteration's B tasks can share
+          [intra] or list it in descending order; a B task past the end
+          of the list takes its position *)
 }
 
 val pp_loop_desc : Format.formatter -> loop_desc -> unit

@@ -109,25 +109,6 @@ let corrupt_partition (p : Dswp.Partition.t) =
     }
   end
 
-let mirror_binding cfg loop lower_bound =
-  let a_work, b_work, c_work = Sim.Analytic.phase_work loop in
-  let b_cores = Dswp.Planner.b_core_count cfg in
-  let b_throughput =
-    if b_cores > 0 then (b_work + b_cores - 1) / b_cores else b_work
-  in
-  let stage, stage_v =
-    List.fold_left
-      (fun (bl, bv) (label, v) -> if v > bv then (label, v) else (bl, bv))
-      (Obs_analysis.Attribution.A_stage, a_work)
-      [
-        (Obs_analysis.Attribution.C_stage, c_work);
-        (Obs_analysis.Attribution.B_throughput, b_throughput);
-      ]
-  in
-  Obs_analysis.Attribution.bound_name
-    (if 10 * stage_v >= 9 * lower_bound then stage
-     else Obs_analysis.Attribution.Crit_path)
-
 let run ~pool ?(beam = 8) ?(budget = 64) ?(threads = 16) ?(iterations = 64)
     ?(corrupt = false) ?calibration ?(distances = []) (study : Benchmarks.Study.t) =
   (* Calibrated tournaments realize candidates over the profiled
@@ -174,8 +155,8 @@ let run ~pool ?(beam = 8) ?(budget = 64) ?(threads = 16) ?(iterations = 64)
     Machine.Config.make ~cores
       ~queue_capacity:cand.Dswp.Search.cand_queue_capacity ~comm_latency ()
   in
-  (* One realization per candidate, shared by measure and simulate; the
-     physical identity also lets the simulator reuse its static data. *)
+  (* One realization per candidate, shared by measure and simulate, so
+     the simulator and the oracle share the loop's index. *)
   let realized : (int, Sim.Input.loop) Hashtbl.t = Hashtbl.create 64 in
   let loop_of (cand : Dswp.Search.candidate) part =
     match Hashtbl.find_opt realized cand.Dswp.Search.cand_id with
@@ -210,9 +191,12 @@ let run ~pool ?(beam = 8) ?(budget = 64) ?(threads = 16) ?(iterations = 64)
         let bound =
           if lb <= 0 then 1.0 else float_of_int work /. float_of_int lb
         in
+        let a_work, b_work, c_work = Sim.Analytic.phase_work loop in
         {
           Dswp.Search.ev_bound = bound;
-          ev_binding = mirror_binding cfg loop lb;
+          ev_binding =
+            Obs_analysis.Attribution.bound_name
+              (Obs_analysis.Attribution.binding cfg ~a_work ~b_work ~c_work ~lower_bound:lb);
         })
       batch
   in

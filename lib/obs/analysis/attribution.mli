@@ -17,6 +17,12 @@ type bound_label = Crit_path | A_stage | C_stage | B_throughput
 
 val bound_name : bound_label -> string
 
+val binding :
+  Machine.Config.t -> a_work:int -> b_work:int -> c_work:int -> lower_bound:int -> bound_label
+(** The largest of the A stage, the C stage and the B stage's throughput
+    ({!Sim.Analytic.b_throughput}) when it covers at least 90% of
+    [lower_bound], else [Crit_path]: the rule behind [t.binding]. *)
+
 type t = {
   loop_name : string;
   cores : int;

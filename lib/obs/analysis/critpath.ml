@@ -94,6 +94,10 @@ let first_at time idx t =
   done;
   !lo
 
+(* The first of [ids.(k) .. ids.(hi - 1)] that [ok] accepts. *)
+let rec first_of ids k hi ok =
+  if k >= hi then None else if ok ids.(k) then Some ids.(k) else first_of ids (k + 1) hi ok
+
 (* The largest position <= [k] that is not [dead], or -1.  Positions
    only ever die, so [left] short-cuts each run of dead positions once
    it has been walked (path compression): a walk that kills positions
@@ -129,25 +133,17 @@ let extract (cfg : Machine.Config.t) ?(policy = Sim.Sched.default_policy)
         finish.(s.Sim.Sched.s_task) <- s.Sim.Sched.s_finish;
         core_of.(s.Sim.Sched.s_task) <- s.Sim.Sched.s_core)
       r.Sim.Sched.schedule;
-    (* Iteration structure. *)
-    let iters = Sim.Input.iterations loop in
-    let a_of = Array.make (max iters 1) (-1) in
-    let bs_of = Array.make (max iters 1) [] in
-    Array.iter
-      (fun (t : Ir.Task.t) ->
-        let i = t.Ir.Task.iteration in
-        match t.Ir.Task.phase with
-        | Ir.Task.A -> a_of.(i) <- t.Ir.Task.id
-        | Ir.Task.B -> bs_of.(i) <- t.Ir.Task.id :: bs_of.(i)
-        | Ir.Task.C -> ())
-      tasks;
-    let in_edges = Array.make nt [] in
-    List.iter
-      (fun (e : Sim.Input.edge) -> in_edges.(e.Sim.Input.dst) <- e :: in_edges.(e.Sim.Input.dst))
-      loop.Sim.Input.edges;
-    let gating (e : Sim.Input.edge) =
-      (not e.Sim.Input.speculated) || policy.Sim.Sched.misspec = Sim.Sched.Serialize
+    let ix = Sim.Input.index loop in
+    let e_src = ix.Sim.Input.e_src and e_spec = ix.Sim.Input.e_spec in
+    (* The first of [tid]'s in-edges (reverse edge order), or of
+       iteration [i]'s B tasks (descending id), that [ok] accepts. *)
+    let first_in_edge tid ok =
+      first_of ix.Sim.Input.in_idx ix.Sim.Input.in_off.(tid) ix.Sim.Input.in_off.(tid + 1) ok
     in
+    let first_b i ok =
+      first_of ix.Sim.Input.b_ids ix.Sim.Input.b_off.(i) ix.Sim.Input.b_off.(i + 1) ok
+    in
+    let gating e = e_spec.(e) = 0 || policy.Sim.Sched.misspec = Sim.Sched.Serialize in
     (* Event-derived lookups: dispatch time and slot per B task, squash
        flags, squashed attempts (task, core, start, end, in event order),
        out-queue pops (slot, time). *)
@@ -253,14 +249,13 @@ let extract (cfg : Machine.Config.t) ?(policy = Sim.Sched.default_policy)
     in
     (* Constraint one in-edge puts on its consumer, mirroring the
        simulator's [constraint_of]. *)
-    let edge_constraint (e : Sim.Input.edge) =
-      let p = e.Sim.Input.src in
+    let edge_constraint e =
+      let p = e_src.(e) in
       if p >= nt || start.(p) < 0 then None
       else if policy.Sim.Sched.forwarding then
-        Some (max 0 (start.(p) + e.Sim.Input.src_offset + lat - e.Sim.Input.dst_offset))
+        Some (max 0 (start.(p) + ix.Sim.Input.e_soff.(e) + lat - ix.Sim.Input.e_doff.(e)))
       else Some (finish.(p) + lat)
     in
-    let find_first f l = List.find_opt f l in
     let justify_of tid s =
       let iter = tasks.(tid).Ir.Task.iteration in
       let phase = tasks.(tid).Ir.Task.phase in
@@ -269,26 +264,21 @@ let extract (cfg : Machine.Config.t) ?(policy = Sim.Sched.default_policy)
       let c1 =
         if not squashed.(tid) then None
         else
-          find_first
-            (fun (e : Sim.Input.edge) ->
-              e.Sim.Input.speculated && gating e
-              && e.Sim.Input.src < nt
-              && finish.(e.Sim.Input.src) >= 0
-              && finish.(e.Sim.Input.src) + lat = s
-              && not visited_exec.(e.Sim.Input.src))
-            in_edges.(tid)
-          |> Option.map (fun (e : Sim.Input.edge) ->
-                 Producer (Squash_rerun, e.Sim.Input.src, finish.(e.Sim.Input.src)))
+          first_in_edge tid (fun e ->
+              let p = e_src.(e) in
+              e_spec.(e) = 1 && gating e && p < nt
+              && finish.(p) >= 0
+              && finish.(p) + lat = s
+              && not visited_exec.(p))
+          |> Option.map (fun e -> Producer (Squash_rerun, e_src.(e), finish.(e_src.(e))))
       in
       (* 2. an explicit dependence edge achieving the start exactly. *)
       let c2 () =
-        find_first
-          (fun (e : Sim.Input.edge) ->
-            gating e && edge_constraint e = Some s && not visited_exec.(e.Sim.Input.src))
-          in_edges.(tid)
-        |> Option.map (fun (e : Sim.Input.edge) ->
-               let p = e.Sim.Input.src in
-               let kind = if e.Sim.Input.speculated then Spec_serialize else Sync_dep in
+        first_in_edge tid (fun e ->
+            gating e && edge_constraint e = Some s && not visited_exec.(e_src.(e)))
+        |> Option.map (fun e ->
+               let p = e_src.(e) in
+               let kind = if e_spec.(e) = 1 then Spec_serialize else Sync_dep in
                Producer (kind, p, min s finish.(p)))
       in
       (* 3. C start gated by the iteration's delivery: last B result (or
@@ -298,15 +288,14 @@ let extract (cfg : Machine.Config.t) ?(policy = Sim.Sched.default_policy)
         if phase <> Ir.Task.C then None
         else
           let from_b =
-            find_first
-              (fun b -> finish.(b) >= 0 && finish.(b) + lat = s && not visited_exec.(b))
-              bs_of.(iter)
+            first_b iter (fun b ->
+                finish.(b) >= 0 && finish.(b) + lat = s && not visited_exec.(b))
             |> Option.map (fun b -> Producer (Queue_hop, b, finish.(b)))
           in
           match from_b with
           | Some _ -> from_b
           | None ->
-            let a = if iter < Array.length a_of then a_of.(iter) else -1 in
+            let a = ix.Sim.Input.a_of.(iter) in
             if a >= 0 && finish.(a) >= 0 && finish.(a) + lat = s && not visited_exec.(a) then
               Some (Producer (Queue_hop, a, finish.(a)))
             else None
@@ -325,7 +314,7 @@ let extract (cfg : Machine.Config.t) ?(policy = Sim.Sched.default_policy)
         if phase <> Ir.Task.B || dispatch_t.(tid) < 0 || dispatch_t.(tid) + lat <> s then None
         else begin
           let d = dispatch_t.(tid) in
-          let a = if iter < Array.length a_of then a_of.(iter) else -1 in
+          let a = ix.Sim.Input.a_of.(iter) in
           if a >= 0 && finish.(a) = d && not visited_exec.(a) then
             Some (Producer (Queue_hop, a, finish.(a)))
           else starter_at d |> Option.map (fun b' -> Hop (Backpressure, b', d))

@@ -194,16 +194,14 @@ let of_events (cfg : Machine.Config.t) (loop : Sim.Input.loop) (r : Sim.Sched.lo
   List.iter
     (fun (s : Sim.Sched.sched_entry) -> finish_t.(s.Sim.Sched.s_task) <- s.Sim.Sched.s_finish)
     r.Sim.Sched.schedule;
+  let ix = Sim.Input.index loop in
   let deliver_t = Array.make (max iters 1) max_int in
-  Array.iter
-    (fun (t : Ir.Task.t) ->
-      if t.Ir.Task.phase = Ir.Task.B && finish_t.(t.Ir.Task.id) >= 0 then begin
-        let i = t.Ir.Task.iteration in
-        let d = finish_t.(t.Ir.Task.id) + lat in
-        if deliver_t.(i) = max_int || d > deliver_t.(i) then deliver_t.(i) <- d
-      end)
-    loop.Sim.Input.tasks;
   for i = 0 to iters - 1 do
+    for k = ix.Sim.Input.b_off.(i) to ix.Sim.Input.b_off.(i + 1) - 1 do
+      let f = finish_t.(ix.Sim.Input.b_ids.(k)) in
+      if f >= 0 && (deliver_t.(i) = max_int || f + lat > deliver_t.(i)) then
+        deliver_t.(i) <- f + lat
+    done;
     if deliver_t.(i) = max_int then deliver_t.(i) <- commit_t.(i)
   done;
   (* One core's timeline: its busy intervals, and its gaps classified by

@@ -74,11 +74,13 @@ let phase_work (loop : Input.loop) =
       | Ir.Task.C -> (a, b, c + t.Ir.Task.work))
     (0, 0, 0) loop.Input.tasks
 
+let b_throughput cfg b_work =
+  let b_cores = max 1 (Dswp.Planner.b_core_count cfg) in
+  (b_work + b_cores - 1) / b_cores
+
 let stage_bound cfg loop =
   let wa, wb, wc = phase_work loop in
-  let b_cores = max 1 (Dswp.Planner.b_core_count cfg) in
-  let b_bound = (wb + b_cores - 1) / b_cores in
-  max wa (max wc b_bound)
+  max wa (max wc (b_throughput cfg wb))
 
 let lower_bound cfg loop = max (critical_path loop) (stage_bound cfg loop)
 

@@ -13,6 +13,10 @@ val critical_path : Input.loop -> int
 val phase_work : Input.loop -> int * int * int
 (** Total work per phase (A, B, C). *)
 
+val b_throughput : Machine.Config.t -> int -> int
+(** [b_throughput cfg b_work]: phase B work spread over the machine's B
+    cores (at least one), rounded up. *)
+
 val stage_bound : Machine.Config.t -> Input.loop -> int
 (** Max of the serial-stage bottlenecks: phase A and phase C work each
     bound the span (they run on one core), and phase B work divided by

@@ -6,7 +6,37 @@ type edge = {
   dst_offset : int;
 }
 
-type loop = { name : string; tasks : Ir.Task.t array; edges : edge list }
+type index = {
+  iters : int;
+  a_of : int array;
+  c_of : int array;
+  b_off : int array;
+  b_ids : int array;
+  b_dispatch : int array;
+  t_work : int array;
+  t_phase : int array;
+  t_iter : int array;
+  t_intra : int array;
+  e_src : int array;
+  e_dst : int array;
+  e_spec : int array;
+  e_soff : int array;
+  e_doff : int array;
+  in_off : int array;
+  in_idx : int array;
+  out_off : int array;
+  out_idx : int array;
+}
+
+type cache = index option Atomic.t
+
+type loop = {
+  name : string;
+  tasks : Ir.Task.t array;
+  edges : edge list;
+  iters : int;
+  cache : cache;
+}
 
 type segment = Serial of int | Parallel of loop
 
@@ -92,14 +122,116 @@ let make_loop ~name ~tasks ~edges =
       if e.src < 0 || e.src >= n || e.dst < 0 || e.dst >= n || e.src = e.dst then
         invalid_arg "Input.make_loop: bad edge")
     edges;
-  { name; tasks; edges = merge_edges n edges }
+  { name; tasks; edges = merge_edges n edges; iters; cache = Atomic.make None }
 
 let make ~name ~segments = { program_name = name; segments }
 
 let loop_work loop = Ir.Task.total_work loop.tasks
 
-let iterations loop =
-  Array.fold_left (fun acc (t : Ir.Task.t) -> max acc (t.Ir.Task.iteration + 1)) 0 loop.tasks
+let iterations loop = loop.iters
+
+let phase_code = function Ir.Task.A -> 0 | Ir.Task.B -> 1 | Ir.Task.C -> 2
+
+(* Edge numbers grouped by [key.(k)] (a task id) in compressed form.
+   Each group is filled from its end, so it lists its edges in reverse
+   edge order. *)
+let csr n key =
+  let off = Array.make (n + 1) 0 in
+  Array.iter (fun v -> off.(v + 1) <- off.(v + 1) + 1) key;
+  for v = 0 to n - 1 do
+    off.(v + 1) <- off.(v + 1) + off.(v)
+  done;
+  let idx = Array.make (Array.length key) 0 in
+  let cur = Array.sub off 1 n in
+  Array.iteri
+    (fun k v ->
+      cur.(v) <- cur.(v) - 1;
+      idx.(cur.(v)) <- k)
+    key;
+  (off, idx)
+
+let build_index loop =
+  let tasks = loop.tasks and iters = loop.iters in
+  let n = Array.length tasks in
+  let t_work = Array.map (fun (t : Ir.Task.t) -> t.Ir.Task.work) tasks in
+  let t_phase = Array.map (fun (t : Ir.Task.t) -> phase_code t.Ir.Task.phase) tasks in
+  let t_iter = Array.map (fun (t : Ir.Task.t) -> t.Ir.Task.iteration) tasks in
+  let t_intra = Array.map (fun (t : Ir.Task.t) -> t.Ir.Task.intra) tasks in
+  let a_of = Array.make iters (-1) and c_of = Array.make iters (-1) in
+  let b_off = Array.make (iters + 1) 0 in
+  for t = 0 to n - 1 do
+    let i = t_iter.(t) in
+    match t_phase.(t) with
+    | 0 -> a_of.(i) <- t
+    | 2 -> c_of.(i) <- t
+    | _ -> b_off.(i + 1) <- b_off.(i + 1) + 1
+  done;
+  for i = 0 to iters - 1 do
+    b_off.(i + 1) <- b_off.(i + 1) + b_off.(i)
+  done;
+  let b_ids = Array.make b_off.(iters) 0 in
+  let next = Array.sub b_off 0 iters in
+  for t = n - 1 downto 0 do
+    if t_phase.(t) = 1 then begin
+      let i = t_iter.(t) in
+      b_ids.(next.(i)) <- t;
+      next.(i) <- next.(i) + 1
+    end
+  done;
+  (* Ascending intra, ties by descending id.  Ids usually ascend with
+     intra, and then the reversed segment is already in order. *)
+  let dispatch_order x y =
+    let c = Int.compare t_intra.(x) t_intra.(y) in
+    if c <> 0 then c else Int.compare y x
+  in
+  let b_dispatch = Array.copy b_ids in
+  for i = 0 to iters - 1 do
+    let lo = b_off.(i) and hi = b_off.(i + 1) in
+    let sorted = ref true in
+    for k = lo to hi - 1 do
+      b_dispatch.(k) <- b_ids.(hi - 1 - (k - lo));
+      if k > lo && dispatch_order b_dispatch.(k - 1) b_dispatch.(k) > 0 then sorted := false
+    done;
+    if not !sorted then begin
+      let seg = Array.sub b_dispatch lo (hi - lo) in
+      Array.sort dispatch_order seg;
+      Array.blit seg 0 b_dispatch lo (hi - lo)
+    end
+  done;
+  let es = Array.of_list loop.edges in
+  let e_src = Array.map (fun e -> e.src) es and e_dst = Array.map (fun e -> e.dst) es in
+  let in_off, in_idx = csr n e_dst and out_off, out_idx = csr n e_src in
+  {
+    iters;
+    a_of;
+    c_of;
+    b_off;
+    b_ids;
+    b_dispatch;
+    t_work;
+    t_phase;
+    t_iter;
+    t_intra;
+    e_src;
+    e_dst;
+    e_spec = Array.map (fun e -> if e.speculated then 1 else 0) es;
+    e_soff = Array.map (fun e -> e.src_offset) es;
+    e_doff = Array.map (fun e -> e.dst_offset) es;
+    in_off;
+    in_idx;
+    out_off;
+    out_idx;
+  }
+
+(* Built on first use and published with one compare-and-set: a builder
+   that loses a race drops its copy and returns the winner's. *)
+let index loop =
+  match Atomic.get loop.cache with
+  | Some ix -> ix
+  | None ->
+    let ix = build_index loop in
+    if Atomic.compare_and_set loop.cache None (Some ix) then ix
+    else Option.get (Atomic.get loop.cache)
 
 let total_work t =
   List.fold_left

@@ -12,11 +12,50 @@ type edge = {
   dst_offset : int;  (** work offset of the consume within [dst] *)
 }
 
-type loop = {
+type index = private {
+  iters : int;
+  a_of : int array;  (** per iteration: its A task's id, or -1 *)
+  c_of : int array;  (** per iteration: its C task's id, or -1 *)
+  b_off : int array;
+      (** [iters + 1] offsets: iteration [i]'s B tasks sit at
+          [b_off.(i) .. b_off.(i + 1) - 1] of [b_ids] and of
+          [b_dispatch] *)
+  b_ids : int array;  (** B task ids by iteration, descending id within one *)
+  b_dispatch : int array;
+      (** the same ids by iteration in the order phase A dispatches them:
+          ascending [intra], ties by descending id *)
+  t_work : int array;  (** per task *)
+  t_phase : int array;  (** per task: A = 0, B = 1, C = 2 *)
+  t_iter : int array;
+  t_intra : int array;
+  e_src : int array;  (** per edge, in [edges] order *)
+  e_dst : int array;
+  e_spec : int array;  (** 1 speculated, 0 synchronized *)
+  e_soff : int array;
+  e_doff : int array;
+  in_off : int array;
+      (** [ntasks + 1] offsets: task [t]'s in-edges are
+          [in_idx.(in_off.(t)) .. in_idx.(in_off.(t + 1) - 1)] *)
+  in_idx : int array;  (** edge numbers by consumer, each in reverse [edges] order *)
+  out_off : int array;
+  out_idx : int array;  (** edge numbers by producer, each in reverse [edges] order *)
+}
+(** A loop's iteration structure and dependence adjacency in flat int
+    arrays: what the simulator, the oracle and the schedule analyses
+    read instead of regrouping [tasks] and [edges] themselves.  Read
+    only. *)
+
+type cache
+
+type loop = private {
   name : string;
   tasks : Ir.Task.t array;
   edges : edge list;
+  iters : int;  (** iterations: 1 + the largest task iteration, 0 if none *)
+  cache : cache;  (** the {!index}, once built *)
 }
+(** Built only by {!make_loop}.  The cache makes [=] on two loops depend
+    on whether their index has been built; compare fields instead. *)
 
 type segment = Serial of int | Parallel of loop
 
@@ -37,5 +76,11 @@ val total_work : t -> int
 val loop_work : loop -> int
 
 val iterations : loop -> int
+
+val index : loop -> index
+(** Built on the first call and kept by the loop, so a thread sweep
+    that simulates and checks one loop at many core counts builds it
+    once; it dies with the loop.  Safe to call from several domains at
+    once: all callers get the same physical index. *)
 
 val pp_summary : Format.formatter -> t -> unit

@@ -17,43 +17,6 @@ exception Bad of violation
 
 let fail invariant fmt = Format.kasprintf (fun detail -> raise (Bad { invariant; detail })) fmt
 
-(* Per-iteration task structure in flat arrays: iteration i's A and C
-   task ids (-1: none) and its B tasks at [b_ids.(b_off.(i)) ..
-   b_off.(i + 1) - 1], listed from the highest task index down. *)
-type structure = {
-  a_of : int array;
-  c_of : int array;
-  b_off : int array;
-  b_ids : int array;
-}
-
-let iteration_structure (loop : Input.loop) =
-  let iters = Input.iterations loop in
-  let a_of = Array.make iters (-1) and c_of = Array.make iters (-1) in
-  let b_off = Array.make (iters + 1) 0 in
-  Array.iter
-    (fun (t : Ir.Task.t) ->
-      let i = t.Ir.Task.iteration in
-      match t.Ir.Task.phase with
-      | Ir.Task.A -> a_of.(i) <- t.Ir.Task.id
-      | Ir.Task.C -> c_of.(i) <- t.Ir.Task.id
-      | Ir.Task.B -> b_off.(i + 1) <- b_off.(i + 1) + 1)
-    loop.Input.tasks;
-  for i = 0 to iters - 1 do
-    b_off.(i + 1) <- b_off.(i + 1) + b_off.(i)
-  done;
-  let b_ids = Array.make b_off.(iters) 0 in
-  let next = Array.sub b_off 0 iters in
-  for k = Array.length loop.Input.tasks - 1 downto 0 do
-    let t = loop.Input.tasks.(k) in
-    if t.Ir.Task.phase = Ir.Task.B then begin
-      let i = t.Ir.Task.iteration in
-      b_ids.(next.(i)) <- t.Ir.Task.id;
-      next.(i) <- next.(i) + 1
-    end
-  done;
-  { a_of; c_of; b_off; b_ids }
-
 (* What one walk of the schedule, in list order, records for the checks.
    Per task: how often it appears, its start and finish.  Per core (in
    range): its entry count, busy sum and last entry; whether its entries
@@ -208,23 +171,24 @@ let check_core_exclusivity ~cores (r : Sched.loop_result) w =
       visit
   end
 
-(* The start-time floor one edge imposes on its consumer under the final
+(* The start-time floor edge [e] imposes on its consumer under the final
    schedule.  Mirrors Pipeline.constraint_of. *)
-let edge_requirement (policy : Sched.policy) lat start finish (e : Input.edge) =
+let edge_requirement (policy : Sched.policy) lat (ix : Input.index) start finish e =
+  let src = ix.Input.e_src.(e) in
   if policy.Sched.forwarding then
-    Int.max 0 (start.(e.Input.src) + e.Input.src_offset + lat - e.Input.dst_offset)
-  else finish.(e.Input.src) + lat
+    Int.max 0 (start.(src) + ix.Input.e_soff.(e) + lat - ix.Input.e_doff.(e))
+  else finish.(src) + lat
 
 (* Structural pipeline ordering: the A chain, A_i before the B tasks it
    dispatched (plus one queue hop), every B of an iteration delivered
    (plus one hop) before C_i, and the C chain.  These hold under every
    policy: A and C tasks are never squashed, and an iteration's B finish
    times are final by the time C commits it. *)
-let check_structural (cfg : Machine.Config.t) st start finish =
+let check_structural (cfg : Machine.Config.t) (ix : Input.index) start finish =
   let lat = cfg.Machine.Config.comm_latency in
   let last_a = ref (-1) and last_c = ref (-1) in
-  for i = 0 to Array.length st.a_of - 1 do
-    let ai = st.a_of.(i) in
+  for i = 0 to ix.Input.iters - 1 do
+    let ai = ix.Input.a_of.(i) in
     if ai >= 0 then begin
       let p = !last_a in
       if p >= 0 && start.(ai) < finish.(p) then
@@ -232,18 +196,18 @@ let check_structural (cfg : Machine.Config.t) st start finish =
           "A task %d (iteration %d) starts at %d before A task %d finishes at %d" ai i start.(ai)
           p finish.(p);
       last_a := ai;
-      for k = st.b_off.(i) to st.b_off.(i + 1) - 1 do
-        let b = st.b_ids.(k) in
+      for k = ix.Input.b_off.(i) to ix.Input.b_off.(i + 1) - 1 do
+        let b = ix.Input.b_ids.(k) in
         if start.(b) < finish.(ai) + lat then
           fail "dependence-ordering"
             "B task %d starts at %d before its A task %d is delivered (finish %d + latency %d)" b
             start.(b) ai finish.(ai) lat
       done
     end;
-    let ci = st.c_of.(i) in
+    let ci = ix.Input.c_of.(i) in
     if ci >= 0 then begin
-      for k = st.b_off.(i) to st.b_off.(i + 1) - 1 do
-        let b = st.b_ids.(k) in
+      for k = ix.Input.b_off.(i) to ix.Input.b_off.(i + 1) - 1 do
+        let b = ix.Input.b_ids.(k) in
         if start.(ci) < finish.(b) + lat then
           fail "dependence-ordering"
             "C task %d starts at %d before B task %d is delivered (finish %d + latency %d)" ci
@@ -257,9 +221,8 @@ let check_structural (cfg : Machine.Config.t) st start finish =
     end
   done
 
-(* Explicit synchronized / speculated edges, in one walk of the edge list
-   that also gathers what speculation-accounting needs under Serialize.
-   The timing check is sound exactly when the recorded start and finish
+(* Explicit synchronized / speculated edges, in edge-list order.  The
+   timing check is sound exactly when the recorded start and finish
    times are the times the consumer actually observed: under Serialize
    nothing ever re-executes, and under Squash a zero squash count means
    the same.  With squashes > 0 a producer may have re-executed after an
@@ -267,39 +230,27 @@ let check_structural (cfg : Machine.Config.t) st start finish =
    compared edge-wise.  Speculated edges only gate the consumer under
    Serialize; under Squash an early consumer is squashed rather than
    delayed, and with zero squashes we can only conclude the sync edges
-   held.  Returns the per-task maximal speculated (-1: none) and
-   synchronized requirements under Serialize, and whether any edge is
-   speculated. *)
-let check_edges (cfg : Machine.Config.t) (policy : Sched.policy) (loop : Input.loop)
+   held. *)
+let check_edges (cfg : Machine.Config.t) (policy : Sched.policy) (ix : Input.index)
     (r : Sched.loop_result) start finish =
   let lat = cfg.Machine.Config.comm_latency in
   let serialize = policy.Sched.misspec = Sched.Serialize in
-  let n = Array.length loop.Input.tasks in
-  let spec_req = if serialize then Array.make n (-1) else [||] in
-  let sync_req = if serialize then Array.make n 0 else [||] in
-  let any_spec = ref false in
-  let timed = serialize || r.Sched.squashes = 0 in
-  List.iter
-    (fun (e : Input.edge) ->
-      let spec = e.Input.speculated in
-      if spec then any_spec := true;
-      if timed && ((not spec) || serialize) then begin
-        let dst = e.Input.dst in
-        let req = edge_requirement policy lat start finish e in
+  if serialize || r.Sched.squashes = 0 then
+    for e = 0 to Array.length ix.Input.e_src - 1 do
+      let spec = ix.Input.e_spec.(e) = 1 in
+      if (not spec) || serialize then begin
+        let dst = ix.Input.e_dst.(e) in
+        let req = edge_requirement policy lat ix start finish e in
         if start.(dst) < req then
           fail "dependence-ordering" "%s edge %d -> %d violated: consumer starts at %d, needs >= %d"
             (if spec then "speculated" else "synchronized")
-            e.Input.src dst start.(dst) req;
-        if serialize then
-          if spec then (if req > spec_req.(dst) then spec_req.(dst) <- req)
-          else if req > sync_req.(dst) then sync_req.(dst) <- req
-      end)
-    loop.Input.edges;
-  (spec_req, sync_req, !any_spec)
+            ix.Input.e_src.(e) dst start.(dst) req
+      end
+    done
 
-let check_speculation_accounting (policy : Sched.policy) (loop : Input.loop)
-    (r : Sched.loop_result) start (spec_req, sync_req, any_spec) =
-  let n = Array.length loop.Input.tasks in
+let check_speculation_accounting (cfg : Machine.Config.t) (policy : Sched.policy)
+    (ix : Input.index) (r : Sched.loop_result) start finish =
+  let n = Array.length start in
   if r.Sched.misspec_delayed < 0 then
     fail "speculation-accounting" "negative misspec_delayed %d" r.Sched.misspec_delayed;
   if r.Sched.squashes < 0 then
@@ -309,25 +260,33 @@ let check_speculation_accounting (policy : Sched.policy) (loop : Input.loop)
     if r.Sched.squashes <> 0 then
       fail "speculation-accounting" "%d squashes under the Serialize policy" r.Sched.squashes;
     (* A task counted as misspec-delayed had its readiness pushed past
-       every synchronized constraint by a speculated in-edge: its maximal
-       speculated-edge requirement strictly exceeds its maximal
+       every synchronized constraint by a speculated in-edge: its
+       maximal speculated-edge requirement strictly exceeds its maximal
        synchronized one, and its start honours it.  (The start can sit
-       later than the requirement — the task may additionally have waited
-       on a core or a queue slot — so equality cannot be demanded.)
-       Recount the candidates from the final schedule; the counter can
-       never exceed them, and is exactly zero with no speculated edges. *)
-    let candidates = ref 0 in
-    for t = 0 to n - 1 do
-      if spec_req.(t) >= 0 && spec_req.(t) > sync_req.(t) && start.(t) >= spec_req.(t) then
-        incr candidates
-    done;
-    if r.Sched.misspec_delayed > !candidates then
-      fail "speculation-accounting"
-        "misspec_delayed = %d but only %d tasks are gated by a dominating speculated edge"
-        r.Sched.misspec_delayed !candidates;
-    if (not any_spec) && r.Sched.misspec_delayed <> 0 then
-      fail "speculation-accounting" "misspec_delayed = %d with no speculated edges"
-        r.Sched.misspec_delayed
+       later than the requirement — the task may additionally have
+       waited on a core or a queue slot — so equality cannot be
+       demanded.)  Recount the candidates from the final schedule; the
+       counter can never exceed them, so a zero counter needs no
+       recount, and with no speculated edges there are none. *)
+    if r.Sched.misspec_delayed > 0 then begin
+      let lat = cfg.Machine.Config.comm_latency in
+      let spec_req = Array.make n (-1) and sync_req = Array.make n 0 in
+      for e = 0 to Array.length ix.Input.e_src - 1 do
+        let dst = ix.Input.e_dst.(e) in
+        let req = edge_requirement policy lat ix start finish e in
+        if ix.Input.e_spec.(e) = 1 then (if req > spec_req.(dst) then spec_req.(dst) <- req)
+        else if req > sync_req.(dst) then sync_req.(dst) <- req
+      done;
+      let candidates = ref 0 in
+      for t = 0 to n - 1 do
+        if spec_req.(t) >= 0 && spec_req.(t) > sync_req.(t) && start.(t) >= spec_req.(t) then
+          incr candidates
+      done;
+      if r.Sched.misspec_delayed > !candidates then
+        fail "speculation-accounting"
+          "misspec_delayed = %d but only %d tasks are gated by a dominating speculated edge"
+          r.Sched.misspec_delayed !candidates
+    end
   | Sched.Squash ->
     (* Every delay is charged at some task start, and there are at most
        ntasks + squashes starts in the whole run. *)
@@ -335,7 +294,7 @@ let check_speculation_accounting (policy : Sched.policy) (loop : Input.loop)
       fail "speculation-accounting" "misspec_delayed = %d exceeds the %d task starts"
         r.Sched.misspec_delayed (n + r.Sched.squashes)
 
-let check_queue_bounds (cfg : Machine.Config.t) st (r : Sched.loop_result) =
+let check_queue_bounds (cfg : Machine.Config.t) (ix : Input.index) (r : Sched.loop_result) =
   let cap = cfg.Machine.Config.queue_capacity in
   (* A squash re-inserts the task at the head of its in-queue without
      re-running the capacity check (it reclaims the slot it issued from),
@@ -354,7 +313,7 @@ let check_queue_bounds (cfg : Machine.Config.t) st (r : Sched.loop_result) =
       (Array.length r.Sched.b_tasks_per_core)
       m;
   if r.Sched.squashes = 0 then begin
-    let b_tasks = Array.length st.b_ids in
+    let b_tasks = Array.length ix.Input.b_ids in
     let executed = Array.fold_left ( + ) 0 r.Sched.b_tasks_per_core in
     if executed <> b_tasks then
       fail "queue-bounds" "B cores executed %d tasks; the loop has %d B tasks" executed b_tasks
@@ -386,18 +345,18 @@ let check_busy ~cores (loop : Input.loop) (r : Sched.loop_result) w =
   if total < work then
     fail "busy-conservation" "total busy %d below loop work %d" total work
 
-let check_commit_order st start =
+let check_commit_order (ix : Input.index) start =
   let last = ref (-1) in
   Array.iteri
     (fun i ci ->
       if ci >= 0 then begin
         let j = !last in
-        if j >= 0 && start.(ci) < start.(st.c_of.(j)) then
+        if j >= 0 && start.(ci) < start.(ix.Input.c_of.(j)) then
           fail "commit-order" "iteration %d commits (C start %d) before iteration %d (C start %d)"
-            i start.(ci) j start.(st.c_of.(j));
+            i start.(ci) j start.(ix.Input.c_of.(j));
         last := i
       end)
-    st.c_of
+    ix.Input.c_of
 
 (* A 0/1-core machine executes the loop serially in task order; edges and
    latency do not apply, so only coverage, exclusivity and conservation
@@ -424,13 +383,13 @@ let validate (cfg : Machine.Config.t) ?(policy = Sched.default_policy) (loop : I
       let w = walk_schedule ~cores loop r in
       check_coverage loop r w;
       check_core_exclusivity ~cores r w;
-      let st = iteration_structure loop in
-      check_structural cfg st w.start w.finish;
-      let reqs = check_edges cfg policy loop r w.start w.finish in
-      check_speculation_accounting policy loop r w.start reqs;
-      check_queue_bounds cfg st r;
+      let ix = Input.index loop in
+      check_structural cfg ix w.start w.finish;
+      check_edges cfg policy ix r w.start w.finish;
+      check_speculation_accounting cfg policy ix r w.start w.finish;
+      check_queue_bounds cfg ix r;
       check_busy ~cores loop r w;
-      check_commit_order st w.start
+      check_commit_order ix w.start
     end;
     Ok ()
   with Bad v -> Error v

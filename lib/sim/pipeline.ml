@@ -78,174 +78,6 @@ let sequential_result cfg ?(obs = Obs.Sink.null) (loop : Input.loop) =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Static per-loop data.
-
-   Everything the inner loop reads that depends only on the loop — task
-   attributes, per-iteration views, dependence adjacency — is unpacked
-   once into flat immutable int arrays.  Phases are encoded A=0 B=1 C=2,
-   absent tasks as -1.  The per-node order of [in_idx]/[out_idx] ranges
-   reproduces the historical cons-built adjacency lists (reverse edge
-   order), which the squash walk's re-queue order depends on. *)
-
-type static_data = {
-  iters : int;
-  v_a : int array;  (* iters: A task id or -1 *)
-  v_c : int array;  (* iters: C task id or -1 *)
-  v_bs : int array;  (* flat B ids, iteration-major, intra-sorted *)
-  v_bs_off : int array;  (* iters + 1 segment offsets into v_bs *)
-  t_work : int array;
-  t_phase : int array;
-  t_iter : int array;
-  e_src : int array;
-  e_dst : int array;
-  e_spec : int array;  (* 0/1 *)
-  e_soff : int array;
-  e_doff : int array;
-  in_off : int array;  (* ntasks + 1 *)
-  in_idx : int array;  (* edge indices, consumer-major *)
-  out_off : int array;
-  out_idx : int array;
-}
-
-let phase_code = function Ir.Task.A -> 0 | Ir.Task.B -> 1 | Ir.Task.C -> 2
-
-let build_static (loop : Input.loop) =
-  let ntasks = Array.length loop.Input.tasks in
-  let iters = Input.iterations loop in
-  let t_work = Array.make (max 1 ntasks) 0 in
-  let t_phase = Array.make (max 1 ntasks) 0 in
-  let t_iter = Array.make (max 1 ntasks) 0 in
-  Array.iteri
-    (fun i (t : Ir.Task.t) ->
-      t_work.(i) <- t.Ir.Task.work;
-      t_phase.(i) <- phase_code t.Ir.Task.phase;
-      t_iter.(i) <- t.Ir.Task.iteration)
-    loop.Input.tasks;
-  let v_a = Array.make (max 1 iters) (-1) in
-  let v_c = Array.make (max 1 iters) (-1) in
-  let bs = Array.make (max 1 iters) [] in
-  Array.iter
-    (fun (t : Ir.Task.t) ->
-      let i = t.Ir.Task.iteration in
-      match t.Ir.Task.phase with
-      | Ir.Task.A -> v_a.(i) <- t.Ir.Task.id
-      | Ir.Task.C -> v_c.(i) <- t.Ir.Task.id
-      | Ir.Task.B -> bs.(i) <- t.Ir.Task.id :: bs.(i))
-    loop.Input.tasks;
-  let v_bs_off = Array.make (iters + 1) 0 in
-  for i = 0 to iters - 1 do
-    v_bs_off.(i + 1) <- v_bs_off.(i) + List.length bs.(i)
-  done;
-  let v_bs = Array.make (max 1 v_bs_off.(iters)) 0 in
-  for i = 0 to iters - 1 do
-    (* Stable sort by intra, ties in cons order — exactly the order the
-       per-iteration views have always used. *)
-    let sorted =
-      List.sort
-        (fun x y ->
-          compare loop.Input.tasks.(x).Ir.Task.intra loop.Input.tasks.(y).Ir.Task.intra)
-        bs.(i)
-    in
-    let k = ref v_bs_off.(i) in
-    List.iter
-      (fun b ->
-        v_bs.(!k) <- b;
-        incr k)
-      sorted
-  done;
-  let edges = Array.of_list loop.Input.edges in
-  let ne = Array.length edges in
-  let e_src = Array.make (max 1 ne) 0 in
-  let e_dst = Array.make (max 1 ne) 0 in
-  let e_spec = Array.make (max 1 ne) 0 in
-  let e_soff = Array.make (max 1 ne) 0 in
-  let e_doff = Array.make (max 1 ne) 0 in
-  Array.iteri
-    (fun k (e : Input.edge) ->
-      e_src.(k) <- e.Input.src;
-      e_dst.(k) <- e.Input.dst;
-      e_spec.(k) <- (if e.Input.speculated then 1 else 0);
-      e_soff.(k) <- e.Input.src_offset;
-      e_doff.(k) <- e.Input.dst_offset)
-    edges;
-  let in_off = Array.make (ntasks + 1) 0 in
-  let out_off = Array.make (ntasks + 1) 0 in
-  for k = 0 to ne - 1 do
-    in_off.(e_dst.(k) + 1) <- in_off.(e_dst.(k) + 1) + 1;
-    out_off.(e_src.(k) + 1) <- out_off.(e_src.(k) + 1) + 1
-  done;
-  for v = 0 to ntasks - 1 do
-    in_off.(v + 1) <- in_off.(v + 1) + in_off.(v);
-    out_off.(v + 1) <- out_off.(v + 1) + out_off.(v)
-  done;
-  let in_idx = Array.make (max 1 ne) 0 in
-  let out_idx = Array.make (max 1 ne) 0 in
-  (* Fill each node's range from its end so that reading left-to-right
-     yields reverse edge order (the historical [e :: acc] order). *)
-  let in_cur = Array.init ntasks (fun v -> in_off.(v + 1)) in
-  let out_cur = Array.init ntasks (fun v -> out_off.(v + 1)) in
-  for k = 0 to ne - 1 do
-    let d = e_dst.(k) in
-    in_cur.(d) <- in_cur.(d) - 1;
-    in_idx.(in_cur.(d)) <- k;
-    let s = e_src.(k) in
-    out_cur.(s) <- out_cur.(s) - 1;
-    out_idx.(out_cur.(s)) <- k
-  done;
-  {
-    iters;
-    v_a;
-    v_c;
-    v_bs;
-    v_bs_off;
-    t_work;
-    t_phase;
-    t_iter;
-    e_src;
-    e_dst;
-    e_spec;
-    e_soff;
-    e_doff;
-    in_off;
-    in_idx;
-    out_off;
-    out_idx;
-  }
-
-(* The static data depends only on the loop, not on the machine, yet a
-   thread sweep re-enters run_loop once per core count with the same
-   loop value.  Memoize per loop, keyed by physical identity — a
-   structural duplicate would only recompute identical arrays, never a
-   wrong result.  The table is ephemeron-keyed: an entry lives exactly as
-   long as its loop is reachable elsewhere, so the memo needs no cap and
-   never keeps a dead loop alive.  The mutex makes the cache safe when
-   sweeps run concurrently in several domains (the cached arrays are
-   immutable after construction). *)
-module Loop_tbl = Ephemeron.K1.Make (struct
-  type t = Input.loop
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-let static_cache : static_data Loop_tbl.t = Loop_tbl.create 64
-let static_lock = Mutex.create ()
-
-let static_data loop =
-  Mutex.lock static_lock;
-  match Loop_tbl.find_opt static_cache loop with
-  | Some v ->
-    Mutex.unlock static_lock;
-    v
-  | None ->
-    Mutex.unlock static_lock;
-    let v = build_static loop in
-    Mutex.lock static_lock;
-    Loop_tbl.replace static_cache loop v;
-    Mutex.unlock static_lock;
-    v
-
-(* ------------------------------------------------------------------ *)
 (* Per-domain scratch.
 
    The mutable state of one simulation — task times, queue rings, the
@@ -303,11 +135,11 @@ let simulate_loop (cfg : Machine.Config.t) ?(policy = default_policy)
     in
     let lat = cfg.Machine.Config.comm_latency in
     let cap = cfg.Machine.Config.queue_capacity in
-    let sd = static_data loop in
-    let iters = sd.iters in
-    let t_work = sd.t_work
-    and t_phase = sd.t_phase
-    and t_iter = sd.t_iter in
+    let ix = Input.index loop in
+    let iters = ix.Input.iters in
+    let t_work = ix.Input.t_work
+    and t_phase = ix.Input.t_phase
+    and t_iter = ix.Input.t_iter in
     let a_core = assignment.Dswp.Planner.a_core in
     let c_core = assignment.Dswp.Planner.c_core in
     let scratch = Domain.DLS.get scratch_key in
@@ -346,11 +178,14 @@ let simulate_loop (cfg : Machine.Config.t) ?(policy = default_policy)
        serial stages run on unversioned state and have no re-execution
        path, so speculation into them serializes on occurrence; only
        the parallel B stage runs eagerly and squashes. *)
-    let ne = Array.length sd.e_spec in
+    let ne = Array.length ix.Input.e_spec in
     let gating = Simcore.Arena.ints arena slot_gating ~len:ne in
     for e = 0 to ne - 1 do
       gating.(e) <-
-        (if sd.e_spec.(e) = 0 || policy.misspec = Serialize || t_phase.(sd.e_dst.(e)) <> 1
+        (if
+           ix.Input.e_spec.(e) = 0
+           || policy.misspec = Serialize
+           || t_phase.(ix.Input.e_dst.(e)) <> 1
          then 1
          else 0)
     done;
@@ -360,7 +195,7 @@ let simulate_loop (cfg : Machine.Config.t) ?(policy = default_policy)
     let a_running = ref false in
     let c_running = ref false in
     (* Phase-A driver state: mode 0 = running iteration [a_iter]'s A
-       task, 1 = dispatching its B tasks ([a_cursor] walks the v_bs
+       task, 1 = dispatching its B tasks ([a_cursor] walks the b_dispatch
        segment), 2 = done.  Flat ints where an ARun/ADispatch/ADone
        variant used to be allocated on every transition. *)
     let a_mode = ref (if iters = 0 then 2 else 0) in
@@ -482,9 +317,9 @@ let simulate_loop (cfg : Machine.Config.t) ?(policy = default_policy)
        needs no mark: it only makes a producer less ready, and the
        restart or finish that undoes it marks again. *)
     let retry_consumers p =
-      for k = sd.out_off.(p) to sd.out_off.(p + 1) - 1 do
-        let e = sd.out_idx.(k) in
-        let d = sd.e_dst.(e) in
+      for k = ix.Input.out_off.(p) to ix.Input.out_off.(p + 1) - 1 do
+        let e = ix.Input.out_idx.(k) in
+        let d = ix.Input.e_dst.(e) in
         if waiting.(d) = 1 && gating.(e) = 1 then begin
           waiting.(d) <- 0;
           mark (actor_of d)
@@ -495,11 +330,11 @@ let simulate_loop (cfg : Machine.Config.t) ?(policy = default_policy)
        the producer is not far enough along: finished (default), or
        merely started when eager forwarding is on. *)
     let constraint_of e =
-      let p = sd.e_src.(e) in
+      let p = ix.Input.e_src.(e) in
       if policy.forwarding then begin
         if start_time.(p) < 0 then -1
         else
-          let c = start_time.(p) + sd.e_soff.(e) + lat - sd.e_doff.(e) in
+          let c = start_time.(p) + ix.Input.e_soff.(e) + lat - ix.Input.e_doff.(e) in
           if c > 0 then c else 0
       end
       else if completed.(p) = 1 then finish_time.(p) + lat
@@ -520,21 +355,21 @@ let simulate_loop (cfg : Machine.Config.t) ?(policy = default_policy)
         true
       end
       else begin
-        let e = sd.in_idx.(k) in
+        let e = ix.Input.in_idx.(k) in
         if gating.(e) = 1 then begin
           let c = constraint_of e in
           if c < 0 then false
           else
             ready_scan tid (k + 1) hi
               (if c > acc then c else acc)
-              (if sd.e_spec.(e) = 0 && c > acc_ns then c else acc_ns)
+              (if ix.Input.e_spec.(e) = 0 && c > acc_ns then c else acc_ns)
         end
         else ready_scan tid (k + 1) hi acc acc_ns
       end
     in
     let ready_time tid base =
       waiting.(tid) <- 1;
-      ready_scan tid sd.in_off.(tid) sd.in_off.(tid + 1) base base
+      ready_scan tid ix.Input.in_off.(tid) ix.Input.in_off.(tid + 1) base base
     in
     let start_task tid core t =
       start_time.(tid) <- t;
@@ -565,8 +400,8 @@ let simulate_loop (cfg : Machine.Config.t) ?(policy = default_policy)
       if start_time.(tid) >= 0 && committed.(t_iter.(tid)) = 0 then begin
         incr squashes;
         generation.(tid) <- generation.(tid) + 1;
-        for k = sd.out_off.(tid) to sd.out_off.(tid + 1) - 1 do
-          let dst = sd.e_dst.(sd.out_idx.(k)) in
+        for k = ix.Input.out_off.(tid) to ix.Input.out_off.(tid + 1) - 1 do
+          let dst = ix.Input.e_dst.(ix.Input.out_idx.(k)) in
           if t_phase.(dst) = 1 then squash dst
         done;
         if t_phase.(tid) = 1 then begin
@@ -645,7 +480,7 @@ let simulate_loop (cfg : Machine.Config.t) ?(policy = default_policy)
     let rec delivery_scan k hi acc =
       if k >= hi then acc
       else begin
-        let b = sd.v_bs.(k) in
+        let b = ix.Input.b_dispatch.(k) in
         if completed.(b) = 0 then -1
         else
           let f = finish_time.(b) + lat in
@@ -655,7 +490,7 @@ let simulate_loop (cfg : Machine.Config.t) ?(policy = default_policy)
     let try_start_c () =
       if (not !c_running) && !c_next < iters then begin
         let i = !c_next in
-        let bs_lo = sd.v_bs_off.(i) and bs_hi = sd.v_bs_off.(i + 1) in
+        let bs_lo = ix.Input.b_off.(i) and bs_hi = ix.Input.b_off.(i + 1) in
         let delivery =
           if bs_lo = bs_hi then
             if dispatch_done.(i) < 0 then -1 else dispatch_done.(i) + lat
@@ -664,7 +499,7 @@ let simulate_loop (cfg : Machine.Config.t) ?(policy = default_policy)
         if delivery < 0 then false
         else begin
           let base = if delivery > core_free.(c_core) then delivery else core_free.(c_core) in
-          let c_tid = sd.v_c.(i) in
+          let c_tid = ix.Input.c_of.(i) in
           let ready =
             if c_tid < 0 then begin
               rt_t := base;
@@ -683,7 +518,7 @@ let simulate_loop (cfg : Machine.Config.t) ?(policy = default_policy)
             else begin
               (* Commit iteration i: consume the out-queue entries. *)
               for k = bs_lo to bs_hi - 1 do
-                let b = sd.v_bs.(k) in
+                let b = ix.Input.b_dispatch.(k) in
                 let slot = assigned_core.(b) in
                 out_occ.(slot) <- out_occ.(slot) - 1;
                 note_out_occ slot;
@@ -783,7 +618,7 @@ let simulate_loop (cfg : Machine.Config.t) ?(policy = default_policy)
           (if in_occ.(s) < cap && (best < 0 || enq_work.(s) <= enq_work.(best)) then s
            else best)
     in
-    (* Dispatch iteration [i]'s not-yet-dispatched B tasks (the v_bs
+    (* Dispatch iteration [i]'s not-yet-dispatched B tasks (the b_dispatch
        segment from [a_cursor]).  Returns 2 when the segment is fully
        dispatched, 1 when stalled after moving at least one task, 0 when
        stalled without moving any. *)
@@ -795,7 +630,7 @@ let simulate_loop (cfg : Machine.Config.t) ?(policy = default_policy)
         2
       end
       else begin
-        let b = sd.v_bs.(cur) in
+        let b = ix.Input.b_dispatch.(cur) in
         let s = best_slot (m - 1) (-1) in
         if s < 0 then begin
           a_cursor := cur;
@@ -830,7 +665,7 @@ let simulate_loop (cfg : Machine.Config.t) ?(policy = default_policy)
       | 2 -> false
       | 1 ->
         let i = !a_iter in
-        let code = dispatch_items i !a_cursor sd.v_bs_off.(i + 1) false in
+        let code = dispatch_items i !a_cursor ix.Input.b_off.(i + 1) false in
         if code = 2 then begin
           if i + 1 < iters then begin
             a_iter := i + 1;
@@ -845,10 +680,10 @@ let simulate_loop (cfg : Machine.Config.t) ?(policy = default_policy)
         if !a_running then false
         else begin
           let i = !a_iter in
-          let a_tid = sd.v_a.(i) in
+          let a_tid = ix.Input.a_of.(i) in
           if a_tid < 0 then begin
             a_mode := 1;
-            a_cursor := sd.v_bs_off.(i);
+            a_cursor := ix.Input.b_off.(i);
             true
           end
           else if not (ready_time a_tid core_free.(a_core)) then false
@@ -920,9 +755,9 @@ let simulate_loop (cfg : Machine.Config.t) ?(policy = default_policy)
           | 0 ->
             a_running := false;
             mark actor_a;
-            if !a_mode = 0 && sd.v_a.(!a_iter) = tid then begin
+            if !a_mode = 0 && ix.Input.a_of.(!a_iter) = tid then begin
               a_mode := 1;
-              a_cursor := sd.v_bs_off.(!a_iter)
+              a_cursor := ix.Input.b_off.(!a_iter)
             end
           | 1 ->
             let slot = assigned_core.(tid) in
@@ -949,10 +784,10 @@ let simulate_loop (cfg : Machine.Config.t) ?(policy = default_policy)
           (* Under Squash, a finishing producer invalidates consumers
              that started too early on a speculated edge. *)
           if policy.misspec = Squash then
-            for k = sd.out_off.(tid) to sd.out_off.(tid + 1) - 1 do
-              let e = sd.out_idx.(k) in
-              let dst = sd.e_dst.(e) in
-              if sd.e_spec.(e) = 1
+            for k = ix.Input.out_off.(tid) to ix.Input.out_off.(tid + 1) - 1 do
+              let e = ix.Input.out_idx.(k) in
+              let dst = ix.Input.e_dst.(e) in
+              if ix.Input.e_spec.(e) = 1
                  && t_phase.(dst) = 1
                  && start_time.(dst) >= 0
                  && start_time.(dst) < finish_time.(tid)

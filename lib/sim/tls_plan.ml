@@ -5,65 +5,60 @@ type result = {
   misspec_delayed : int;
 }
 
-(* Collapse the loop to per-iteration work and cross-iteration edges.
+(* Each task's accesses happen at an offset within its iteration's
+   merged execution: the A task first, then the B and C tasks by
+   ascending intra, ties by ascending id.  [b_dispatch] lists an
+   iteration's B tasks by ascending intra with ties by descending id, so
+   each run of equal intra is walked backwards, and the C task slots in
+   by its own (intra, id).  Returns each iteration's work and each
+   task's offset. *)
+let iteration_offsets (ix : Input.index) =
+  let iters = ix.Input.iters and w = ix.Input.t_work and intra = ix.Input.t_intra in
+  let work = Array.make iters 0 in
+  let prefix = Array.make (Array.length w) 0 in
+  for i = 0 to iters - 1 do
+    let off = ref 0 in
+    let place t =
+      prefix.(t) <- !off;
+      off := !off + w.(t)
+    in
+    if ix.Input.a_of.(i) >= 0 then place ix.Input.a_of.(i);
+    let c = ix.Input.c_of.(i) in
+    let c_left = ref (c >= 0) in
+    let hi = ix.Input.b_off.(i + 1) in
+    let k = ref ix.Input.b_off.(i) in
+    while !k < hi do
+      let run_intra = intra.(ix.Input.b_dispatch.(!k)) in
+      let run_end = ref (!k + 1) in
+      while !run_end < hi && intra.(ix.Input.b_dispatch.(!run_end)) = run_intra do
+        incr run_end
+      done;
+      for j = !run_end - 1 downto !k do
+        let b = ix.Input.b_dispatch.(j) in
+        if !c_left && (intra.(c) < run_intra || (intra.(c) = run_intra && c < b)) then begin
+          place c;
+          c_left := false
+        end;
+        place b
+      done;
+      k := !run_end
+    done;
+    if !c_left then place c;
+    work.(i) <- !off
+  done;
+  (work, prefix)
 
-   Each task's accesses happen at an offset within its iteration's merged
-   execution (phases run in A, B, C order inside one speculative
-   iteration).  A dependence with known offsets synchronizes at the
+(* A cross-iteration dependence with known offsets synchronizes at the
    access points — how TLS hardware forwards a scalar chain without
    serializing whole iterations; a dependence with no offset information
    (explicit register/control edges) conservatively waits for the
    producing iteration to finish. *)
-let iteration_view (loop : Input.loop) =
-  let iters = Input.iterations loop in
-  let work = Array.make iters 0 in
-  Array.iter
-    (fun (t : Ir.Task.t) ->
-      work.(t.Ir.Task.iteration) <- work.(t.Ir.Task.iteration) + t.Ir.Task.work)
-    loop.Input.tasks;
-  (* Offset of each task within its merged iteration. *)
-  let ntasks = Array.length loop.Input.tasks in
-  let prefix = Array.make ntasks 0 in
-  let sorted =
-    Array.to_list loop.Input.tasks
-    |> List.sort (fun (a : Ir.Task.t) (b : Ir.Task.t) ->
-           compare
-             (a.Ir.Task.iteration, Ir.Task.compare_phase a.Ir.Task.phase Ir.Task.A,
-              a.Ir.Task.intra)
-             (b.Ir.Task.iteration, Ir.Task.compare_phase b.Ir.Task.phase Ir.Task.A,
-              b.Ir.Task.intra))
-  in
-  let acc = Hashtbl.create 16 in
-  List.iter
-    (fun (t : Ir.Task.t) ->
-      let off = Option.value ~default:0 (Hashtbl.find_opt acc t.Ir.Task.iteration) in
-      prefix.(t.Ir.Task.id) <- off;
-      Hashtbl.replace acc t.Ir.Task.iteration (off + t.Ir.Task.work))
-    sorted;
-  let iter_of id = loop.Input.tasks.(id).Ir.Task.iteration in
-  (* (producer iteration, producer sync offset or None for finish-based). *)
-  let incoming = Array.make iters [] in
-  List.iter
-    (fun (e : Input.edge) ->
-      let j = iter_of e.Input.src and i = iter_of e.Input.dst in
-      if j < i then begin
-        let constraint_ =
-          if e.Input.src_offset = 0 && e.Input.dst_offset = 0 then `Finish
-          else
-            `Offsets
-              (prefix.(e.Input.src) + e.Input.src_offset,
-               prefix.(e.Input.dst) + e.Input.dst_offset)
-        in
-        incoming.(i) <- (j, constraint_) :: incoming.(i)
-      end)
-    loop.Input.edges;
-  (work, incoming)
-
 let run_loop (cfg : Machine.Config.t) (loop : Input.loop) =
   let n = cfg.Machine.Config.cores in
   let lat = cfg.Machine.Config.comm_latency in
   let cap = cfg.Machine.Config.queue_capacity in
-  let work, incoming = iteration_view loop in
+  let ix = Input.index loop in
+  let work, prefix = iteration_offsets ix in
   let iters = Array.length work in
   if iters = 0 then { span = 0; commits = 0; stalled_on_buffer = 0; misspec_delayed = 0 }
   else if n <= 1 then
@@ -79,20 +74,34 @@ let run_loop (cfg : Machine.Config.t) (loop : Input.loop) =
     let finish = Array.make iters 0 in
     let commit = Array.make iters 0 in
     let stalled = ref 0 and delayed = ref 0 in
+    (* The latest time iteration [i]'s dependences on earlier iterations
+       allow it to start, over task [t]'s in-edges. *)
+    let dep_ready = ref 0 in
+    let gate i t =
+      for k = ix.Input.in_off.(t) to ix.Input.in_off.(t + 1) - 1 do
+        let e = ix.Input.in_idx.(k) in
+        let src = ix.Input.e_src.(e) in
+        let j = ix.Input.t_iter.(src) in
+        if j < i then begin
+          let soff = ix.Input.e_soff.(e) and doff = ix.Input.e_doff.(e) in
+          let ready =
+            if soff = 0 && doff = 0 then finish.(j) + lat
+            else max 0 (start.(j) + prefix.(src) + soff + lat - (prefix.(t) + doff))
+          in
+          if ready > !dep_ready then dep_ready := ready
+        end
+      done
+    in
     for i = 0 to iters - 1 do
       (* Buffering: at most [cap] uncommitted iterations in flight. *)
       let buffer_ready = if i >= cap then commit.(i - cap) else 0 in
-      (* Dependences: synchronize at the access points when known,
-         conservatively at the producer's finish otherwise. *)
-      let dep_ready =
-        List.fold_left
-          (fun acc (j, constraint_) ->
-            match constraint_ with
-            | `Finish -> max acc (finish.(j) + lat)
-            | `Offsets (src_off, dst_off) ->
-              max acc (max 0 (start.(j) + src_off + lat - dst_off)))
-          0 incoming.(i)
-      in
+      dep_ready := 0;
+      if ix.Input.a_of.(i) >= 0 then gate i ix.Input.a_of.(i);
+      for k = ix.Input.b_off.(i) to ix.Input.b_off.(i + 1) - 1 do
+        gate i ix.Input.b_ids.(k)
+      done;
+      if ix.Input.c_of.(i) >= 0 then gate i ix.Input.c_of.(i);
+      let dep_ready = !dep_ready in
       (* Least-loaded core. *)
       let best = ref 0 in
       for c = 1 to n - 1 do

@@ -221,8 +221,13 @@ module Input = struct
       edges;
     List.rev_map (fun key -> Hashtbl.find tbl key) !order
 
-  (* Input.make_loop's validation has passed on the loops rebuilt here. *)
-  let make_loop ~name ~tasks ~edges = { name; tasks; edges = merge_edges edges }
+  (* Input.make_loop's validation has passed on the loops rebuilt here,
+     and its own merge must keep the merged list as it is. *)
+  let make_loop ~name ~tasks ~edges =
+    let edges = merge_edges edges in
+    let loop = Sim.Input.make_loop ~name ~tasks ~edges in
+    if loop.edges <> edges then failwith "Ref_build.Input.make_loop: edges changed";
+    loop
 end
 
 module Framework = struct

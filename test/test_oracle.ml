@@ -40,6 +40,7 @@ let policies_and_latencies_accepted () =
         GI.ld_iters =
           [ (Some 3, [ 5; 4 ], Some 2); (Some 3, [ 6; 1 ], Some 2); (Some 3, [ 2; 7 ], Some 2) ];
         ld_edges = [ (0, 0, 1, 0, false, 0, 0); (1, 1, 2, 0, true, 0, 0) ];
+        ld_intra = [];
       }
   in
   List.iter
@@ -68,6 +69,7 @@ let victim_loop =
     {
       GI.ld_iters = [ (Some 3, [ 5 ], Some 2); (Some 3, [ 5 ], Some 2) ];
       ld_edges = [ (0, 0, 1, 0, false, 0, 0) ];
+      ld_intra = [];
     }
 
 let victim_cfg = cfg ~lat:2 4
@@ -105,7 +107,11 @@ let reject_overlap_out_of_order () =
      the reversed legal schedule must still pass. *)
   let loop =
     GI.build_loop
-      { GI.ld_iters = List.init 3 (fun _ -> (Some 3, [ 5 ], Some 2)); ld_edges = [] }
+      {
+        GI.ld_iters = List.init 3 (fun _ -> (Some 3, [ 5 ], Some 2));
+        ld_edges = [];
+        ld_intra = [];
+      }
   in
   let r = P.run_loop victim_cfg ~validate:true loop in
   let reversed r = { r with P.schedule = List.rev r.P.schedule } in
@@ -141,7 +147,9 @@ let reject_phantom_squash () =
 
 let reject_inflated_misspec () =
   let r = victim_result () in
-  expect_violation "speculation-accounting" { r with P.misspec_delayed = 99 }
+  expect_violation "speculation-accounting" { r with P.misspec_delayed = 99 };
+  (* The victim has no speculated edge, so even one delay is unexplained. *)
+  expect_violation "speculation-accounting" { r with P.misspec_delayed = 1 }
 
 let reject_queue_overflow () =
   let r = victim_result () in
@@ -480,7 +488,7 @@ let mutate c policy ((loop : I.loop), (r : P.loop_result)) m =
           let tasks = Array.copy loop.I.tasks in
           tasks.(tid) <- { tasks.(tid) with Ir.Task.work = p.P.s_finish - q.P.s_finish };
           let r = set_entry { p with P.s_start = q.P.s_finish } in
-          ( { loop with I.tasks },
+          ( I.make_loop ~name:loop.I.name ~tasks ~edges:loop.I.edges,
             { r with P.busy = bump r.P.busy p.P.s_core (p.P.s_start - q.P.s_finish) } )
         end
 

@@ -602,10 +602,12 @@ let chain_cost_flat_in_cores () =
     (Printf.sprintf "cost flat in cores (%.2fs, budget 2s)" elapsed)
     true (elapsed < 2.0)
 
-(* The static-data memo is keyed weakly on the loop: once nothing else
-   holds a simulated loop, a major collection frees it.  A strongly keyed
-   memo would keep every loop a long session ever simulated. *)
-let static_memo_releases_dead_loops () =
+(* The simulator keeps no reference to a loop it has finished: the
+   loop's index lives in the loop, and the per-domain scratch holds only
+   buffers.  Once nothing else holds a simulated loop, a major collection
+   frees it; a table of loops would keep every loop a long session ever
+   simulated. *)
+let simulator_keeps_no_dead_loop () =
   let slot = Weak.create 1 in
   let[@inline never] simulate_and_drop () =
     let loop = build_loop [ (Some 1, [ 4; 3 ], Some 1); (Some 1, [ 5 ], Some 1) ] [] in
@@ -615,6 +617,29 @@ let static_memo_releases_dead_loops () =
   simulate_and_drop ();
   Gc.full_major ();
   Alcotest.(check bool) "simulated loop collected" false (Weak.check slot 0)
+
+(* Two domains take the first index of one fresh loop at the same time
+   and simulate it.  The index is published without a lock: whichever
+   build loses the race is dropped, and both domains read the winner's. *)
+let index_shared_across_domains () =
+  let loop =
+    build_loop
+      (List.init 2000 (fun _ -> (Some 1, [ 3; 2 ], Some 1)))
+      (List.init 1999 (fun i -> (i, 1, i + 1, 0, i mod 3 = 0)))
+  in
+  let go = Atomic.make false in
+  let take () =
+    while not (Atomic.get go) do
+      Domain.cpu_relax ()
+    done;
+    let ix = I.index loop in
+    (ix, P.run_loop (cfg 4) loop)
+  in
+  let d1 = Domain.spawn take and d2 = Domain.spawn take in
+  Atomic.set go true;
+  let ix1, r1 = Domain.join d1 and ix2, r2 = Domain.join d2 in
+  Alcotest.(check bool) "same physical index" true (ix1 == ix2 && I.index loop == ix1);
+  Alcotest.(check bool) "same loop_result" true (r1 = r2)
 
 let () =
   Alcotest.run "sim"
@@ -688,12 +713,16 @@ let () =
           Alcotest.test_case "zero-work marker" `Quick gantt_zero_work_marker;
           Alcotest.test_case "lz77 levels" `Quick lz77_fast_does_less_work;
         ] );
-      ("input", [ Alcotest.test_case "merge edges" `Quick input_merges_duplicate_edges ]);
+      ( "input",
+        [
+          Alcotest.test_case "merge edges" `Quick input_merges_duplicate_edges;
+          Alcotest.test_case "index shared across domains" `Quick index_shared_across_domains;
+        ] );
       ( "perf-regression",
         [
           Alcotest.test_case "deep fifo linear time" `Quick deep_fifo_linear_time;
           Alcotest.test_case "chain cost flat in cores" `Quick chain_cost_flat_in_cores;
-          Alcotest.test_case "static memo releases dead loops" `Quick
-            static_memo_releases_dead_loops;
+          Alcotest.test_case "simulator keeps no dead loop" `Quick
+            simulator_keeps_no_dead_loop;
         ] );
     ]

@@ -188,3 +188,81 @@ let () =
       let loop = build_case c and cfg = c.cfg and policy = c.policy in
       recorded (fun obs -> Sim.Pipeline.run_loop cfg ~policy ~validate:false ~obs loop)
       = recorded (fun obs -> Ref_sim.simulate_loop cfg ~policy ~obs loop))
+
+(* Property: Input.index equals a naive derivation from the loop's tasks
+   and edges, in each order input.mli documents — B tasks by descending
+   id and in dispatch order (ascending intra, ties by descending id),
+   in- and out-edges in reverse edge order — and a second call returns
+   the cached index. *)
+let naive_index_matches (l : Sim.Input.loop) =
+  let ix = Sim.Input.index l in
+  let tasks = Array.to_list l.Sim.Input.tasks in
+  let edges = List.mapi (fun k e -> (k, e)) l.Sim.Input.edges in
+  let iters =
+    List.fold_left (fun acc (t : Ir.Task.t) -> max acc (t.Ir.Task.iteration + 1)) 0 tasks
+  in
+  let of_iter i phase =
+    List.filter
+      (fun (t : Ir.Task.t) -> t.Ir.Task.iteration = i && t.Ir.Task.phase = phase)
+      tasks
+  in
+  let id_or_none = function [ (t : Ir.Task.t) ] -> t.Ir.Task.id | _ -> -1 in
+  let b_in order i =
+    List.map (fun (t : Ir.Task.t) -> t.Ir.Task.id) (List.sort order (of_iter i Ir.Task.B))
+  in
+  let by_id_desc (x : Ir.Task.t) (y : Ir.Task.t) = compare y.Ir.Task.id x.Ir.Task.id in
+  let by_dispatch (x : Ir.Task.t) (y : Ir.Task.t) =
+    compare (x.Ir.Task.intra, y.Ir.Task.id) (y.Ir.Task.intra, x.Ir.Task.id)
+  in
+  let b_before i =
+    List.length
+      (List.filter
+         (fun (t : Ir.Task.t) -> t.Ir.Task.phase = Ir.Task.B && t.Ir.Task.iteration < i)
+         tasks)
+  in
+  let field f = List.map f tasks and edge_field f = List.map (fun (_, e) -> f e) edges in
+  let group off idx t = Array.to_list (Array.sub idx off.(t) (off.(t + 1) - off.(t))) in
+  let naive_group key t =
+    List.rev (List.filter_map (fun (k, e) -> if key e = t then Some k else None) edges)
+  in
+  let all_tasks = List.init (List.length tasks) Fun.id in
+  let open Sim.Input in
+  ix.iters = iters
+  && Array.to_list ix.a_of = List.init iters (fun i -> id_or_none (of_iter i Ir.Task.A))
+  && Array.to_list ix.c_of = List.init iters (fun i -> id_or_none (of_iter i Ir.Task.C))
+  && Array.to_list ix.b_off = List.init (iters + 1) b_before
+  && Array.to_list ix.b_ids = List.concat (List.init iters (b_in by_id_desc))
+  && Array.to_list ix.b_dispatch = List.concat (List.init iters (b_in by_dispatch))
+  && Array.to_list ix.t_work = field (fun t -> t.Ir.Task.work)
+  && Array.to_list ix.t_phase
+     = field (fun t -> match t.Ir.Task.phase with Ir.Task.A -> 0 | Ir.Task.B -> 1 | Ir.Task.C -> 2)
+  && Array.to_list ix.t_iter = field (fun t -> t.Ir.Task.iteration)
+  && Array.to_list ix.t_intra = field (fun t -> t.Ir.Task.intra)
+  && Array.to_list ix.e_src = edge_field (fun e -> e.src)
+  && Array.to_list ix.e_dst = edge_field (fun e -> e.dst)
+  && Array.to_list ix.e_spec = edge_field (fun e -> if e.speculated then 1 else 0)
+  && Array.to_list ix.e_soff = edge_field (fun e -> e.src_offset)
+  && Array.to_list ix.e_doff = edge_field (fun e -> e.dst_offset)
+  && List.for_all
+       (fun t ->
+         group ix.in_off ix.in_idx t = naive_group (fun e -> e.dst) t
+         && group ix.out_off ix.out_idx t = naive_group (fun e -> e.src) t)
+       all_tasks
+  && index l == ix
+
+let () =
+  R.run_prop_exn ~print:print_sim_case ~name:"Input.index = naive derivation" sim_case (fun c ->
+      naive_index_matches (build_case c))
+
+(* Property: the TLS plan takes the figures of its verbatim reference
+   (test/ref_tls.ml) on the same loops, with tied and descending intra
+   values, offsets and edges into A and C tasks, at 1-12 cores; and on
+   a copy whose tasks are shuffled within each iteration, so that a C
+   task can precede B tasks of its own intra in id order. *)
+let () =
+  R.run_prop_exn ~print:print_sim_case ~name:"Tls_plan = reference" sim_case (fun c ->
+      let loop = build_case c in
+      let shuffled = permute_within_iterations c.cfg.Machine.Config.queue_capacity loop in
+      List.for_all
+        (fun l -> Sim.Tls_plan.run_loop c.cfg l = Ref_tls.run_loop c.cfg l)
+        [ loop; shuffled ])
