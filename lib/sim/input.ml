@@ -7,7 +7,6 @@ type edge = {
 }
 
 type index = {
-  iters : int;
   a_of : int array;
   c_of : int array;
   b_off : int array;
@@ -134,7 +133,8 @@ let phase_code = function Ir.Task.A -> 0 | Ir.Task.B -> 1 | Ir.Task.C -> 2
 
 (* Edge numbers grouped by [key.(k)] (a task id) in compressed form.
    Each group is filled from its end, so it lists its edges in reverse
-   edge order. *)
+   edge order: the order in which the simulator's squash walk re-queues
+   consumers and Critpath picks the edge that justifies a start. *)
 let csr n key =
   let off = Array.make (n + 1) 0 in
   Array.iter (fun v -> off.(v + 1) <- off.(v + 1) + 1) key;
@@ -202,7 +202,6 @@ let build_index loop =
   let e_src = Array.map (fun e -> e.src) es and e_dst = Array.map (fun e -> e.dst) es in
   let in_off, in_idx = csr n e_dst and out_off, out_idx = csr n e_src in
   {
-    iters;
     a_of;
     c_of;
     b_off;

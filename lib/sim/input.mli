@@ -13,7 +13,6 @@ type edge = {
 }
 
 type index = private {
-  iters : int;
   a_of : int array;  (** per iteration: its A task's id, or -1 *)
   c_of : int array;  (** per iteration: its C task's id, or -1 *)
   b_off : int array;
@@ -54,8 +53,9 @@ type loop = private {
   iters : int;  (** iterations: 1 + the largest task iteration, 0 if none *)
   cache : cache;  (** the {!index}, once built *)
 }
-(** Built only by {!make_loop}.  The cache makes [=] on two loops depend
-    on whether their index has been built; compare fields instead. *)
+(** Built only by {!make_loop}.  The cache makes [=] and [Hashtbl.hash]
+    on loops depend on whether the index has been built; compare or hash
+    fields instead. *)
 
 type segment = Serial of int | Parallel of loop
 
@@ -76,6 +76,7 @@ val total_work : t -> int
 val loop_work : loop -> int
 
 val iterations : loop -> int
+(** [iters] *)
 
 val index : loop -> index
 (** Built on the first call and kept by the loop, so a thread sweep

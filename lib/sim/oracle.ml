@@ -187,7 +187,7 @@ let edge_requirement (policy : Sched.policy) lat (ix : Input.index) start finish
 let check_structural (cfg : Machine.Config.t) (ix : Input.index) start finish =
   let lat = cfg.Machine.Config.comm_latency in
   let last_a = ref (-1) and last_c = ref (-1) in
-  for i = 0 to ix.Input.iters - 1 do
+  for i = 0 to Array.length ix.Input.a_of - 1 do
     let ai = ix.Input.a_of.(i) in
     if ai >= 0 then begin
       let p = !last_a in

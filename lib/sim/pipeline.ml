@@ -136,7 +136,7 @@ let simulate_loop (cfg : Machine.Config.t) ?(policy = default_policy)
     let lat = cfg.Machine.Config.comm_latency in
     let cap = cfg.Machine.Config.queue_capacity in
     let ix = Input.index loop in
-    let iters = ix.Input.iters in
+    let iters = loop.Input.iters in
     let t_work = ix.Input.t_work
     and t_phase = ix.Input.t_phase
     and t_iter = ix.Input.t_iter in

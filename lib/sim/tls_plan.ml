@@ -13,7 +13,7 @@ type result = {
    by its own (intra, id).  Returns each iteration's work and each
    task's offset. *)
 let iteration_offsets (ix : Input.index) =
-  let iters = ix.Input.iters and w = ix.Input.t_work and intra = ix.Input.t_intra in
+  let iters = Array.length ix.Input.a_of and w = ix.Input.t_work and intra = ix.Input.t_intra in
   let work = Array.make iters 0 in
   let prefix = Array.make (Array.length w) 0 in
   for i = 0 to iters - 1 do

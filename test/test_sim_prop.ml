@@ -227,7 +227,7 @@ let naive_index_matches (l : Sim.Input.loop) =
   in
   let all_tasks = List.init (List.length tasks) Fun.id in
   let open Sim.Input in
-  ix.iters = iters
+  l.iters = iters
   && Array.to_list ix.a_of = List.init iters (fun i -> id_or_none (of_iter i Ir.Task.A))
   && Array.to_list ix.c_of = List.init iters (fun i -> id_or_none (of_iter i Ir.Task.C))
   && Array.to_list ix.b_off = List.init (iters + 1) b_before
