@@ -178,25 +178,14 @@ let build_index loop =
       next.(i) <- next.(i) + 1
     end
   done;
-  (* Ascending intra, ties by descending id.  Ids usually ascend with
-     intra, and then the reversed segment is already in order. *)
-  let dispatch_order x y =
-    let c = Int.compare t_intra.(x) t_intra.(y) in
-    if c <> 0 then c else Int.compare y x
-  in
+  (* Ascending intra; the sort is stable, so ties keep [b_ids]'
+     descending id. *)
   let b_dispatch = Array.copy b_ids in
   for i = 0 to iters - 1 do
     let lo = b_off.(i) and hi = b_off.(i + 1) in
-    let sorted = ref true in
-    for k = lo to hi - 1 do
-      b_dispatch.(k) <- b_ids.(hi - 1 - (k - lo));
-      if k > lo && dispatch_order b_dispatch.(k - 1) b_dispatch.(k) > 0 then sorted := false
-    done;
-    if not !sorted then begin
-      let seg = Array.sub b_dispatch lo (hi - lo) in
-      Array.sort dispatch_order seg;
-      Array.blit seg 0 b_dispatch lo (hi - lo)
-    end
+    let seg = Array.sub b_ids lo (hi - lo) in
+    Array.stable_sort (fun x y -> Int.compare t_intra.(x) t_intra.(y)) seg;
+    Array.blit seg 0 b_dispatch lo (hi - lo)
   done;
   let es = Array.of_list loop.edges in
   let e_src = Array.map (fun e -> e.src) es and e_dst = Array.map (fun e -> e.dst) es in
