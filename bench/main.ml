@@ -391,25 +391,6 @@ let attribution_blocks () =
         e.Core.Experiment.built.Core.Framework.input.Sim.Input.segments)
     (Lazy.force experiments)
 
-(* Per-study calibration fidelity: fit Sim.Calibrate from each study's
-   profiled trace, realize the hand partition through the calibrated
-   cost model, and record the worst relative error against the trace
-   sweep.  scripts/check_calibration.ml gates on these numbers, so a
-   regression in the calibrated realization shows up as a failing check
-   rather than a silently drifting model. *)
-let calibration_blocks () =
-  Parallel.Pool.map_list pool
-    (fun (s : Benchmarks.Study.t) ->
-      match Core.Plan_search.calibration_report ~scale s with
-      | Ok r -> Core.Plan_search.cal_report_json r
-      | Error e ->
-        Obs.Json.Obj
-          [
-            ("study", Obs.Json.Str s.Benchmarks.Study.spec_name);
-            ("error", Obs.Json.Str e);
-          ])
-    Benchmarks.Registry.all
-
 let write_obs_summary () =
   let gzip = study "164.gzip" in
   let profile = gzip.Benchmarks.Study.run ~scale:Benchmarks.Study.Small in
@@ -418,12 +399,7 @@ let write_obs_summary () =
     Core.Experiment.summary (Machine.Config.default ~cores:16) built.Core.Framework.input
   in
   let spans = Obs.Span.snapshot Obs.Span.default in
-  let extra =
-    [
-      ("attribution", Obs.Json.Arr (attribution_blocks ()));
-      ("calibration", Obs.Json.Arr (calibration_blocks ()));
-    ]
-  in
+  let extra = [ ("attribution", Obs.Json.Arr (attribution_blocks ())) ] in
   Obs.Summary.write_json ~metrics:snap ~spans ~extra (bench_path "BENCH_summary.json");
   Obs.Summary.write_csv ~metrics:snap ~spans (bench_path "BENCH_summary.csv")
 

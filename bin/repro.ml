@@ -480,7 +480,7 @@ let infer_cmd =
        ~doc:"Run the static dependence analysis on a benchmark's loop-body IR: the \
              dependence set with its iteration-distance lattice, measured \
              manifestation rates, the synthesized PDG, and the carried-distance \
-             histograms the realizer can consume.")
+             histograms the reference interpreter observed.")
     Term.(term_result (const run $ bench_arg $ iterations_arg))
 
 let audit_cmd =
@@ -567,78 +567,11 @@ let plan_cmd =
                    the golden snapshots in test/golden to prove the pruning path \
                    fires.")
   in
-  let calibrate_arg =
-    Arg.(value & opt (some string) None
-         & info [ "calibrate" ] ~docv:"FILE|auto"
-             ~doc:"Score candidates through a trace-calibrated cost model instead \
-                   of the synthetic stage weights. $(b,auto) profiles the benchmark \
-                   at --scale and fits the calibration from its trace; anything \
-                   else is read as a calibration JSON file (as written by \
-                   $(b,repro profile-real --dump) or $(b,Sim.Calibrate.to_json)). \
-                   Prints the calibration and its predicted-vs-trace error block \
-                   before the ranked table. An unreadable or invalid calibration \
-                   file exits 1.")
-  in
-  let static_distances_arg =
-    Arg.(value & flag
-         & info [ "static-distances" ]
-             ~doc:"Realize candidates with the carried-distance histograms the \
-                   static analysis infers from the benchmark's loop-body IR \
-                   (requires one; see $(b,repro infer)): speculation events spread \
-                   across the observed iteration distances instead of all landing \
-                   at distance 1.")
-  in
-  let run name beam budget threads jobs corrupt calibrate scale static_distances =
+  let run name beam budget threads jobs corrupt =
     with_study name (fun study ->
-      let distances =
-        if not static_distances then []
-        else
-          match study.Benchmarks.Study.flow_body with
-          | None ->
-            Format.eprintf "plan: %s has no loop-body IR for --static-distances@."
-              study.Benchmarks.Study.spec_name;
-            exit 1
-          | Some body ->
-            let commutative =
-              study.Benchmarks.Study.plan.Speculation.Spec_plan.commutative
-            in
-            let inferred = Flow.Infer.run ~commutative body in
-            (* Fold region-pair histograms onto the hand partition's
-               stage pairs: that is the granularity the realizer keys
-               speculation on. *)
-            let part =
-              Dswp.Partition.partition (study.Benchmarks.Study.pdg ())
-                ~enabled:
-                  (Speculation.Spec_plan.enabled_breakers
-                     study.Benchmarks.Study.plan)
-            in
-            Flow.Infer.distance_histograms inferred
-              ~phase_of:(Dswp.Partition.phase_of_node part)
-      in
-      let calibration =
-        match calibrate with
-        | None -> None
-        | Some spec ->
-          let rep =
-            if spec = "auto" then Core.Plan_search.calibration_report ~scale study
-            else
-              match Sim.Calibrate.load spec with
-              | Error e -> Error (spec ^ ": " ^ e)
-              | Ok c ->
-                Core.Plan_search.calibration_report ~scale ~calibration:c study
-          in
-          (match rep with
-          | Error e ->
-            Format.eprintf "calibration: %s@." e;
-            exit 1
-          | Ok rep ->
-            Core.Plan_search.pp_cal_report Format.std_formatter rep;
-            Some rep.Core.Plan_search.cr_cal)
-      in
       with_pool jobs (fun pool ->
           let report =
-            Core.Plan_search.run ~pool ~beam ~budget ~threads ~corrupt
-              ?calibration ~distances study
+            Core.Plan_search.run ~pool ~beam ~budget ~threads ~corrupt study
           in
           Core.Plan_search.pp Format.std_formatter report;
           (* Documented contract (cmdliner reserves its own codes, so exit
@@ -669,12 +602,10 @@ let plan_cmd =
              analytic bounds, simulate survivors across a worker pool, and \
              validate every simulated schedule with the oracle. Prints a ranked \
              table; exits 0 when the winning plan is oracle-valid and matches or \
-             beats the hand plan, 1 otherwise (including an unreadable or invalid \
-             $(b,--calibrate) file).")
+             beats the hand plan, 1 otherwise.")
     Term.(term_result
             (const run $ bench_arg $ beam_arg $ budget_arg $ plan_threads_arg
-             $ jobs_arg $ corrupt_arg $ calibrate_arg $ scale_arg
-             $ static_distances_arg))
+             $ jobs_arg $ corrupt_arg))
 
 let profile_real_cmd =
   let threads_arg =
@@ -683,14 +614,7 @@ let profile_real_cmd =
              ~doc:"Domain count for the probed run (at least 2: the sequential \
                    path has no roles to probe).")
   in
-  let dump_arg =
-    Arg.(value & opt (some string) None
-         & info [ "dump" ] ~docv:"FILE"
-             ~doc:"Write the probe dump JSON — per-role latency histograms and \
-                   queue stats — to $(docv). $(b,Sim.Calibrate) fits a \
-                   microsecond-unit calibration from this record.")
-  in
-  let run name threads scale trace dump =
+  let run name threads scale trace =
     with_study name (fun study ->
       if threads < 2 then Error (`Msg "profile-real needs --threads >= 2")
       else begin
@@ -710,15 +634,7 @@ let profile_real_cmd =
         (match r.Runtime.Exec.telemetry with
         | None -> Format.printf "no telemetry (sequential run)@."
         | Some tl ->
-          Format.printf "@[<v>%a@]@." (Runtime.Exec.pp_telemetry st) tl;
-          match dump with
-          | None -> ()
-          | Some file ->
-            Out_channel.with_open_bin file (fun oc ->
-                Out_channel.output_string oc
-                  (Obs.Json.to_string
-                     (Runtime.Exec.telemetry_to_json ~name:bname st tl)));
-            Format.eprintf "probe dump written to %s@." file);
+          Format.printf "@[<v>%a@]@." (Runtime.Exec.pp_telemetry st) tl);
         (match want_trace with
         | None -> ()
         | Some file ->
@@ -741,12 +657,10 @@ let profile_real_cmd =
              per-role dispatch/run/commit latency histograms, queue stall and \
              occupancy high-water stats, squash and validation costs. \
              $(b,--trace) writes a Chrome trace of the real event stream (with \
-             SPSC queue-occupancy counter tracks); $(b,--dump) writes the probe \
-             dump JSON that $(b,repro plan --calibrate) accepts. Exits 0 when the \
-             probed output is byte-identical to the sequential reference, 1 \
-             otherwise.")
+             SPSC queue-occupancy counter tracks). Exits 0 when the probed output \
+             is byte-identical to the sequential reference, 1 otherwise.")
     Term.(term_result
-            (const run $ bench_arg $ threads_arg $ scale_arg $ trace_arg $ dump_arg))
+            (const run $ bench_arg $ threads_arg $ scale_arg $ trace_arg))
 
 let validate_real_cmd =
   let bench_opt_arg =

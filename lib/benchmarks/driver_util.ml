@@ -1,9 +1,3 @@
-let commutative_call p ~group ~loc ~value ~work =
-  Profiling.Profile.commutative p ~group (fun () ->
-      Profiling.Profile.read p loc;
-      Profiling.Profile.work p work;
-      Profiling.Profile.write p loc value)
-
 let rng_value seed = (seed * 1103515245) + 12345
 
 (* Indices past [family_limit] (none in the registry) are interned at

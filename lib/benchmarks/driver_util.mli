@@ -1,12 +1,5 @@
 (** Shared helpers for the instrumented benchmark drivers. *)
 
-val commutative_call :
-  Profiling.Profile.t -> group:string -> loc:int -> value:int -> work:int -> unit
-(** Model one call to a Commutative function: inside a commutative
-    section, read the function's internal state, spend [work], and write
-    the new state [value].  This is the footprint of a [Yacm_random] or
-    allocator call. *)
-
 val rng_value : int -> int
 (** A deterministic "next seed" mixer for modelling RNG internal state. *)
 

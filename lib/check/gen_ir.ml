@@ -95,7 +95,25 @@ let loop_desc ?(max_iters = 10) ?(max_bs = 3) ?(max_work = 20) ?(edge_factor = 8
     in
     return (si, sj, di, dj, spec, so, dofs)
   in
-  let* edges = list_size (int_range 0 edge_factor) edge in
+  (* Each draw is a fan of one to four edges that share a source B task
+     (or a destination), its speculated flag and its offsets, so that
+     one producer squashes several consumers and one consumer waits on
+     several producers. *)
+  let fan =
+    let* ((si, sj, di, dj, spec, so, dofs) as e) = edge in
+    let* out = bool in
+    let iter =
+      if out then int_range (min (si + 1) (n - 1)) (n - 1) else int_range 0 (max 0 (di - 1))
+    in
+    let* others = list_size (int_range 0 3) (pair iter (int_range 0 (max_bs - 1))) in
+    return
+      (e
+      :: List.map
+           (fun (i, j) ->
+             if out then (si, sj, i, j, spec, so, dofs) else (i, j, di, dj, spec, so, dofs))
+           others)
+  in
+  let* edges = map List.concat (list_size (int_range 0 edge_factor) fan) in
   (* Intra values from a small range, so that an iteration's B tasks can
      tie or come in descending order; none keeps the positions. *)
   let* intra =

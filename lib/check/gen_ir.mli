@@ -36,6 +36,8 @@ val loop_desc :
   ?offsets:bool ->
   unit ->
   loop_desc QCheck2.Gen.t
+(** Up to [edge_factor] draws of edges, each a fan of one to four edges
+    that share a source B task or a destination B task. *)
 
 val loop :
   ?name:string ->

@@ -109,16 +109,11 @@ let corrupt_partition (p : Dswp.Partition.t) =
     }
   end
 
-let run ~pool ?(beam = 8) ?(budget = 64) ?(threads = 16) ?(iterations = 64)
-    ?(corrupt = false) ?calibration ?(distances = []) (study : Benchmarks.Study.t) =
-  (* Calibrated tournaments realize candidates over the profiled
-     source's iteration count (capped — speedup converges once the
-     pipeline fill is amortized) so scores live on the trace's scale. *)
-  let iterations =
-    match calibration with
-    | Some c -> min (max 2 c.Sim.Calibrate.iterations) 256
-    | None -> iterations
-  in
+(* Realized iterations per candidate loop. *)
+let iterations = 64
+
+let run ~pool ?(beam = 8) ?(budget = 64) ?(threads = 16) ?(corrupt = false)
+    (study : Benchmarks.Study.t) =
   let pdg = study.Benchmarks.Study.pdg () in
   let hand = study.Benchmarks.Study.plan in
   let pdg_breakers = distinct_breakers pdg in
@@ -147,13 +142,8 @@ let run ~pool ?(beam = 8) ?(budget = 64) ?(threads = 16) ?(iterations = 64)
   in
   let cfg_of (cand : Dswp.Search.candidate) =
     let cores = if cand.Dswp.Search.cand_replicate then threads else min threads 3 in
-    let comm_latency =
-      match calibration with
-      | Some c -> c.Sim.Calibrate.queue_latency
-      | None -> 1
-    in
     Machine.Config.make ~cores
-      ~queue_capacity:cand.Dswp.Search.cand_queue_capacity ~comm_latency ()
+      ~queue_capacity:cand.Dswp.Search.cand_queue_capacity ~comm_latency:1 ()
   in
   (* One realization per candidate, shared by measure and simulate, so
      the simulator and the oracle share the loop's index. *)
@@ -165,10 +155,7 @@ let run ~pool ?(beam = 8) ?(budget = 64) ?(threads = 16) ?(iterations = 64)
       let enabled b =
         List.exists (fun b' -> b' = b) cand.Dswp.Search.cand_breakers
       in
-      let l =
-        Sim.Realize.loop pdg ~partition:part ~enabled ~iterations ?calibration
-          ~distances ()
-      in
+      let l = Sim.Realize.loop pdg ~partition:part ~enabled ~iterations in
       Hashtbl.add realized cand.Dswp.Search.cand_id l;
       l
   in
@@ -284,197 +271,6 @@ let oracle_clean report =
       | Dswp.Search.Simulated row -> row.Dswp.Search.sim_oracle = Ok ()
       | _ -> true)
     report.search.Dswp.Search.ranked
-
-(* --- calibration --------------------------------------------------- *)
-
-type cal_point = {
-  cp_threads : int;
-  cp_trace_speedup : float;
-  cp_realized_speedup : float;
-}
-
-type cal_report = {
-  cr_bench : string;
-  cr_cal : Sim.Calibrate.t;
-  cr_points : cal_point list;
-  cr_max_rel_error : float;
-}
-
-(* The profiled loop the study's PDG describes: the heaviest parallel
-   loop of the built simulator input. *)
-let main_trace_loop (study : Benchmarks.Study.t) ~scale =
-  let profile = study.Benchmarks.Study.run ~scale in
-  let built = Framework.build ~plan:study.Benchmarks.Study.plan profile in
-  let best =
-    List.fold_left
-      (fun acc seg ->
-        match seg with
-        | Sim.Input.Serial _ -> acc
-        | Sim.Input.Parallel l -> (
-          match acc with
-          | Some best when Sim.Input.loop_work best >= Sim.Input.loop_work l ->
-            acc
-          | _ -> Some l))
-      None built.Framework.input.Sim.Input.segments
-  in
-  match best with
-  | Some l -> Ok l
-  | None ->
-    Error
-      (Printf.sprintf "%s: no parallel loop in the built input"
-         study.Benchmarks.Study.spec_name)
-
-let loop_speedup cfg loop =
-  let r = Sim.Pipeline.run_loop cfg ~validate:false loop in
-  let work = Sim.Input.loop_work loop in
-  if r.Sim.Pipeline.span <= 0 then 1.0
-  else float_of_int work /. float_of_int r.Sim.Pipeline.span
-
-(* Worst relative error of realized speedups against trace speedups,
-   pointwise over the sweep. *)
-let max_rel_error points =
-  List.fold_left
-    (fun acc (trace, realized) ->
-      let base = Float.max trace 1e-9 in
-      Float.max acc (Float.abs (realized -. trace) /. base))
-    0. points
-
-(* The B->B mis-speculation rate is the one calibrated parameter whose
-   pipeline cost is not a static function of the trace: a distance-1
-   squash edge's realized cost depends on replica overlap, cascade
-   depth, and restart latency, none of which the edge counts expose
-   (the same 15% adjacent-violation rate costs a 4x slowdown on one
-   bench and 30% on another).  So the static fit seeds the rate and a
-   deterministic grid fit against the profiled-trace sweep picks the
-   value minimizing the worst relative error; ties break toward the
-   static seed so the measurement wins whenever the sweep cannot tell
-   candidates apart. *)
-let refine_spec_rate ~pdg ~partition ~enabled ~threads ~trace_speedups cal =
-  match Sim.Calibrate.spec_rate_for cal Ir.Task.B Ir.Task.B with
-  | None -> cal
-  | Some seed ->
-    let with_rate r =
-      {
-        cal with
-        Sim.Calibrate.spec_rate =
-          List.map
-            (fun ((s1, s2), p) ->
-              if s1 = Ir.Task.B && s2 = Ir.Task.B then ((s1, s2), r)
-              else ((s1, s2), p))
-            cal.Sim.Calibrate.spec_rate;
-      }
-    in
-    let err_of cal' =
-      let realized_loop =
-        Sim.Realize.loop pdg ~partition ~enabled
-          ~iterations:(max 2 cal'.Sim.Calibrate.iterations)
-          ~calibration:cal' ()
-      in
-      max_rel_error
-        (List.map2
-           (fun t trace ->
-             let cfg =
-               Machine.Config.make ~cores:t
-                 ~comm_latency:cal'.Sim.Calibrate.queue_latency ()
-             in
-             (trace, loop_speedup cfg realized_loop))
-           threads trace_speedups)
-    in
-    let candidates =
-      seed :: List.init 21 (fun i -> float_of_int i /. 20.)
-    in
-    let best, _ =
-      List.fold_left
-        (fun (best, best_err) r ->
-          let e = err_of (with_rate r) in
-          if e < best_err then (r, e) else (best, best_err))
-        (seed, err_of cal) candidates
-    in
-    with_rate best
-
-let calibration_report ?(scale = Benchmarks.Study.Small)
-    ?(threads = [ 2; 4; 8; 16 ]) ?calibration (study : Benchmarks.Study.t) =
-  match main_trace_loop study ~scale with
-  | Error _ as e -> e
-  | Ok trace_loop ->
-    let pdg = study.Benchmarks.Study.pdg () in
-    let enabled = Framework.enabled_breakers study.Benchmarks.Study.plan in
-    let partition = Dswp.Partition.partition pdg ~enabled in
-    let trace_speedups =
-      List.map
-        (fun t ->
-          loop_speedup (Machine.Config.make ~cores:t ~comm_latency:1 ()) trace_loop)
-        threads
-    in
-    let cal =
-      match calibration with
-      | Some c -> c (* a user-supplied record is used as-is, no refit *)
-      | None ->
-        Sim.Calibrate.fit ~bench:study.Benchmarks.Study.spec_name trace_loop
-        |> refine_spec_rate ~pdg ~partition ~enabled ~threads ~trace_speedups
-    in
-    let realized_loop =
-      Sim.Realize.loop pdg ~partition ~enabled
-        ~iterations:(max 2 cal.Sim.Calibrate.iterations)
-        ~calibration:cal ()
-    in
-    let points =
-      List.map2
-        (fun t trace ->
-          {
-            cp_threads = t;
-            cp_trace_speedup = trace;
-            cp_realized_speedup =
-              loop_speedup
-                (Machine.Config.make ~cores:t
-                   ~comm_latency:cal.Sim.Calibrate.queue_latency ())
-                realized_loop;
-          })
-        threads trace_speedups
-    in
-    let max_err =
-      max_rel_error
-        (List.map (fun p -> (p.cp_trace_speedup, p.cp_realized_speedup)) points)
-    in
-    Ok
-      {
-        cr_bench = study.Benchmarks.Study.spec_name;
-        cr_cal = cal;
-        cr_points = points;
-        cr_max_rel_error = max_err;
-      }
-
-let cal_report_json r =
-  Obs.Json.Obj
-    [
-      ("study", Obs.Json.Str r.cr_bench);
-      ("calibration", Sim.Calibrate.to_json r.cr_cal);
-      ( "points",
-        Obs.Json.Arr
-          (List.map
-             (fun p ->
-               Obs.Json.Obj
-                 [
-                   ("threads", Obs.Json.Int p.cp_threads);
-                   ("trace", Obs.Json.Float p.cp_trace_speedup);
-                   ("realized", Obs.Json.Float p.cp_realized_speedup);
-                 ])
-             r.cr_points) );
-      ("max_rel_error", Obs.Json.Float r.cr_max_rel_error);
-    ]
-
-let pp_cal_report ppf r =
-  Format.fprintf ppf "calibration %a@." Sim.Calibrate.pp r.cr_cal;
-  Format.fprintf ppf "  %7s %8s %9s %8s@." "threads" "trace" "realized"
-    "rel-err";
-  List.iter
-    (fun p ->
-      let base = Float.max p.cp_trace_speedup 1e-9 in
-      Format.fprintf ppf "  %7d %7.3fx %8.3fx %7.1f%%@." p.cp_threads
-        p.cp_trace_speedup p.cp_realized_speedup
-        (100. *. Float.abs (p.cp_realized_speedup -. p.cp_trace_speedup) /. base))
-    r.cr_points;
-  Format.fprintf ppf "  max relative error %.1f%%@." (100. *. r.cr_max_rel_error)
 
 let pp ppf report =
   let r = report.search in

@@ -43,30 +43,16 @@ val run :
   ?beam:int ->
   ?budget:int ->
   ?threads:int ->
-  ?iterations:int ->
   ?corrupt:bool ->
-  ?calibration:Sim.Calibrate.t ->
-  ?distances:((Ir.Task.phase * Ir.Task.phase) * (int * float) list) list ->
   Benchmarks.Study.t ->
   report
 (** Defaults: [beam] 8, [budget] 64, [threads] 16 (simulated cores for
     replicated candidates; non-replicated ones run a plain 3-core
-    pipeline), [iterations] 64 realized iterations, [corrupt] false.
+    pipeline), [corrupt] false.  Every candidate is realized over 64
+    iterations and simulated with [comm_latency] 1.
     [corrupt] enables the self-test mutation: every non-seed
     candidate's partition has a serial stage merged into the
-    replicated stage, which must be caught by the lint pruner.
-    With [?calibration] every candidate is realized through the
-    calibrated cost model ({!Sim.Realize} with measured stage costs
-    and speculation rates), the machine's [comm_latency] is the
-    calibrated queue latency, and candidates realize over the
-    profiled source's iteration count (clamped to [2, 256]) instead
-    of [iterations] — so simulated speedups are comparable to the
-    full-trace sweeps, not just to each other.
-    [?distances] is forwarded to {!Sim.Realize.loop}: per stage pair,
-    the statically inferred carried-distance histogram
-    ({!Flow.Infer.distance_histograms}) that spreads speculation
-    events across iteration distances instead of assuming distance
-    1. *)
+    replicated stage, which must be caught by the lint pruner. *)
 
 val seed_outcome : report -> Dswp.Search.outcome option
 (** The hand-plan seed's outcome (always simulated unless lint-pruned). *)
@@ -83,50 +69,3 @@ val pp : Format.formatter -> report -> unit
     ones, followed by the prune counters ("lint-pruned N" etc.) and
     the winner line.  Byte-deterministic for a given study and
     parameters, independent of the pool size. *)
-
-(** {2 Calibration}
-
-    Fitting {!Sim.Calibrate} records from a study's profiled trace and
-    reporting how closely the calibrated realization of the {e hand}
-    plan tracks the full profiled-trace simulation. *)
-
-type cal_point = {
-  cp_threads : int;
-  cp_trace_speedup : float;  (** full trace loop, simulated at [threads] *)
-  cp_realized_speedup : float;
-      (** calibrated {!Sim.Realize} loop of the hand partition,
-          simulated at [threads] *)
-}
-
-type cal_report = {
-  cr_bench : string;
-  cr_cal : Sim.Calibrate.t;
-  cr_points : cal_point list;
-  cr_max_rel_error : float;
-      (** max over points of |realized - trace| / trace *)
-}
-
-val calibration_report :
-  ?scale:Benchmarks.Study.scale ->
-  ?threads:int list ->
-  ?calibration:Sim.Calibrate.t ->
-  Benchmarks.Study.t ->
-  (cal_report, string) result
-(** Run the study's profile at [scale] (default [Small]), fit a
-    calibration from its heaviest parallel loop (or take the given
-    [?calibration], e.g. one loaded from a file, used as-is), realize
-    the hand partition through it, and simulate both loops at each
-    thread count (default [2; 4; 8; 16]).  A freshly fitted
-    calibration additionally has its B->B mis-speculation rate refined
-    by a deterministic grid fit against the trace sweep: the rate's
-    pipeline cost (replica overlap, squash cascades, restart latency)
-    is not a static function of the edge counts, so the sweep itself
-    is the only ground truth that can pin it down.  [Error] when the
-    built input has no parallel loop. *)
-
-val cal_report_json : cal_report -> Obs.Json.t
-(** [{"study", "calibration": <Sim.Calibrate.to_json>, "points",
-    "max_rel_error"}] — the per-bench block under [BENCH_summary.json]'s
-    ["calibration"] key. *)
-
-val pp_cal_report : Format.formatter -> cal_report -> unit

@@ -138,41 +138,3 @@ let run ?commutative ?(iterations = 200) body =
         ?breaker:dep.Analyze.d_breaker ?distance ())
     rates;
   { body; analysis; pdg; rates; histograms; hist_totals; iterations }
-
-let distance_histograms t ~phase_of =
-  let merged : (Ir.Task.phase * Ir.Task.phase, (int, float) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 4
-  in
-  List.iter
-    (fun (((src, dst) as key), norm) ->
-      let total =
-        float_of_int (Option.value ~default:0 (List.assoc_opt key t.hist_totals))
-      in
-      if total > 0.0 then begin
-        let pkey = (phase_of src, phase_of dst) in
-        let buckets =
-          match Hashtbl.find_opt merged pkey with
-          | Some b -> b
-          | None ->
-            let b = Hashtbl.create 4 in
-            Hashtbl.add merged pkey b;
-            b
-        in
-        List.iter
-          (fun (d, f) ->
-            let cur = Option.value ~default:0.0 (Hashtbl.find_opt buckets d) in
-            Hashtbl.replace buckets d (cur +. (f *. total)))
-          norm
-      end)
-    t.histograms;
-  Hashtbl.fold (fun pkey buckets acc -> (pkey, buckets) :: acc) merged []
-  |> List.sort (fun ((a1, a2), _) ((b1, b2), _) ->
-         match Ir.Task.compare_phase a1 b1 with
-         | 0 -> Ir.Task.compare_phase a2 b2
-         | n -> n)
-  |> List.map (fun (pkey, buckets) ->
-         let counts =
-           Hashtbl.fold (fun d w acc -> (d, w) :: acc) buckets [] |> List.sort compare
-         in
-         let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 counts in
-         (pkey, List.map (fun (d, w) -> (d, w /. Float.max 1e-9 total)) counts))

@@ -14,7 +14,7 @@
     (misprediction) rate of the consuming branch — becomes the edge
     probability, replacing the analyzer's static must/may default.  The
     same replay yields the per-region-pair carried distance histograms
-    that {!Sim.Realize} consumes as its [?distances] override. *)
+    that [repro infer] prints. *)
 
 type result = {
   body : Body.t;
@@ -26,8 +26,7 @@ type result = {
       (** per (src region, dst region): normalized histogram of observed
           carried distances, distances ascending *)
   hist_totals : ((int * int) * int) list;
-      (** observation count behind each histogram, for count-weighted
-          merging *)
+      (** observation count behind each histogram *)
   iterations : int;  (** sample size the measurements used *)
 }
 
@@ -37,11 +36,3 @@ val run :
   Body.t ->
   result
 (** Default [iterations] 200 (minimum 8 enforced). *)
-
-val distance_histograms :
-  result ->
-  phase_of:(int -> Ir.Task.phase) ->
-  ((Ir.Task.phase * Ir.Task.phase) * (int * float) list) list
-(** The region-pair histograms folded onto stage pairs under a
-    partition's node->phase map, count-weighted and renormalized —
-    directly consumable by {!Sim.Realize}'s [?distances]. *)

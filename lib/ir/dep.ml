@@ -21,6 +21,3 @@ let action_to_string = function
   | Remove -> "remove"
 
 type resolved = { edge : t; action : action }
-
-let pp_resolved ppf r =
-  Format.fprintf ppf "%a[%s]" pp r.edge (action_to_string r.action)

@@ -35,5 +35,3 @@ type action =
 val action_to_string : action -> string
 
 type resolved = { edge : t; action : action }
-
-val pp_resolved : Format.formatter -> resolved -> unit

@@ -87,63 +87,6 @@ let merge a b =
       t.vmax <- max a.vmax b.vmax);
   t
 
-let to_json t =
-  let cells = ref [] in
-  for b = buckets - 1 downto 0 do
-    if t.cells.(b) > 0 then
-      cells := Json.Arr [ Json.Int b; Json.Int t.cells.(b) ] :: !cells
-  done;
-  Json.Obj
-    [
-      ("count", Json.Int t.n);
-      ("sum", Json.Int t.total);
-      ("min", Json.Int t.vmin);
-      ("max", Json.Int t.vmax);
-      ("buckets", Json.Arr !cells);
-    ]
-
-let of_json j =
-  let ( let* ) = Result.bind in
-  let int_field name =
-    match Option.bind (Json.member name j) Json.to_int with
-    | Some i -> Ok i
-    | None -> Error (Printf.sprintf "hist: missing int field %S" name)
-  in
-  let* n = int_field "count" in
-  let* total = int_field "sum" in
-  let* vmin = int_field "min" in
-  let* vmax = int_field "max" in
-  if n < 0 then Error "hist: negative count"
-  else
-    let* cells =
-      match Option.bind (Json.member "buckets" j) Json.to_list with
-      | Some l -> Ok l
-      | None -> Error "hist: missing buckets array"
-    in
-    let t = create () in
-    t.n <- n;
-    t.total <- total;
-    t.vmin <- vmin;
-    t.vmax <- vmax;
-    let* () =
-      List.fold_left
-        (fun acc cell ->
-          let* () = acc in
-          match cell with
-          | Json.Arr [ Json.Int b; Json.Int c ] ->
-              if b < 0 || b >= buckets then Error "hist: bucket index out of range"
-              else if c < 0 then Error "hist: negative bucket count"
-              else begin
-                t.cells.(b) <- t.cells.(b) + c;
-                Ok ()
-              end
-          | _ -> Error "hist: malformed bucket entry")
-        (Ok ()) cells
-    in
-    if Array.fold_left ( + ) 0 t.cells <> n then
-      Error "hist: bucket counts disagree with count"
-    else Ok t
-
 let pp ppf t =
   if t.n = 0 then Format.fprintf ppf "empty"
   else

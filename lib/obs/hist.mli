@@ -41,13 +41,5 @@ val merge : t -> t -> t
 
 val clear : t -> unit
 
-val to_json : t -> Json.t
-(** [{"count", "sum", "min", "max", "buckets": [[index, count], ...]}]
-    with only non-empty buckets listed. *)
-
-val of_json : Json.t -> (t, string) result
-(** Inverse of {!to_json}; rejects malformed or inconsistent input
-    (negative counts, bucket indices out of range, count mismatch). *)
-
 val pp : Format.formatter -> t -> unit
 (** One line: count, mean, p50/p95 upper bounds and max. *)

@@ -131,10 +131,3 @@ let analyze ?(config = default_config) ?iteration_of log =
 let cross_iteration (loop : Ir.Trace.loop) edges =
   let iter_of id = loop.Ir.Trace.tasks.(id).Ir.Task.iteration in
   List.filter (fun e -> iter_of e.src <> iter_of e.dst) edges
-
-let pp_edge ppf e =
-  Format.fprintf ppf "%d->%d loc=%d%s%s%s%s" e.src e.dst e.loc
-    (match e.group with Some g -> Printf.sprintf " group=%s" g | None -> "")
-    (if e.silent then " silent" else "")
-    (if e.predicted then " predicted" else "")
-    (match e.distance with Some d -> Printf.sprintf " d=%d" d | None -> "")

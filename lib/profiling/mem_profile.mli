@@ -47,5 +47,3 @@ val analyze : ?config:config -> ?iteration_of:(int -> int) -> Access_log.t -> ed
 val cross_iteration : Ir.Trace.loop -> edge list -> edge list
 (** Keep only edges whose endpoints belong to different iterations —
     the loop-carried dependences that block parallelization. *)
-
-val pp_edge : Format.formatter -> edge -> unit

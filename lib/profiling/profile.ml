@@ -148,8 +148,6 @@ let end_task t =
     l.tasks_rev <- tk :: l.tasks_rev;
     t.task <- None
 
-let current_task t = Option.map (fun task -> task.task_id) t.task
-
 let work t w =
   if w < 0 then invalid_arg "Profile.work: negative";
   match t.task with

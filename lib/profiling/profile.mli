@@ -60,8 +60,6 @@ val begin_task : t -> iteration:int -> phase:Ir.Task.phase -> ?intra:int -> unit
 
 val end_task : t -> unit
 
-val current_task : t -> int option
-
 (** {1 Costs and accesses} *)
 
 val work : t -> int -> unit

@@ -551,48 +551,3 @@ let pp_telemetry stats ppf tl =
       Format.fprintf ppf "  %-12s capacity=%d high-water=%d pushes=%d@,"
         (queue_stat_name qs) qs.qs_capacity qs.qs_high_water qs.qs_pushes)
     tl.tl_queues
-
-(* The probe-dump interchange format [Sim.Calibrate.of_probe_json]
-   consumes; latencies are microseconds. *)
-let telemetry_to_json ~name stats tl =
-  let iterations =
-    if Array.length stats.roles = 0 then 0
-    else stats.roles.(Array.length stats.roles - 1).rs_items
-  in
-  let role k rp =
-    let rs = stats.roles.(k) in
-    Obs.Json.Obj
-      [
-        ("role", Obs.Json.Str rp.rp_role);
-        ("items", Obs.Json.Int rs.rs_items);
-        ("busy_s", Obs.Json.Float rs.rs_busy);
-        ("stage", Obs.Hist.to_json rp.rp_stage);
-        ("pop_stall", Obs.Hist.to_json rp.rp_pop_stall);
-        ("push_stall", Obs.Hist.to_json rp.rp_push_stall);
-        ("validate", Obs.Hist.to_json rp.rp_validate);
-        ("squash", Obs.Hist.to_json rp.rp_squash);
-      ]
-  in
-  let queue qs =
-    Obs.Json.Obj
-      [
-        ("queue", Obs.Json.Str (Obs.Event.queue_name qs.qs_queue));
-        ("slot", Obs.Json.Int qs.qs_slot);
-        ("capacity", Obs.Json.Int qs.qs_capacity);
-        ("high_water", Obs.Json.Int qs.qs_high_water);
-        ("pushes", Obs.Json.Int qs.qs_pushes);
-      ]
-  in
-  Obs.Json.Obj
-    [
-      ("probe_dump", Obs.Json.Int 1);
-      ("bench", Obs.Json.Str name);
-      ("threads", Obs.Json.Int stats.threads);
-      ("replicas", Obs.Json.Int stats.replicas);
-      ("iterations", Obs.Json.Int iterations);
-      ("seconds", Obs.Json.Float stats.seconds);
-      ("squashes", Obs.Json.Int stats.squashes);
-      ("dropped", Obs.Json.Int tl.tl_dropped);
-      ("roles", Obs.Json.Arr (Array.to_list (Array.mapi role tl.tl_roles)));
-      ("queues", Obs.Json.Arr (List.map queue tl.tl_queues));
-    ]

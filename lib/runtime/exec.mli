@@ -133,9 +133,3 @@ val events : result -> Obs.Event.t list
 val pp_telemetry : stats -> Format.formatter -> telemetry -> unit
 (** Per-role latency histograms and per-queue high-water table
     (the [repro profile-real] report body). *)
-
-val telemetry_to_json : name:string -> stats -> telemetry -> Obs.Json.t
-(** The probe-dump interchange record ([{"probe_dump": 1, ...}]) that
-    [Sim.Calibrate.of_probe_json] fits a calibration from.  Latencies
-    are microseconds; [iterations] is the committing role's item
-    count. *)

@@ -12,37 +12,19 @@ let occurs p i =
   let f x = int_of_float (Float.floor (float_of_int x *. p)) in
   f (i + 1) > f i
 
-let loop pdg ~partition ~enabled ~iterations ?(scale = 100) ?calibration
-    ?(distances = []) () =
+let loop pdg ~partition ~enabled ~iterations =
   if iterations < 0 then invalid_arg "Realize.loop: negative iterations";
-  if scale < 1 then invalid_arg "Realize.loop: scale must be >= 1";
-  List.iter
-    (fun (_, hist) ->
-      List.iter
-        (fun (d, f) ->
-          if d < 1 then invalid_arg "Realize.loop: distance must be >= 1";
-          if f < 0.0 then invalid_arg "Realize.loop: negative distance weight")
-        hist)
-    distances;
   let n = Ir.Pdg.node_count pdg in
   let phase_of = Array.make (max 1 n) Ir.Task.A in
   List.iter
     (fun (s : Dswp.Partition.stage) ->
       List.iter (fun v -> phase_of.(v) <- s.Dswp.Partition.phase) s.Dswp.Partition.nodes)
     partition.Dswp.Partition.stages;
-  (* Calibrated: the candidate's normalized stage weights split the
-     measured per-iteration cost instead of the synthetic [scale], so
-     realized task works live on the profiled source's cost scale. *)
-  let work_scale =
-    match calibration with
-    | Some c -> Float.max 1.0 (Calibrate.total_cost c)
-    | None -> float_of_int scale
-  in
   let stage_work ph =
     let s = Dswp.Partition.stage partition ph in
     if s.Dswp.Partition.nodes = [] then None
     else begin
-      let w = int_of_float (Float.round (s.Dswp.Partition.weight *. work_scale)) in
+      let w = int_of_float (Float.round (s.Dswp.Partition.weight *. 100.)) in
       Some (if w = 0 && s.Dswp.Partition.weight > 0.0 then 1 else w)
     end
   in
@@ -112,33 +94,9 @@ let loop pdg ~partition ~enabled ~iterations ?(scale = 100) ?calibration
             (* Mis-speculation cost surfaces on the carried occurrences:
                into B it squashes, into a serial stage it serializes.
                Same-serial-stage pairs are already chained. *)
-            if
-              e.Ir.Pdg.loop_carried
-              && not (s1 = s2 && s1 <> Ir.Task.B)
-            then begin
-              (* A measured occurrence rate for this stage pair beats
-                 the PDG's static probability annotation. *)
-              let p =
-                match
-                  Option.bind calibration (fun c ->
-                      Calibrate.spec_rate_for c s1 s2)
-                with
-                | Some r -> r
-                | None -> e.Ir.Pdg.probability
-              in
-              (* A distance histogram for the stage pair spreads the
-                 edge's occurrences across the measured (or statically
-                 inferred) iteration distances; otherwise the edge's own
-                 minimum distance is used, defaulting to 1. *)
-              match List.assoc_opt (s1, s2) distances with
-              | Some ((_ :: _) as hist) ->
-                List.iter
-                  (fun (d, f) ->
-                    if f > 0.0 then spec_quads := (s1, s2, d, p *. f) :: !spec_quads)
-                  hist
-              | Some [] | None ->
-                spec_quads := (s1, s2, edge_distance e, p) :: !spec_quads
-            end
+            if e.Ir.Pdg.loop_carried && not (s1 = s2 && s1 <> Ir.Task.B) then
+              spec_quads :=
+                (s1, s2, edge_distance e, e.Ir.Pdg.probability) :: !spec_quads
           | _ -> ()
       end)
     (Ir.Pdg.edges pdg);

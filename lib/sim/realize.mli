@@ -29,29 +29,11 @@ val loop :
   partition:Dswp.Partition.t ->
   enabled:(Ir.Pdg.breaker -> bool) ->
   iterations:int ->
-  ?scale:int ->
-  ?calibration:Calibrate.t ->
-  ?distances:((Ir.Task.phase * Ir.Task.phase) * (int * float) list) list ->
-  unit ->
   Input.loop
-(** [scale] (default 100) converts normalized stage weights to integer
-    work units; a non-empty stage with positive weight gets at least 1.
-    With [?calibration] the stage weights split the calibrated
-    per-iteration cost ({!Calibrate.total_cost}) instead of [scale],
-    and speculated edges use the measured occurrence rate of their
-    stage pair when one was fitted (falling back to the PDG's static
-    probability) — realized speedups then live on the profiled
-    source's cost scale and are comparable to full-trace sweeps.
+(** Normalized stage weights are scaled by 100 to integer work units;
+    a non-empty stage with positive weight gets at least 1.  An edge
+    whose PDG record carries [distance = Some d] synchronizes (or,
+    speculated, squashes) producer iteration [i] against consumer
+    iteration [i + d] instead of the conservative [i + 1].
 
-    Iteration distances: an edge whose PDG record carries
-    [distance = Some d] synchronizes (or, speculated, squashes)
-    producer iteration [i] against consumer iteration [i + d] instead
-    of the conservative [i + 1].  [?distances] supplies a per-stage-pair
-    histogram [(d, fraction) list] — e.g. measured by the static
-    analyzer's reference interpreter ({!Flow} via [repro infer]) —
-    that spreads each {e speculated} edge's occurrence rate across
-    several distances, replacing the single-distance model that the
-    ROADMAP flags as the distance-1 calibration bottleneck.
-
-    Raises [Invalid_argument] on negative [iterations], [scale < 1],
-    a histogram distance [< 1] or a negative histogram fraction. *)
+    Raises [Invalid_argument] on negative [iterations]. *)

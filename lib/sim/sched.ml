@@ -16,6 +16,3 @@ type loop_result = {
   b_tasks_per_core : int array;
   schedule : sched_entry list;
 }
-
-let pp_entry ppf e =
-  Format.fprintf ppf "task %d on core %d: [%d, %d)" e.s_task e.s_core e.s_start e.s_finish

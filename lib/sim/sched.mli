@@ -32,5 +32,3 @@ type loop_result = {
       (** one entry per task, in completion order; intervals on one core
           never overlap *)
 }
-
-val pp_entry : Format.formatter -> sched_entry -> unit

@@ -6,11 +6,9 @@ type result = {
 }
 
 (* Each task's accesses happen at an offset within its iteration's
-   merged execution: the A task first, then the B and C tasks together
-   by ascending intra, ties by ascending id.  That puts C among the B
-   tasks instead of after them, which departs from the A, B, C phase
-   order; CHANGES.md records it as a FOUND defect, kept here so the TLS
-   figures do not change.  Returns each iteration's work and each task's
+   merged execution, whose phases run in A, B, C order: the A task
+   first, then the B tasks by ascending intra, ties by ascending id,
+   then the C task.  Returns each iteration's work and each task's
    offset. *)
 let iteration_offsets (ix : Input.index) =
   let iters = Array.length ix.Input.a_of and w = ix.Input.t_work and intra = ix.Input.t_intra in
@@ -23,16 +21,17 @@ let iteration_offsets (ix : Input.index) =
   for i = 0 to iters - 1 do
     let off = ref 0 in
     let place t =
-      prefix.(t) <- !off;
-      off := !off + w.(t)
+      if t >= 0 then begin
+        prefix.(t) <- !off;
+        off := !off + w.(t)
+      end
     in
-    if ix.Input.a_of.(i) >= 0 then place ix.Input.a_of.(i);
+    place ix.Input.a_of.(i);
     let lo = ix.Input.b_off.(i) and hi = ix.Input.b_off.(i + 1) in
-    let c = ix.Input.c_of.(i) in
-    let rest = Array.make (hi - lo + if c >= 0 then 1 else 0) c in
-    Array.blit ix.Input.b_ids lo rest 0 (hi - lo);
-    Array.sort by_intra_id rest;
-    Array.iter place rest;
+    let bs = Array.sub ix.Input.b_ids lo (hi - lo) in
+    Array.sort by_intra_id bs;
+    Array.iter place bs;
+    place ix.Input.c_of.(i);
     work.(i) <- !off
   done;
   (work, prefix)

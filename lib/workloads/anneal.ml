@@ -60,8 +60,6 @@ let create ~seed ~blocks ~grid ~nets =
 
 let block_count t = Array.length t.pos
 
-let net_count t = Array.length t.nets
-
 let total_cost t = t.cost
 
 type swap = {

@@ -22,8 +22,6 @@ val create : seed:int -> blocks:int -> grid:int -> nets:int -> t
 
 val block_count : t -> int
 
-val net_count : t -> int
-
 val total_cost : t -> int
 
 type swap = {

@@ -49,8 +49,6 @@ let english_like =
 
 type parse_result = { grammatical : bool; chart_entries : int; work : int }
 
-let known_word g w = List.mem_assoc w g.lexicon
-
 let parse g words =
   let n = List.length words in
   if n = 0 then { grammatical = false; chart_entries = 0; work = 0 }

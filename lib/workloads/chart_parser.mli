@@ -27,8 +27,6 @@ type parse_result = {
 val parse : grammar -> string list -> parse_result
 (** Parse a tokenized sentence (lowercase words). *)
 
-val known_word : grammar -> string -> bool
-
 val sentence_of_length : Simcore.Rng.t -> int -> string list
 (** Generate a grammatical sentence of roughly the requested length from
     {!english_like} (for workload inputs). *)

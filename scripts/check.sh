@@ -135,16 +135,14 @@ if dune exec bin/repro.exe -- validate-real -b 164.gzip -t 2 -s small \
 fi
 
 # Telemetry smoke: run one bench on real domains with probes on,
-# assert the per-role latency histograms and queue counters print, the
-# Chrome trace parses (its counter tracks now carry real SPSC
-# occupancy samples), and the probe dump round-trips into the planner
-# as a calibration source.
+# assert the per-role latency histograms and queue counters print, and
+# the Chrome trace parses (its counter tracks now carry real SPSC
+# occupancy samples).
 prof_trace="$(mktemp -t prof_trace.XXXXXX.json)"
-prof_dump="$(mktemp -t prof_dump.XXXXXX.json)"
 prof_out="$(mktemp -t prof_out.XXXXXX.txt)"
-trap 'rm -f "$trace_tmp" "$prof_trace" "$prof_dump" "$prof_out"' EXIT
+trap 'rm -f "$trace_tmp" "$prof_trace" "$prof_out"' EXIT
 dune exec bin/repro.exe -- profile-real -b 164.gzip -t 3 -s small \
-  --trace "$prof_trace" --dump "$prof_dump" > "$prof_out"
+  --trace "$prof_trace" > "$prof_out"
 for anchor in 'telemetry:' 'stage-us' 'high-water'; do
   if ! grep -q "$anchor" "$prof_out"; then
     echo "check.sh: profile-real output lacks '$anchor':" >&2
@@ -159,41 +157,12 @@ dune exec scripts/validate_trace.exe -- "$prof_trace"
 # where forwarding leaves nothing to squash; validate-real writes one
 # trace per point.
 vpr_trace="$(mktemp -d -t vpr_trace.XXXXXX)"
-trap 'rm -f "$trace_tmp" "$prof_trace" "$prof_dump" "$prof_out"; rm -rf "$vpr_trace"' EXIT
+trap 'rm -f "$trace_tmp" "$prof_trace" "$prof_out"; rm -rf "$vpr_trace"' EXIT
 dune exec bin/repro.exe -- validate-real -b 175.vpr -t 3 -s small \
   --trace "$vpr_trace/vpr.json" > /dev/null
 for t in 2 3; do
   dune exec scripts/validate_trace.exe -- "$vpr_trace/vpr-t$t.json"
 done
 
-# Calibration smoke: fit from the profiled trace (auto) and from the
-# probe dump above; `repro plan`'s exit contract already enforces
-# winner >= hand and oracle-clean runs, so exit 0 means the calibrated
-# tournament still beats the hand plan.  The report must carry the
-# calibration-error block.
-cal_out="$(dune exec bin/repro.exe -- plan -b 164.gzip -s small --calibrate auto --jobs 2)"
-if ! grep -q 'max relative error' <<< "$cal_out"; then
-  echo "check.sh: plan --calibrate auto printed no calibration error block:" >&2
-  echo "$cal_out" >&2
-  exit 1
-fi
-dune exec bin/repro.exe -- plan -b 164.gzip -s small --calibrate "$prof_dump" --jobs 2 > /dev/null
-
-# Calibration self-test: a corrupted calibration file must be rejected
-# with exit 1, proving the loader actually validates its input.
-cal_bad="$(mktemp -t cal_bad.XXXXXX.json)"
-printf '{"calibration": "garbage"' > "$cal_bad"
-if dune exec bin/repro.exe -- plan -b 164.gzip -s small --calibrate "$cal_bad" --jobs 2 > /dev/null 2>&1; then
-  echo "check.sh: plan --calibrate accepted a corrupted calibration file" >&2
-  exit 1
-fi
-rm -f "$cal_bad"
-
-# Calibration-fidelity gate: every registry study's calibrated
-# realization must stay within CAL_TOLERANCE of its trace sweep (the
-# bench smoke above regenerated BENCH_summary.json's calibration
-# block).  Exit codes: 0 = ok, 1 = gate failed, 2 = input error.
-dune exec scripts/check_calibration.exe
-
-echo "check.sh: build + runtest (golden snapshots) + prop + bench smoke (jobs=1 and jobs=${SCALE_JOBS}) + trace smoke + lint/audit-pdg --json + scaling gate + validate-real smoke + telemetry smoke + speculative trace smoke + calibration smoke + calibration gate OK (schedules oracle-validated)"
+echo "check.sh: build + runtest (golden snapshots) + prop + bench smoke (jobs=1 and jobs=${SCALE_JOBS}) + trace smoke + lint/audit-pdg --json + scaling gate + validate-real smoke + telemetry smoke + speculative trace smoke OK (schedules oracle-validated)"
 echo "perf record: BENCH_summary.json, BENCH_summary.csv, BENCH_history.jsonl"

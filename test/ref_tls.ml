@@ -1,9 +1,13 @@
 (* Reference TLS plan: Sim.Tls_plan.run_loop as it was before it read
-   Sim.Input.index, kept verbatim.  It sorts the loop's tasks with
-   polymorphic compare to place each one within its merged iteration
-   (the A task first, then the B and C tasks by intra, ties by id) and
-   buckets the edges by consumer iteration.  Sim.Tls_plan.run_loop must
-   agree with [run_loop] here (test_sim_prop.ml). *)
+   Sim.Input.index, kept verbatim but for one fix.  It sorts the loop's
+   tasks with polymorphic compare to place each one within its merged
+   iteration (the A task first, then the B tasks by intra, ties by id,
+   then the C task) and buckets the edges by consumer iteration.  The
+   fix is the phase term of that sort key: it compares the phase with
+   B, which ranks A, B and C as -1, 0 and 1; comparing with A, as the
+   copy did, ranked B and C alike and put C among the B tasks by intra.
+   Sim.Tls_plan.run_loop must agree with [run_loop] here
+   (test_sim_prop.ml). *)
 
 module Input = Sim.Input
 
@@ -37,9 +41,9 @@ let iteration_view (loop : Input.loop) =
     Array.to_list loop.Input.tasks
     |> List.sort (fun (a : Ir.Task.t) (b : Ir.Task.t) ->
            compare
-             (a.Ir.Task.iteration, Ir.Task.compare_phase a.Ir.Task.phase Ir.Task.A,
+             (a.Ir.Task.iteration, Ir.Task.compare_phase a.Ir.Task.phase Ir.Task.B,
               a.Ir.Task.intra)
-             (b.Ir.Task.iteration, Ir.Task.compare_phase b.Ir.Task.phase Ir.Task.A,
+             (b.Ir.Task.iteration, Ir.Task.compare_phase b.Ir.Task.phase Ir.Task.B,
               b.Ir.Task.intra))
   in
   let acc = Hashtbl.create 16 in

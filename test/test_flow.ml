@@ -158,7 +158,7 @@ let realize_sync_distance_two () =
   let g = realize_pdg ~distance:(Some 2) in
   let enabled _ = false in
   let part = Dswp.Partition.partition g ~enabled in
-  let loop = Sim.Realize.loop g ~partition:part ~enabled ~iterations:6 () in
+  let loop = Sim.Realize.loop g ~partition:part ~enabled ~iterations:6 in
   let has src dst =
     List.exists
       (fun (e : Sim.Input.edge) ->
@@ -174,42 +174,39 @@ let realize_sync_default_distance () =
   let g = realize_pdg ~distance:None in
   let enabled _ = false in
   let part = Dswp.Partition.partition g ~enabled in
-  let loop = Sim.Realize.loop g ~partition:part ~enabled ~iterations:6 () in
+  let loop = Sim.Realize.loop g ~partition:part ~enabled ~iterations:6 in
   Alcotest.(check bool) "A_0 -> C_1 at default distance" true
     (List.exists
        (fun (e : Sim.Input.edge) -> e.Sim.Input.src = 0 && e.Sim.Input.dst = 5)
        loop.Sim.Input.edges)
 
-let realize_spec_distance_histogram () =
-  (* A speculated B->B recurrence with an inferred all-distance-2
-     histogram: every speculation event must land two iterations out. *)
-  let g = Ir.Pdg.create "realize-spec" in
-  let a = Ir.Pdg.add_node g ~label:"a" ~weight:0.2 () in
-  let b = Ir.Pdg.add_node g ~label:"b" ~weight:0.6 ~replicable:true () in
-  let c = Ir.Pdg.add_node g ~label:"c" ~weight:0.2 () in
-  Ir.Pdg.add_edge g ~src:a ~dst:b ~kind:Ir.Dep.Register ();
-  Ir.Pdg.add_edge g ~src:b ~dst:c ~kind:Ir.Dep.Register ();
-  Ir.Pdg.add_edge g ~src:a ~dst:a ~kind:Ir.Dep.Register ~loop_carried:true ();
-  Ir.Pdg.add_edge g ~src:b ~dst:b ~kind:Ir.Dep.Memory ~loop_carried:true
-    ~probability:1.0 ~breaker:Ir.Pdg.Alias_speculation ();
-  let enabled br = br = Ir.Pdg.Alias_speculation in
-  let part = Dswp.Partition.partition g ~enabled in
-  let realize distances =
-    Sim.Realize.loop g ~partition:part ~enabled ~iterations:6 ~distances ()
-  in
-  let specs loop =
-    List.filter (fun (e : Sim.Input.edge) -> e.Sim.Input.speculated)
-      loop.Sim.Input.edges
+let realize_spec_edge_distance () =
+  (* A speculated B->B recurrence squashes at the edge's own minimum
+     distance: every speculation event lands two iterations out when
+     the PDG pins the edge to distance 2, and one out when it carries
+     none. *)
+  let realize distance =
+    let g = Ir.Pdg.create "realize-spec" in
+    let a = Ir.Pdg.add_node g ~label:"a" ~weight:0.2 () in
+    let b = Ir.Pdg.add_node g ~label:"b" ~weight:0.6 ~replicable:true () in
+    let c = Ir.Pdg.add_node g ~label:"c" ~weight:0.2 () in
+    Ir.Pdg.add_edge g ~src:a ~dst:b ~kind:Ir.Dep.Register ();
+    Ir.Pdg.add_edge g ~src:b ~dst:c ~kind:Ir.Dep.Register ();
+    Ir.Pdg.add_edge g ~src:a ~dst:a ~kind:Ir.Dep.Register ~loop_carried:true ();
+    Ir.Pdg.add_edge g ~src:b ~dst:b ~kind:Ir.Dep.Memory ~loop_carried:true
+      ~probability:1.0 ~breaker:Ir.Pdg.Alias_speculation ?distance ();
+    let enabled br = br = Ir.Pdg.Alias_speculation in
+    let part = Dswp.Partition.partition g ~enabled in
+    let loop = Sim.Realize.loop g ~partition:part ~enabled ~iterations:6 in
+    List.filter (fun (e : Sim.Input.edge) -> e.Sim.Input.speculated) loop.Sim.Input.edges
   in
   let dist (e : Sim.Input.edge) = (e.Sim.Input.dst - e.Sim.Input.src) / 3 in
-  let spread = specs (realize [ ((Ir.Task.B, Ir.Task.B), [ (2, 1.0) ]) ]) in
-  Alcotest.(check bool) "speculation events exist" true (spread <> []);
-  List.iter
-    (fun e -> Alcotest.(check int) "all at distance 2" 2 (dist e))
-    spread;
-  let default = specs (realize []) in
-  Alcotest.(check bool) "default: some distance-1 event" true
-    (List.exists (fun e -> dist e = 1) default)
+  let check label d specs =
+    Alcotest.(check bool) (label ^ ": speculation events exist") true (specs <> []);
+    List.iter (fun e -> Alcotest.(check int) label d (dist e)) specs
+  in
+  check "pinned distance 2" 2 (realize (Some 2));
+  check "default distance 1" 1 (realize None)
 
 (* ------------------------------------------------------------------ *)
 (* Soundness                                                           *)
@@ -269,7 +266,7 @@ let () =
         [
           Alcotest.test_case "sync at distance 2" `Quick realize_sync_distance_two;
           Alcotest.test_case "sync default distance" `Quick realize_sync_default_distance;
-          Alcotest.test_case "spec distance histogram" `Quick realize_spec_distance_histogram;
+          Alcotest.test_case "spec at edge distance" `Quick realize_spec_edge_distance;
         ] );
       ( "soundness",
         [

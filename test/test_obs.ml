@@ -446,45 +446,6 @@ let hist_buckets_and_stats () =
   (* target 3 lands in bucket 2 ([2,4)), whose largest value is 3. *)
   Alcotest.(check int) "p50 upper bound" 3 (Obs.Hist.quantile h 0.5)
 
-let hist_json_round_trip () =
-  let h = Obs.Hist.create () in
-  List.iter (Obs.Hist.add h) [ 3; 17; 17; 4096; 0; -5 ];
-  match Obs.Hist.of_json (Obs.Hist.to_json h) with
-  | Error e -> Alcotest.failf "of_json failed: %s" e
-  | Ok h' ->
-    Alcotest.(check int) "count" (Obs.Hist.count h) (Obs.Hist.count h');
-    Alcotest.(check int) "sum" (Obs.Hist.sum h) (Obs.Hist.sum h');
-    Alcotest.(check int) "min" (Obs.Hist.min_value h) (Obs.Hist.min_value h');
-    Alcotest.(check int) "max" (Obs.Hist.max_value h) (Obs.Hist.max_value h');
-    Alcotest.(check int) "p95" (Obs.Hist.quantile h 0.95) (Obs.Hist.quantile h' 0.95)
-
-let hist_of_json_rejects_inconsistent () =
-  let bad j =
-    match Obs.Hist.of_json j with
-    | Ok _ -> Alcotest.failf "accepted %s" (J.to_string j)
-    | Error _ -> ()
-  in
-  (* bucket sum disagrees with count *)
-  bad
-    (J.Obj
-       [
-         ("count", J.Int 2);
-         ("sum", J.Int 3);
-         ("min", J.Int 1);
-         ("max", J.Int 2);
-         ("buckets", J.Arr [ J.Arr [ J.Int 1; J.Int 1 ] ]);
-       ]);
-  (* bucket index out of range *)
-  bad
-    (J.Obj
-       [
-         ("count", J.Int 1);
-         ("sum", J.Int 1);
-         ("min", J.Int 1);
-         ("max", J.Int 1);
-         ("buckets", J.Arr [ J.Arr [ J.Int 99; J.Int 1 ] ]);
-       ])
-
 (* ------------------------------------------------------------------ *)
 (* Probe                                                               *)
 
@@ -611,9 +572,6 @@ let () =
       ( "hist",
         [
           Alcotest.test_case "buckets and stats" `Quick hist_buckets_and_stats;
-          Alcotest.test_case "json round trip" `Quick hist_json_round_trip;
-          Alcotest.test_case "rejects inconsistent json" `Quick
-            hist_of_json_rejects_inconsistent;
         ] );
       ( "probe",
         [

@@ -524,32 +524,6 @@ let queue_records_stay_out_of_histograms () =
            (Obs.Event.queue_name qs.Exec.qs_queue, qs.Exec.qs_capacity, qs.Exec.qs_pushes))
          tl.Exec.tl_queues)
 
-(* A real probe dump must fit a calibration: the microsecond stage
-   histograms become per-iteration stage costs. *)
-let probe_dump_fits_calibration () =
-  let name = "164.gzip" in
-  let staged = Runtime.Real_bench.staged name in
-  let n = Staged.iterations staged in
-  let r = Exec.run ~threads:3 ~name ~probe:true staged in
-  match r.Exec.telemetry with
-  | None -> Alcotest.fail "no telemetry"
-  | Some tl -> (
-    let j = Exec.telemetry_to_json ~name r.Exec.stats tl in
-    (* through text, as `repro plan --calibrate <dump>` reads it *)
-    match Obs.Json.parse (Obs.Json.to_string j) with
-    | Error e -> Alcotest.failf "dump does not re-parse: %s" e
-    | Ok j -> (
-      match Sim.Calibrate.of_probe_json j with
-      | Error e -> Alcotest.failf "of_probe_json: %s" e
-      | Ok cal ->
-        Alcotest.(check string) "source" "probe" cal.Sim.Calibrate.source;
-        Alcotest.(check string) "bench" name cal.Sim.Calibrate.bench;
-        Alcotest.(check int) "iterations" n cal.Sim.Calibrate.iterations;
-        Alcotest.(check bool) "total cost positive" true
-          (Sim.Calibrate.total_cost cal >= 0.);
-        Alcotest.(check bool) "queue latency positive" true
-          (cal.Sim.Calibrate.queue_latency >= 1)))
-
 let () =
   Alcotest.run "runtime"
     [
@@ -586,8 +560,6 @@ let () =
           Alcotest.test_case "telemetry sane" `Quick telemetry_is_sane;
           Alcotest.test_case "queue records stay out of histograms" `Quick
             queue_records_stay_out_of_histograms;
-          Alcotest.test_case "probe dump fits calibration" `Quick
-            probe_dump_fits_calibration;
         ] );
       ( "validate",
         [

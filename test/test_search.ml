@@ -31,7 +31,7 @@ let real_hooks pdg =
     | Some l -> l
     | None ->
         let l =
-          Sim.Realize.loop pdg ~partition:part ~enabled:(enabled_of c) ~iterations ()
+          Sim.Realize.loop pdg ~partition:part ~enabled:(enabled_of c) ~iterations
         in
         Hashtbl.add loops c.S.cand_id l;
         l

@@ -404,6 +404,30 @@ let tls_single_core_serial () =
   let loop = build_loop (List.init 3 (fun _ -> (Some 2, [ 10 ], Some 1))) [] in
   Alcotest.(check int) "sequential" 39 (Sim.Tls_plan.run_loop (cfg 1) loop).Sim.Tls_plan.span
 
+let tls_c_after_b () =
+  (* Each iteration runs A (work 1), B tasks at intra 0 and 1 (2 and 4),
+     then C (8) although C's intra is 0, so C's offset is 1 + 2 + 4 = 7.
+     C forwards a value at offset 1 to the next iteration's A, which on
+     a free core starts at 7 + 1 = 8 and commits at 8 + 15. *)
+  let task id iteration phase intra work =
+    Ir.Task.make ~id ~iteration ~phase ~intra ~work ()
+  in
+  let tasks =
+    Array.concat
+      (List.init 2 (fun i ->
+           let o = 4 * i in
+           [|
+             task o i Ir.Task.A 0 1;
+             task (o + 1) i Ir.Task.B 0 2;
+             task (o + 2) i Ir.Task.B 1 4;
+             task (o + 3) i Ir.Task.C 0 8;
+           |]))
+  in
+  let edges = [ { I.src = 3; dst = 4; speculated = false; src_offset = 1; dst_offset = 0 } ] in
+  let r = Sim.Tls_plan.run_loop (cfg 2) (I.make_loop ~name:"c-after-b" ~tasks ~edges) in
+  Alcotest.(check int) "span" 23 r.Sim.Tls_plan.span;
+  Alcotest.(check int) "delayed" 1 r.Sim.Tls_plan.misspec_delayed
+
 let tls_within_bounds =
   prop_test ~count:80 "TLS span within its analytic envelope" (fun loop ->
       (* Unlike DSWP, TLS buffers phase-C work into the speculative
@@ -704,6 +728,7 @@ let () =
           Alcotest.test_case "chain serializes" `Quick tls_chain_serializes;
           Alcotest.test_case "buffer limit" `Quick tls_buffer_limits_lookahead;
           Alcotest.test_case "single core" `Quick tls_single_core_serial;
+          Alcotest.test_case "C after the B tasks" `Quick tls_c_after_b;
           tls_within_bounds;
         ] );
       ( "gantt",

@@ -1,14 +1,5 @@
-(* Property: Sim.Calibrate.fit is invariant under task reordering
-   within an iteration.
-
-   The fit's observations are per-iteration per-stage work sums, so
-   shuffling the tasks of one iteration among themselves (and
-   renumbering ids to the new indices, with edges remapped) must
-   produce bit-identical stage costs, residuals, and speculation
-   rates: the sums are exact integer additions and the mean/RSS passes
-   run in fixed iteration order either way.  A fit that broke under
-   reordering would mean it depends on trace serialization order — an
-   artifact, not a property of the program. *)
+(* Randomized properties of the simulator, the loop index and the TLS
+   plan against their references. *)
 
 module G = QCheck2.Gen
 module R = Check.Runner
@@ -73,25 +64,11 @@ let permute_within_iterations salt (loop : Sim.Input.loop) =
   in
   Sim.Input.make_loop ~name:loop.Sim.Input.name ~tasks:tasks' ~edges:edges'
 
-let () =
-  let gen =
-    G.pair
-      (GI.loop_desc ~max_iters:8 ~max_bs:4 ~max_work:20 ~edge_factor:3 ())
-      (G.int_bound 1_000_000)
-  in
-  R.run_prop_exn
-    ~print:(fun (d, salt) ->
-      Printf.sprintf "salt=%d %s" salt (GI.show_loop_desc d))
-    ~name:"Calibrate.fit invariant under within-iteration reordering" gen
-    (fun (desc, salt) ->
-      let loop = GI.build_loop desc in
-      let permuted = permute_within_iterations salt loop in
-      Sim.Calibrate.fit ~bench:"prop" loop
-      = Sim.Calibrate.fit ~bench:"prop" permuted)
-
 (* Property: the simulator takes every decision the reference rescan
    simulator (test/ref_sim.ml) takes.  Random loops, widened toward the
    registry's shapes: forwarding offsets, iterations without B tasks,
+   edges in fans that share a producer or a consumer (so one producer
+   squashes several started consumers, in the index's out-edge order),
    and extra cross-iteration edges that may leave or enter A and C
    tasks; 1-12 cores (2, where A and C share a core, drawn often), queue
    capacity down to 1, latency 0-7 and all four policies.  The
