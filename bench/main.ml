@@ -1,6 +1,9 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation and runs the ablation studies DESIGN.md calls out, at
-   medium scale.  Kernel timings live in bench/micro.
+   medium scale.  It prints them and nothing else: it reads no clock and
+   writes no file.  Wall-clock figures come from bench/perf (repeated
+   runs with spreads) and bench/micro (kernels); scripts/check.sh times
+   this program from outside for its anti-scaling gate.
 
      dune exec bench/main.exe
 
@@ -11,18 +14,7 @@
 
 let scale = Benchmarks.Study.Medium
 
-(* Span aggregates want wall-clock, not processor time. *)
-let () = Obs.Span.set_clock Unix.gettimeofday
-
 let jobs = Parallel.Pool.default_domains ()
-
-(* Where the machine-readable outputs (BENCH_summary.{json,csv},
-   BENCH_history.jsonl) land.  The default is the working directory —
-   the files are committed perf records; the golden snapshot rules in
-   test/golden point BENCH_DIR into their sandbox instead. *)
-let bench_dir = Option.value (Sys.getenv_opt "BENCH_DIR") ~default:"."
-
-let bench_path name = Filename.concat bench_dir name
 
 let pool = Parallel.Pool.create ~domains:jobs
 
@@ -32,58 +24,17 @@ let section title =
   Format.printf "============================================================@."
 
 (* ------------------------------------------------------------------ *)
-(* Experiments (computed once, reused by figures, tables and timers)   *)
-
-(* Per-study wall-clock, recorded in the history entry. *)
-let study_seconds : (string * float) list ref = ref []
-
-(* Per-study GC deltas under [--gc-stats].  Measured with
-   [Gc.quick_stat] in whichever domain runs the study; with work
-   stealing a study's sweep points may execute in other domains, so the
-   per-study numbers are approximate attribution — the whole-run totals
-   in the history record (main domain + pool per-slot sums) are exact. *)
-let gc_stats_enabled = ref false
-
-let study_gc : (string * (float * float * int)) list ref = ref []
+(* Experiments (computed once, reused by figures and tables)           *)
 
 let experiments =
   lazy
-    (let timed =
-       Parallel.Pool.map_list pool
-         (fun (s : Benchmarks.Study.t) ->
-           let t0 = Unix.gettimeofday () in
-           let g0 = if !gc_stats_enabled then Some (Gc.quick_stat ()) else None in
-           (* The nested sweep shares the pool: its points are stealable
-              by idle domains instead of running sequentially in this
-              one — that long-tail study no longer serializes the run. *)
-           let e = Core.Experiment.run ~pool ~scale s in
-           let g =
-             match g0 with
-             | None -> (0., 0., 0)
-             | Some g0 ->
-               let g1 = Gc.quick_stat () in
-               ( g1.Gc.minor_words -. g0.Gc.minor_words,
-                 g1.Gc.major_words -. g0.Gc.major_words,
-                 g1.Gc.minor_collections - g0.Gc.minor_collections )
-           in
-           (e, Unix.gettimeofday () -. t0, g))
-         Benchmarks.Registry.all
-     in
-     if !gc_stats_enabled then
-       study_gc :=
-         List.map
-           (fun ((e : Core.Experiment.t), _, g) ->
-             (e.Core.Experiment.study.Benchmarks.Study.spec_name, g))
-           timed;
-     let timed = List.map (fun (e, dt, _) -> (e, dt)) timed in
-     study_seconds :=
-       List.map
-         (fun ((e : Core.Experiment.t), dt) ->
-           let name = e.Core.Experiment.study.Benchmarks.Study.spec_name in
-           Obs.Span.record Obs.Span.default ("study/" ^ name) dt;
-           (name, dt))
-         timed;
-     List.map fst timed)
+    (Parallel.Pool.map_list pool
+       (fun s ->
+         (* The nested sweep shares the pool: its points are stealable
+            by idle domains instead of running sequentially in this
+            one — that long-tail study no longer serializes the run. *)
+         Core.Experiment.run ~pool ~scale s)
+       Benchmarks.Registry.all)
 
 let experiment name =
   List.find
@@ -355,145 +306,7 @@ let static_model () =
         (Dswp.Partition.pipeline_bound partition ~threads:32))
     Benchmarks.Registry.all
 
-(* ------------------------------------------------------------------ *)
-(* Machine-readable perf record                                        *)
-
-(* BENCH_summary.{json,csv}: simulator counters/gauges from one
-   instrumented registry run (164.gzip, 16 cores — the paper's headline
-   configuration) plus every wall-clock span aggregate the harness
-   accumulated (per-study experiment times, per-sweep-point simulation
-   times across all pool domains).  These are files, not stdout, so
-   the printed report stays byte-identical. *)
-(* Per-study attribution at the paper's thread count: where each loop's
-   span goes (stalls, critical-path composition, bounds headroom) plus
-   the one-line diagnosis.  Attached to BENCH_summary.json so the perf
-   record says not just how fast but why. *)
-let attribution_blocks () =
-  List.concat_map
-    (fun (e : Core.Experiment.t) ->
-      let s = e.Core.Experiment.study in
-      let cfg = Machine.Config.default ~cores:s.Benchmarks.Study.paper_threads in
-      List.filter_map
-        (function
-          | Sim.Input.Serial _ -> None
-          | Sim.Input.Parallel loop ->
-            let a = Obs_analysis.Attribution.run cfg loop in
-            let block =
-              match Obs_analysis.Attribution.to_json a with
-              | Obs.Json.Obj fields ->
-                Obs.Json.Obj
-                  (("study", Obs.Json.Str s.Benchmarks.Study.spec_name)
-                   :: fields
-                  @ [ ("diagnosis", Obs.Json.Str (Obs_analysis.Explain.diagnose a)) ])
-              | j -> j
-            in
-            Some block)
-        e.Core.Experiment.built.Core.Framework.input.Sim.Input.segments)
-    (Lazy.force experiments)
-
-let write_obs_summary () =
-  let gzip = study "164.gzip" in
-  let profile = gzip.Benchmarks.Study.run ~scale:Benchmarks.Study.Small in
-  let built = Core.Framework.build ~plan:gzip.Benchmarks.Study.plan profile in
-  let snap =
-    Core.Experiment.summary (Machine.Config.default ~cores:16) built.Core.Framework.input
-  in
-  let spans = Obs.Span.snapshot Obs.Span.default in
-  let extra = [ ("attribution", Obs.Json.Arr (attribution_blocks ())) ] in
-  Obs.Summary.write_json ~metrics:snap ~spans ~extra (bench_path "BENCH_summary.json");
-  Obs.Summary.write_csv ~metrics:snap ~spans (bench_path "BENCH_summary.csv")
-
-(* ------------------------------------------------------------------ *)
-(* Bench history (JSONL, appended every run)                           *)
-
-(* Digest of everything that changes what the simulated numbers mean:
-   input scale, the study list, and the default machine parameters.
-   Same digest => the entries' simulated numbers are comparable. *)
-let config_digest () =
-  let cfg = Machine.Config.default ~cores:8 in
-  Digest.to_hex
-    (Digest.string
-       (String.concat "|"
-          (Benchmarks.Study.scale_to_string scale
-           :: string_of_int cfg.Machine.Config.queue_capacity
-           :: string_of_int cfg.Machine.Config.comm_latency
-           :: Benchmarks.Registry.names)))
-
-let write_history ~rev ~total_seconds =
-  let studies =
-    List.map2
-      (fun (e : Core.Experiment.t) (name, dt) ->
-        assert (e.Core.Experiment.study.Benchmarks.Study.spec_name = name);
-        let best = Core.Experiment.best e in
-        {
-          Obs_analysis.History.study = name;
-          threads = best.Sim.Speedup.threads;
-          span = best.Sim.Speedup.result.Sim.Pipeline.total_time;
-          speedup = best.Sim.Speedup.speedup;
-          seconds = dt;
-        })
-      (Lazy.force experiments) !study_seconds
-  in
-  (* Whole-run GC accounting: the main domain's [quick_stat] plus the
-     pool's per-slot minor-word sums, which cover allocation in the
-     worker domains that the main domain's counters never see.  (Slot 0
-     is the main domain helping the pool — already inside [quick_stat] —
-     so only slots >= 1 are added.) *)
-  let gc =
-    if not !gc_stats_enabled then None
-    else begin
-      let g = Gc.quick_stat () in
-      let ps = Parallel.Pool.stats pool in
-      let worker_minor = ref 0. in
-      Array.iteri
-        (fun i w -> if i > 0 then worker_minor := !worker_minor +. w)
-        ps.Parallel.Pool.stat_minor_words;
-      Some
-        {
-          Obs_analysis.History.gc_minor_words = g.Gc.minor_words +. !worker_minor;
-          gc_promoted_words = g.Gc.promoted_words;
-          gc_major_words = g.Gc.major_words;
-          gc_minor_collections = g.Gc.minor_collections;
-          gc_major_collections = g.Gc.major_collections;
-        }
-    end
-  in
-  let entry =
-    {
-      Obs_analysis.History.rev;
-      config = config_digest ();
-      scale = Benchmarks.Study.scale_to_string scale;
-      jobs;
-      total_seconds;
-      gc;
-      studies;
-      real = [];
-    }
-  in
-  Obs_analysis.History.append (bench_path "BENCH_history.jsonl") entry
-
-(* GC report under [--gc-stats]: stderr, never stdout — the printed
-   tables must stay byte-identical at any job count and GC numbers vary
-   with scheduling. *)
-let print_gc_report () =
-  Format.eprintf "@.--- GC stats (--gc-stats) ---@.";
-  List.iter
-    (fun (name, (minor, major, mcoll)) ->
-      Format.eprintf "%-14s minor %12.0f words, major %12.0f words, %5d minor collections@."
-        name minor major mcoll)
-    !study_gc;
-  let g = Gc.quick_stat () in
-  Format.eprintf
-    "main domain: %.0f minor words, %.0f promoted, %.0f major, %d/%d minor/major collections@."
-    g.Gc.minor_words g.Gc.promoted_words g.Gc.major_words g.Gc.minor_collections
-    g.Gc.major_collections;
-  Format.eprintf "%a@." Parallel.Pool.pp_stats pool
-
 let () =
-  gc_stats_enabled := Array.mem "--gc-stats" Sys.argv;
-  (* Label the code before this run writes its own records. *)
-  let rev = Obs_analysis.History.current_rev () in
-  let t0 = Unix.gettimeofday () in
   figure1 ();
   figure2 ();
   figure3 ();
@@ -511,9 +324,5 @@ let () =
   auto_vs_hand ();
   gantt_demo ();
   static_model ();
-  let total_seconds = Unix.gettimeofday () -. t0 in
-  write_obs_summary ();
-  write_history ~rev ~total_seconds;
-  if !gc_stats_enabled then print_gc_report ();
   Parallel.Pool.shutdown pool;
   Format.printf "@.done.@."

@@ -88,8 +88,8 @@ let summary_arg =
 (* Re-simulate once, folding each loop's event stream into the summary. *)
 let write_summary ~threads input file =
   let snap = Core.Experiment.summary (Machine.Config.default ~cores:threads) input in
-  if Filename.check_suffix file ".csv" then Obs.Summary.write_csv ~metrics:snap file
-  else Obs.Summary.write_json ~metrics:snap file;
+  if Filename.check_suffix file ".csv" then Obs.Summary.write_csv snap file
+  else Obs.Summary.write_json snap file;
   Format.eprintf "summary: written to %s@." file
 
 let find_study name =
@@ -675,13 +675,6 @@ let validate_real_cmd =
                    speedup needs at least $(docv) cores; output equality is checked \
                    regardless.")
   in
-  let history_arg =
-    Arg.(value & opt (some string) None
-         & info [ "history" ] ~docv:"FILE"
-             ~doc:"Append one entry with a $(b,real) block of measured points to this \
-                   JSONL bench history. The regression and scaling gates skip such \
-                   entries.")
-  in
   let corrupt_arg =
     Arg.(value & flag
          & info [ "self-test-corrupt" ]
@@ -689,14 +682,14 @@ let validate_real_cmd =
                    equality check. The command must then exit 1; used by \
                    scripts/check.sh to prove the check can fail.")
   in
-  let run bench threads scale history trace corrupt =
+  let run bench threads scale trace corrupt =
     (match bench with
     | None -> Ok ()
     | Some b -> Result.map (fun (_ : Benchmarks.Study.t) -> ()) (find_study b))
     |> Result.map (fun () ->
            let benches = Option.map (fun b -> [ b ]) bench in
            let outcome =
-             Runtime.Validate.run ?benches ~max_threads:threads ~scale ?history
+             Runtime.Validate.run ?benches ~max_threads:threads ~scale
                ?trace:(trace_file trace) ~corrupt ()
            in
            (* Documented contract: 0 = byte-identical everywhere, 1 = any
@@ -713,8 +706,8 @@ let validate_real_cmd =
              speedup is printed beside the simulator's prediction. Exits 0 when every \
              output matches, 1 otherwise.")
     Term.(term_result
-            (const run $ bench_opt_arg $ threads_arg $ scale_arg $ history_arg
-             $ trace_arg $ corrupt_arg))
+            (const run $ bench_opt_arg $ threads_arg $ scale_arg $ trace_arg
+             $ corrupt_arg))
 
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in

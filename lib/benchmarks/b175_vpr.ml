@@ -8,6 +8,7 @@ let nets = 48
 
 let temperature_schedule = [ 0.85; 0.55; 0.32; 0.18; 0.08; 0.03 ]
 
+(* Location names of the value-speculated block coordinates. *)
 let value_speculated_blocks =
   List.init blocks (fun b -> Printf.sprintf "block_%d" b)
 

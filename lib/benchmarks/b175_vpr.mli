@@ -12,6 +12,3 @@ val study : Study.t
 
 val temperature_schedule : float list
 (** Acceptance thresholds of the outer iterations, hot to cold. *)
-
-val value_speculated_blocks : string list
-(** Location names of the value-speculated block coordinates. *)

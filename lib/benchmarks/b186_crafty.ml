@@ -6,7 +6,7 @@ let search_state_base = 77
 
 (* The unrolled search: every (root move, reply) pair becomes one phase-B
    task whose work is the real node count of the depth-3 subtree search. *)
-let run_with_commutative_caches caches_commutative ~scale =
+let run ~scale =
   let p = Profiling.Profile.create ~name:"186.crafty" in
   let cache_loc = Profiling.Profile.loc p "trans_ref" in
   let pawn_loc = Profiling.Profile.loc p "pawn_hash_table" in
@@ -41,13 +41,8 @@ let run_with_commutative_caches caches_commutative ~scale =
                same value at task end, which value speculation exploits. *)
             Profiling.Profile.read p search_state;
             Profiling.Profile.write p search_state (search_state_base + 1);
-            let wrap body =
-              if caches_commutative then
-                Profiling.Profile.commutative p ~group:"cache_lookup" body
-              else body ()
-            in
             let _v, stats =
-              wrap (fun () ->
+              Profiling.Profile.commutative p ~group:"cache_lookup" (fun () ->
                   Profiling.Profile.read p cache_loc;
                   Profiling.Profile.read p pawn_loc;
                   let r = Workloads.Alphabeta.search ~cache ~depth:(depth - 2) reply in
@@ -132,7 +127,7 @@ let study =
     techniques = [ "Commutative"; "TLS Memory"; "DSWP"; "Nested" ];
     paper_speedup = 25.18;
     paper_threads = 32;
-    run = (fun ~scale -> run_with_commutative_caches true ~scale);
+    run;
     plan;
     baseline_plan = Some baseline_plan;
     pdg;

@@ -9,8 +9,3 @@
     ([trans_ref], [pawn_hash_table]) are annotated Commutative. *)
 
 val study : Study.t
-
-val run_with_commutative_caches : bool -> scale:Study.scale -> Profiling.Profile.t
-(** With [false] the cache dependences stay in the trace (annotation
-    ablation: alias speculation must absorb them and misspeculation
-    serializes nearly every pair of tasks). *)

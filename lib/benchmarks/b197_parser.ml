@@ -18,7 +18,7 @@ let make_input ~scale =
         else Sentence s
       end)
 
-let run_with_commutative_alloc alloc_commutative ~scale =
+let run ~scale =
   let input = make_input ~scale in
   let p = Profiling.Profile.create ~name:"197.parser" in
   let echo_mode = Profiling.Profile.loc p "echo_mode" in
@@ -46,12 +46,8 @@ let run_with_commutative_alloc alloc_commutative ~scale =
           0
         | Sentence s ->
           Profiling.Profile.read p echo_mode;
-          let wrap body =
-            if alloc_commutative then Profiling.Profile.commutative p ~group:"xalloc" body
-            else body ()
-          in
           let r =
-            wrap (fun () ->
+            Profiling.Profile.commutative p ~group:"xalloc" (fun () ->
                 Profiling.Profile.read p alloc_loc;
                 let r = Workloads.Chart_parser.parse Workloads.Chart_parser.english_like s in
                 Profiling.Profile.write p alloc_loc (i + 1);
@@ -104,7 +100,7 @@ let study =
     techniques = [ "Commutative"; "TLS Memory"; "DSWP" ];
     paper_speedup = 24.50;
     paper_threads = 32;
-    run = (fun ~scale -> run_with_commutative_alloc true ~scale);
+    run;
     plan =
       Speculation.Spec_plan.make ~alias:Speculation.Spec_plan.Alias_all
         ~sync_locs:[ "echo_mode" ] ~commutative:(commutative_registry ()) ();

@@ -8,5 +8,3 @@
     Commutative.  Scaling is limited only by the longest sentence. *)
 
 val study : Study.t
-
-val run_with_commutative_alloc : bool -> scale:Study.scale -> Profiling.Profile.t

@@ -1,3 +1,4 @@
+(* How often consecutive input statements truly depend on each other. *)
 let statement_chain_probability = 0.97
 
 let statements ~scale = Study.iterations_for scale ~small:160 ~medium:420 ~large:1200

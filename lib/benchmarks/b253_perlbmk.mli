@@ -9,6 +9,3 @@
     misspeculation that caps the speedup near 1.2x. *)
 
 val study : Study.t
-
-val statement_chain_probability : float
-(** How often consecutive input statements truly depend on each other. *)

@@ -4,7 +4,7 @@ let globals = 24
 
 let heap_limit = 34
 
-let run_with_commutative_alloc alloc_commutative ~scale =
+let run ~scale =
   let program =
     Workloads.Stackvm.gen_program ~seed:254 ~stmts:(statements ~scale) ~globals ~chain:0.68
       ~alloc_rate:0.55
@@ -42,8 +42,7 @@ let run_with_commutative_alloc alloc_commutative ~scale =
           Profiling.Profile.work p (3 * List.length r.Workloads.Stackvm.allocated);
           Profiling.Profile.write p alloc_ptr (i + 1)
         in
-        if alloc_commutative then Profiling.Profile.commutative p ~group:"NewBag" footprint
-        else footprint ()
+        Profiling.Profile.commutative p ~group:"NewBag" footprint
       end;
       List.iter (fun h -> Profiling.Profile.read p (bag_loc h))
         r.Workloads.Stackvm.objects_touched;
@@ -117,7 +116,7 @@ let study =
     techniques = [ "Commutative"; "TLS Memory"; "DSWP"; "Alias Speculation" ];
     paper_speedup = 1.94;
     paper_threads = 10;
-    run = (fun ~scale -> run_with_commutative_alloc true ~scale);
+    run;
     plan =
       Speculation.Spec_plan.make ~alias:Speculation.Spec_plan.Alias_all
         ~commutative:(commutative_registry ()) ();

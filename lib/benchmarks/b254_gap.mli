@@ -9,5 +9,3 @@
     and thus conflicts with everything downstream. *)
 
 val study : Study.t
-
-val run_with_commutative_alloc : bool -> scale:Study.scale -> Profiling.Profile.t

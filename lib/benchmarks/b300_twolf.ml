@@ -8,7 +8,7 @@ let grid = 9
 
 let nets = 20
 
-let instrument_swap p ~iteration ~rng_commutative ~seed_loc ~net_loc ~block_loc
+let instrument_swap p ~iteration ~seed_loc ~net_loc ~block_loc
     (placer : Workloads.Anneal.t) ~threshold =
   (* Phase A: loop control only. *)
   ignore (Profiling.Profile.begin_task p ~iteration ~phase:Ir.Task.A ());
@@ -17,14 +17,10 @@ let instrument_swap p ~iteration ~rng_commutative ~seed_loc ~net_loc ~block_loc
   (* Phase B: the ucxx2 cost evaluation and tentative swap. *)
   ignore (Profiling.Profile.begin_task p ~iteration ~phase:Ir.Task.B ());
   let swap = Workloads.Anneal.try_swap placer ~threshold in
-  let rng_footprint () =
-    Profiling.Profile.read p seed_loc;
-    Profiling.Profile.work p (2 * swap.Workloads.Anneal.rng_calls);
-    Profiling.Profile.write p seed_loc (Driver_util.rng_value iteration)
-  in
-  if rng_commutative then
-    Profiling.Profile.commutative p ~group:"Yacm_random" rng_footprint
-  else rng_footprint ();
+  Profiling.Profile.commutative p ~group:"Yacm_random" (fun () ->
+      Profiling.Profile.read p seed_loc;
+      Profiling.Profile.work p (2 * swap.Workloads.Anneal.rng_calls);
+      Profiling.Profile.write p seed_loc (Driver_util.rng_value iteration));
   (* Read the structures the cost evaluation touched. *)
   Profiling.Profile.read p (block_loc swap.Workloads.Anneal.block);
   (match swap.Workloads.Anneal.partner with
@@ -48,7 +44,7 @@ let instrument_swap p ~iteration ~rng_commutative ~seed_loc ~net_loc ~block_loc
   Profiling.Profile.work p 2;
   Profiling.Profile.end_task p
 
-let run_with_commutative_rng rng_commutative ~scale =
+let run ~scale =
   let p = Profiling.Profile.create ~name:"300.twolf" in
   let seed_loc = Profiling.Profile.loc p "randVarS" in
   let net_loc = Driver_util.loc_family p (Printf.sprintf "net_%d") in
@@ -57,8 +53,7 @@ let run_with_commutative_rng rng_commutative ~scale =
   Profiling.Profile.serial_work p 800;
   Profiling.Profile.begin_loop p "uloop";
   for i = 0 to swaps ~scale - 1 do
-    instrument_swap p ~iteration:i ~rng_commutative ~seed_loc ~net_loc ~block_loc placer
-      ~threshold:0.5
+    instrument_swap p ~iteration:i ~seed_loc ~net_loc ~block_loc placer ~threshold:0.5
   done;
   Profiling.Profile.end_loop p;
   Profiling.Profile.serial_work p 300;
@@ -163,7 +158,7 @@ let study =
     techniques = [ "Commutative"; "Alias & Control Speculation"; "TLS Memory"; "DSWP" ];
     paper_speedup = 2.06;
     paper_threads = 8;
-    run = (fun ~scale -> run_with_commutative_rng true ~scale);
+    run;
     plan =
       Speculation.Spec_plan.make ~alias:Speculation.Spec_plan.Alias_all
         ~control_speculated:true ~commutative:(commutative_registry ()) ();

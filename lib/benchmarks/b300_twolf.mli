@@ -8,5 +8,3 @@
     structures, which remain and bound the speedup near 2x. *)
 
 val study : Study.t
-
-val run_with_commutative_rng : bool -> scale:Study.scale -> Profiling.Profile.t

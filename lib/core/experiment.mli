@@ -44,5 +44,4 @@ val misspec_total : t -> threads:int -> int
 val summary : Machine.Config.t -> Sim.Input.t -> Obs.Summary.snapshot
 (** Simulate each parallel loop of the input once on the given machine
     and fold its event stream into an {!Obs.Summary} snapshot (sample
-    times loop-local).  Behind [repro run --summary] and the bench
-    harness's [BENCH_summary.{json,csv}]. *)
+    times loop-local).  Behind [repro run --summary]. *)

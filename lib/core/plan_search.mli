@@ -54,10 +54,8 @@ val run :
     candidate's partition has a serial stage merged into the
     replicated stage, which must be caught by the lint pruner. *)
 
-val seed_outcome : report -> Dswp.Search.outcome option
-(** The hand-plan seed's outcome (always simulated unless lint-pruned). *)
-
 val seed_speedup : report -> float option
+(** The hand-plan seed's speedup; [None] when lint pruned it. *)
 
 val winner_speedup : report -> float option
 

@@ -81,13 +81,11 @@ val validate : t -> (unit, string) result
     [Ybranch] probability in (0, 1], [Dynamic] range >= 1, non-negative
     [Work], at least one region. *)
 
-val expected_work : t -> float array
-(** Expected work units per region per iteration: [If] branches weighted
-    by their static rate ([1/period], [1/modulus]), [While] multiplied by
-    trips, [Ybranch] by the compiler's cut rate [1/interval]. *)
-
 val weights : t -> float array
-(** {!expected_work} normalized to sum to 1 (uniform when total is 0). *)
+(** Each region's share of the expected work per iteration, summing to
+    1 (uniform when the total is 0): [If] branches weighted by their
+    static rate ([1/period], [1/modulus]), [While] multiplied by trips,
+    [Ybranch] by the compiler's cut rate [1/interval]. *)
 
 val drop_write : t -> t option
 (** The audit's corrupted-IR mutation: remove the first [Write] in

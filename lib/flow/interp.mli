@@ -49,5 +49,3 @@ val run :
     no group. *)
 
 val cell_base : cell -> Body.base
-
-val cell_name : Body.t -> cell -> string

@@ -15,9 +15,4 @@ let pp ppf e = Format.fprintf ppf "%d-%s->%d" e.src (kind_to_string e.kind) e.ds
 
 type action = Synchronize | Speculate | Remove
 
-let action_to_string = function
-  | Synchronize -> "sync"
-  | Speculate -> "spec"
-  | Remove -> "remove"
-
 type resolved = { edge : t; action : action }

@@ -32,6 +32,4 @@ type action =
       (** dependence does not constrain execution (annotation, silent
           store, or a correctly predicted value) *)
 
-val action_to_string : action -> string
-
 type resolved = { edge : t; action : action }

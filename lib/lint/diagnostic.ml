@@ -19,6 +19,7 @@ type t = {
 let make ~kind ~severity ~where ?(hint = "") message =
   { kind; severity; where; message; hint }
 
+(* Stable kebab-case names, printed in text and JSON findings. *)
 let kind_name = function
   | Race -> "race"
   | Unbroken_dep -> "unbroken-dep"

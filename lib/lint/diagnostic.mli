@@ -44,11 +44,6 @@ type t = {
 val make :
   kind:kind -> severity:severity -> where:string -> ?hint:string -> string -> t
 
-val kind_name : kind -> string
-(** Stable kebab-case name: ["race"], ["unbroken-dep"], ... *)
-
-val severity_name : severity -> string
-
 val is_error : t -> bool
 
 val errors : t list -> t list

@@ -67,5 +67,4 @@ val validate_exn : t -> unit
 (** Raises [Failure] with the first violated invariant. *)
 
 val to_json : t -> Obs.Json.t
-(** Stable object shape used by the bench harness's per-study
-    attribution blocks and [repro explain]. *)
+(** Stable object shape of [repro explain --json]'s per-loop blocks. *)

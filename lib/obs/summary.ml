@@ -100,59 +100,34 @@ let metrics_json s =
              s.series) );
     ]
 
-let span_json (r : Span.row) =
-  Json.Obj
-    [
-      ("name", Json.Str r.Span.name);
-      ("count", Json.Int r.Span.count);
-      ("total_seconds", Json.Float r.Span.total_s);
-      ("mean_seconds", Json.Float r.Span.mean_s);
-      ("max_seconds", Json.Float r.Span.max_span_s);
-    ]
+let to_json s = Json.Obj [ ("metrics", metrics_json s) ]
 
-let to_json ?metrics ?(spans = []) ?(extra = []) () =
-  let fields = [ ("spans", Json.Arr (List.map span_json spans)) ] @ extra in
-  let fields =
-    match metrics with Some m -> ("metrics", metrics_json m) :: fields | None -> fields
-  in
-  Json.Obj fields
-
-(* CSV: one flat table, a [kind] discriminator column, empty cells where
-   a column does not apply to the row's kind. *)
-let csv_header = "kind,name,value,high_water,count,total_seconds,mean_seconds,max_seconds"
+(* CSV: one flat table, a [kind] discriminator column, an empty cell
+   where a column does not apply to the row's kind. *)
+let csv_header = "kind,name,value,high_water"
 
 let csv_escape s =
   if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
     "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
   else s
 
-let to_csv ?metrics ?(spans = []) () =
+let to_csv s =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf csv_header;
   Buffer.add_char buf '\n';
-  (match metrics with
-  | None -> ()
-  | Some s ->
-    List.iter
-      (fun (n, v) -> Buffer.add_string buf (Printf.sprintf "counter,%s,%d,,,,,\n" (csv_escape n) v))
-      s.counters;
-    List.iter
-      (fun (n, (v, h)) ->
-        Buffer.add_string buf (Printf.sprintf "gauge,%s,%d,%d,,,,\n" (csv_escape n) v h))
-      s.gauges);
   List.iter
-    (fun (r : Span.row) ->
-      Buffer.add_string buf
-        (Printf.sprintf "span,%s,,,%d,%.6f,%.6f,%.6f\n" (csv_escape r.Span.name) r.Span.count
-           r.Span.total_s r.Span.mean_s r.Span.max_span_s))
-    spans;
+    (fun (n, v) -> Buffer.add_string buf (Printf.sprintf "counter,%s,%d,\n" (csv_escape n) v))
+    s.counters;
+  List.iter
+    (fun (n, (v, h)) ->
+      Buffer.add_string buf (Printf.sprintf "gauge,%s,%d,%d\n" (csv_escape n) v h))
+    s.gauges;
   Buffer.contents buf
 
 let write_file path contents =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
 
-let write_json ?metrics ?spans ?extra path =
-  write_file path (Json.to_string (to_json ?metrics ?spans ?extra ()) ^ "\n")
+let write_json s path = write_file path (Json.to_string (to_json s) ^ "\n")
 
-let write_csv ?metrics ?spans path = write_file path (to_csv ?metrics ?spans ())
+let write_csv s path = write_file path (to_csv s)

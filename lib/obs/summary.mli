@@ -1,8 +1,6 @@
 (** Machine-readable summaries: the simulator's counters, queue gauges
-    and occupancy series, folded from its event stream, plus span
-    aggregates, as JSON or a flat CSV table.  The bench harness writes
-    both as [BENCH_summary.{json,csv}]; [repro run --summary] writes
-    one for a study. *)
+    and occupancy series, folded from its event stream, as JSON or a
+    flat CSV table.  [repro run --summary] writes one for a study. *)
 
 type snapshot = {
   counters : (string * int) list;
@@ -42,23 +40,17 @@ val snapshot : fold -> snapshot
 
 val metrics_json : snapshot -> Json.t
 
-val span_json : Span.row -> Json.t
-
-val to_json :
-  ?metrics:snapshot -> ?spans:Span.row list -> ?extra:(string * Json.t) list -> unit -> Json.t
-(** [extra] fields are appended at the top level — the bench harness
-    attaches per-study attribution blocks this way. *)
+val to_json : snapshot -> Json.t
+(** [{"metrics": metrics_json s}]. *)
 
 val csv_header : string
 
-val to_csv : ?metrics:snapshot -> ?spans:Span.row list -> unit -> string
-(** Flat table: [kind,name,value,high_water,count,total_seconds,
-    mean_seconds,max_seconds]; cells a kind lacks stay empty.  Series
-    are JSON-only. *)
+val to_csv : snapshot -> string
+(** Flat table: [kind,name,value,high_water], one row per counter and
+    gauge; a counter's [high_water] cell stays empty.  Series are
+    JSON-only. *)
 
-val write_file : string -> string -> unit
+val write_json : snapshot -> string -> unit
+(** [write_json s path] writes [to_json s] and a newline to [path]. *)
 
-val write_json :
-  ?metrics:snapshot -> ?spans:Span.row list -> ?extra:(string * Json.t) list -> string -> unit
-
-val write_csv : ?metrics:snapshot -> ?spans:Span.row list -> string -> unit
+val write_csv : snapshot -> string -> unit

@@ -233,7 +233,11 @@ let role_probe ~r k (a : acct) =
     a.prb;
   rp
 
-let run ?pool ?(queue_capacity = 64) ?(probe = false) ~threads ~name staged =
+(* Entries per SPSC ring: the paper's 32-entry queues, doubled to
+   amortize cursor traffic. *)
+let queue_capacity = 64
+
+let run ?pool ?(probe = false) ~threads ~name staged =
   let go d p =
     let fused = d = 2 in
     let r = if fused then 1 else d - 2 in

@@ -94,7 +94,6 @@ type result = {
 
 val run :
   ?pool:Parallel.Pool.t ->
-  ?queue_capacity:int ->
   ?probe:bool ->
   threads:int ->
   name:string ->
@@ -104,8 +103,8 @@ val run :
     domains ([<= 1] means sequentially).  With [?pool] the roles run on
     the given pool (clamping the stage layout to its size); otherwise a
     dedicated pool of exactly the role count is created and shut down.
-    [?queue_capacity] sizes each SPSC ring (default 64 entries, the
-    paper's 32-entry queues doubled to amortize cursor traffic).
+    Each SPSC ring holds 64 entries, the paper's 32-entry queues
+    doubled to amortize cursor traffic.
     [?probe] (default off) gives every role a private {!Obs.Probe} ring,
     sized from [Staged.iterations] so it never wraps, and instruments
     the SPSC queues.  Each role records its stage bodies, stalls,

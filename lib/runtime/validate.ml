@@ -1,21 +1,20 @@
 module Study = Benchmarks.Study
-module H = Obs_analysis.History
+
+type point = {
+  rp_study : string;
+  rp_threads : int;
+  rp_seconds : float;
+  rp_speedup : float;
+  rp_sim_speedup : float;
+  rp_ok : bool;
+  rp_squashes : int;
+}
 
 type outcome = {
   ok : bool;
   benches : int;
-  points : H.real_point list;
+  points : point list;
 }
-
-(* Everything that changes what the measured numbers mean: the scale,
-   the bench list, and the thread range.  Deliberately distinct from
-   the bench harness digest — real and simulated entries are never
-   comparable. *)
-let config_digest ~scale ~benches ~max_threads =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "|"
-          ("real" :: Study.scale_to_string scale :: string_of_int max_threads :: benches)))
 
 let thread_list max_threads = List.init (max 1 max_threads) (fun i -> i + 1)
 
@@ -39,12 +38,9 @@ let flip_first_byte s =
     Bytes.to_string b
   end
 
-let run ?benches ?(max_threads = 4) ?(scale = Study.Small) ?history ?trace
-    ?(corrupt = false) () =
+let run ?benches ?(max_threads = 4) ?(scale = Study.Small) ?trace ?(corrupt = false) () =
   let benches = match benches with Some bs -> bs | None -> Real_bench.names in
   let threads = thread_list max_threads in
-  (* Label the code before the run appends its record. *)
-  let history = Option.map (fun path -> (path, H.current_rev ())) history in
   let t_start = Unix.gettimeofday () in
   let all_ok = ref true in
   let points = ref [] in
@@ -91,7 +87,7 @@ let run ?benches ?(max_threads = 4) ?(scale = Study.Small) ?history ?trace
             (if ok then "ok" else "MISMATCH");
           points :=
             {
-              H.rp_study = name;
+              rp_study = name;
               rp_threads = t;
               rp_seconds = r.Exec.stats.Exec.seconds;
               rp_speedup = speedup;
@@ -130,24 +126,7 @@ let run ?benches ?(max_threads = 4) ?(scale = Study.Small) ?history ?trace
           Printf.printf "trace: %d real events written to %s\n" (List.length events) pf
         end)
       threads);
-  (match history with
-  | None -> ()
-  | Some (path, rev) ->
-    H.append path
-      {
-        H.rev;
-        config = config_digest ~scale ~benches ~max_threads;
-        scale = Study.scale_to_string scale;
-        jobs = max_threads;
-        total_seconds;
-        gc = None;
-        studies = [];
-        real = points;
-      };
-    Printf.printf "\nhistory: appended %d real points to %s\n" (List.length points) path);
-  let n_ok =
-    List.length (List.filter (fun (p : H.real_point) -> p.H.rp_ok) points)
-  in
+  let n_ok = List.length (List.filter (fun p -> p.rp_ok) points) in
   Printf.printf
     "\nvalidate-real: %d/%d points byte-identical across %d benches in %.1fs — %s\n%!" n_ok
     (List.length points) (List.length benches) total_seconds

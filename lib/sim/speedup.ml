@@ -6,16 +6,9 @@ let paper_thread_counts = [ 1; 2; 4; 6; 8; 12; 16; 24; 32 ]
 
 let sweep ?pool ?(threads = paper_thread_counts) ?(policy = Pipeline.default_policy)
     ?(config = fun ~cores -> Machine.Config.default ~cores) ~label input =
-  (* Each point is timed into the default span registry under the series
-     label; Span.record is mutex-protected, so the pool path aggregates
-     across domains. *)
   let run_one n =
-    Obs.Span.time
-      (Printf.sprintf "sweep-point/%s" label)
-      (fun () ->
-        let cfg = config ~cores:n in
-        let result = Pipeline.run cfg ~policy input in
-        { threads = n; speedup = Pipeline.speedup result; result })
+    let result = Pipeline.run (config ~cores:n) ~policy input in
+    { threads = n; speedup = Pipeline.speedup result; result }
   in
   let threads = List.sort_uniq compare threads in
   (* Each sweep point is an independent simulation of the same immutable

@@ -16,9 +16,9 @@
 # deterministic output of bench/main.exe and repro (the tables and
 # figures, run, plan, explain, --summary, lint, audit-pdg, infer and
 # their self-tests) at jobs 1 and 4 where jobs apply.  The bench smoke
-# below regenerates the tables and figures at medium scale and appends
-# their wall clock to BENCH_history.jsonl, so each PR leaves a perf
-# data point behind.
+# below regenerates the tables and figures at medium scale at jobs 1
+# and N, and the anti-scaling gate compares the two runs' wall clock.
+# The script writes nothing in the checkout outside _build.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -51,26 +51,87 @@ if [[ -z "${SCALING_TOLERANCE:-}" && "$cores" -lt "$SCALE_JOBS" ]]; then
   echo "check.sh: ${cores} core(s) < ${SCALE_JOBS} jobs — scaling gate is informational on this box"
 fi
 
+# The anti-scaling verdict: `scaling_verdict SEQ PAR` compares a jobs=N
+# run of PAR seconds against a jobs=1 run of SEQ seconds, prints both
+# times and the ratio, and exits 0 when the parallel run is at most
+# SCALING_TOLERANCE (default 0.15, a non-negative fraction) slower, 1
+# when it is slower still, and 2 when the tolerance is malformed.
+scaling_verdict() (
+  tol="${SCALING_TOLERANCE-0.15}"
+  if ! [[ "$tol" =~ ^([0-9]+[.]?[0-9]*|[.][0-9]+)([eE][-+]?[0-9]+)?$ ]]; then
+    echo "check.sh: SCALING_TOLERANCE must be a non-negative fraction, got '${tol}'" >&2
+    exit 2
+  fi
+  awk -v seq="$1" -v par="$2" -v tol="$tol" -v jobs="$SCALE_JOBS" 'BEGIN {
+    ratio = seq > 0 ? par / seq : 1
+    printf "check.sh: scaling gate: jobs=%d %.2fs vs jobs=1 %.2fs (ratio %.2f, tolerance %.0f%%)\n",
+      jobs, par, seq, ratio, 100 * tol
+    if (ratio <= 1 + tol) { print "  ok: parallel run within tolerance of sequential"; exit 0 }
+    printf "  ANTI-SCALING: jobs=%d is %.0f%% slower than jobs=1 (allowed: %.0f%%)\n",
+      jobs, 100 * (ratio - 1), 100 * tol
+    exit 1
+  }'
+)
+
+# The verdict's self-test on fixed numbers, before it judges real runs:
+# 20 s against 10 s fails, 10.5 s against 10 s passes at 0.15, and a
+# malformed tolerance is an input error.
+for verdict_case in "1 0.15 10 20" "0 0.15 10 10.5" "2 abc 10 10"; do
+  read -r want tol seq par <<< "$verdict_case"
+  got=0
+  SCALING_TOLERANCE="$tol" scaling_verdict "$seq" "$par" > /dev/null 2>&1 || got=$?
+  if [[ "$got" -ne "$want" ]]; then
+    echo "check.sh: scaling_verdict ${seq} ${par} at SCALING_TOLERANCE=${tol} exited ${got}, want ${want}" >&2
+    exit 1
+  fi
+done
+
+# `timed VAR CMD...` runs CMD with stdout discarded and stores its wall
+# clock, in seconds, in VAR.
+timed() {
+  local var="$1" t0 t1 us
+  shift
+  t0="${EPOCHREALTIME/[.,]/}"
+  "$@" > /dev/null
+  t1="${EPOCHREALTIME/[.,]/}"
+  us=$((t1 - t0))
+  printf -v "$var" '%d.%06d' $((us / 1000000)) $((us % 1000000))
+}
+
 dune build
 dune runtest
 dune build @prop
 
 # Bench smoke, twice in the same session: sequential, then parallel.
-# Both append to BENCH_history.jsonl at the same revision, which is
-# exactly the same-rev pair the --scaling gate wants.  Their stdout is
-# the golden snapshot test/golden/bench-quick.expected, which dune
-# runtest above already compared at jobs 1 and 4.
+# Their stdout is the golden snapshot test/golden/bench-quick.expected,
+# which dune runtest above already compared at jobs 1 and 4.  The built
+# executable runs directly, not through `dune exec`, whose start-up
+# (about 0.2 s) would otherwise be added to both sides of the ratio.
 #
-# These two runs are the perf record, so they measure the simulator
-# hot path alone: SIM_VALIDATE is off (the oracle re-checks every
-# schedule, which would add its own time, about a third of the
-# simulation's in a model-sim pass, to the scaling measurement; its
-# bookkeeping is int arrays filled in two walks and allocates little,
-# 0.4 Mword per traced model-sim pass).  Oracle coverage comes
+# These two runs are what the anti-scaling gate times, so they measure
+# the simulator hot path alone: SIM_VALIDATE is off (the oracle
+# re-checks every schedule, which would add its own time, about a third
+# of the simulation's in a model-sim pass, to the scaling measurement;
+# its bookkeeping is int arrays filled in two walks and allocates
+# little, 0.4 Mword per traced model-sim pass).  Oracle coverage comes
 # from dune runtest / @prop above, whose snapshot rules all set
 # SIM_VALIDATE=1.
-SIM_VALIDATE=0 REPRO_JOBS=1 dune exec bench/main.exe > /dev/null
-SIM_VALIDATE=0 REPRO_JOBS="$SCALE_JOBS" dune exec bench/main.exe > /dev/null
+bench_exe=_build/default/bench/main.exe
+timed seq_seconds env SIM_VALIDATE=0 REPRO_JOBS=1 "$bench_exe"
+timed par_seconds env SIM_VALIDATE=0 REPRO_JOBS="$SCALE_JOBS" "$bench_exe"
+
+# Anti-scaling gate: the jobs=N run must not be more than
+# SCALING_TOLERANCE slower in wall clock than the jobs=1 run.  The gate
+# catches the pathological case where adding domains makes the harness
+# slower than running sequentially.  Informational mode (oversubscribed
+# box, see above) tolerates exit 1 but still fails on exit 2.
+scaling_code=0
+scaling_verdict "$seq_seconds" "$par_seconds" || scaling_code=$?
+if [[ "$scaling_code" -eq 1 && "$scaling_enforce" -eq 0 ]]; then
+  echo "check.sh: anti-scaling above is expected when ${SCALE_JOBS} domains time-slice ${cores} core(s); not fatal here (set SCALING_TOLERANCE to enforce)"
+elif [[ "$scaling_code" -ne 0 ]]; then
+  exit "$scaling_code"
+fi
 
 # Trace smoke: run one registry study with SIM_TRACE set, then parse the
 # emitted Chrome trace back and assert it has slices + counter tracks.
@@ -91,43 +152,14 @@ if ! dune exec bin/repro.exe -- lint -b 164.gzip -s small --json "$findings_json
 fi
 rm -f "$findings_json"
 
-# Anti-scaling gate: the newest jobs>1 entry must not be more than
-# SCALING_TOLERANCE (default 15%) slower in wall clock than the newest
-# same-rev jobs=1 entry.  The gate catches the pathological case where
-# adding domains makes the harness slower than running sequentially.
-# Exit codes: 0 = ok / nothing to compare, 1 = anti-scaling, 2 = input
-# error.  Informational mode (oversubscribed box, see above) tolerates
-# exit 1 but still fails on exit 2.
-scaling_code=0
-dune exec scripts/compare_bench.exe -- --scaling BENCH_history.jsonl || scaling_code=$?
-if [[ "$scaling_code" -eq 1 && "$scaling_enforce" -eq 0 ]]; then
-  echo "check.sh: anti-scaling above is expected when ${SCALE_JOBS} domains time-slice ${cores} core(s); not fatal here (set SCALING_TOLERANCE to enforce)"
-elif [[ "$scaling_code" -ne 0 ]]; then
-  exit "$scaling_code"
-fi
-
 # Real-runtime smoke: execute one small bench on actual domains and
 # assert the parallel output is byte-identical to the sequential
-# reference (validate-real exits 1 on any mismatch).  The run appends a
-# `real` entry to BENCH_history.jsonl; such entries are ignored by the
-# scaling gate above (it measures the simulator, not the runtime) but
-# must round-trip through the history format.
-hist_len_before="$(wc -l < BENCH_history.jsonl)"
-dune exec bin/repro.exe -- validate-real -b 164.gzip -t 2 -s small \
-  --history BENCH_history.jsonl > /dev/null
-hist_len_after="$(wc -l < BENCH_history.jsonl)"
-if [[ "$hist_len_after" -ne $((hist_len_before + 1)) ]]; then
-  echo "check.sh: validate-real did not append exactly one history entry" >&2
-  exit 1
-fi
-if ! tail -n 1 BENCH_history.jsonl | grep -q '"real"'; then
-  echo "check.sh: validate-real history entry lacks a real block" >&2
-  exit 1
-fi
+# reference (validate-real exits 1 on any mismatch).
+dune exec bin/repro.exe -- validate-real -b 164.gzip -t 2 -s small > /dev/null
 
 # Equality-check self-test: with a deliberately corrupted parallel
 # output the byte-equality check must fail, proving validate-real can
-# actually detect a wrong answer (exit 1; no history written).
+# actually detect a wrong answer (exit 1).
 if dune exec bin/repro.exe -- validate-real -b 164.gzip -t 2 -s small \
   --self-test-corrupt > /dev/null 2>&1; then
   echo "check.sh: validate-real --self-test-corrupt did not fail" >&2
@@ -164,5 +196,4 @@ for t in 2 3; do
   dune exec scripts/validate_trace.exe -- "$vpr_trace/vpr-t$t.json"
 done
 
-echo "check.sh: build + runtest (golden snapshots) + prop + bench smoke (jobs=1 and jobs=${SCALE_JOBS}) + trace smoke + lint/audit-pdg --json + scaling gate + validate-real smoke + telemetry smoke + speculative trace smoke OK (schedules oracle-validated)"
-echo "perf record: BENCH_summary.json, BENCH_summary.csv, BENCH_history.jsonl"
+echo "check.sh: scaling verdict self-test + build + runtest (golden snapshots) + prop + bench smoke (jobs=1 and jobs=${SCALE_JOBS}) + scaling gate + trace smoke + lint/audit-pdg --json + validate-real smoke + telemetry smoke + speculative trace smoke OK (schedules oracle-validated)"

@@ -48,18 +48,14 @@ let cmd fmt = Printf.sprintf ("%%{exe:../../bin/repro.exe} " ^^ fmt)
 
 (* [produce out action] runs [action] under SIM_VALIDATE=1 (and [env],
    outermost first) to write the target [out]. *)
-let produce ?(sandbox = false) ?(env = []) out action =
+let produce ?(env = []) out action =
   let action =
     List.fold_right
       (fun (k, v) body -> L [ A "setenv"; A k; A v; body ])
       (("SIM_VALIDATE", "1") :: env)
       action
   in
-  stanza
-    (L
-       ([ A "rule"; L [ A "targets"; A out ] ]
-       @ (if sandbox then [ L [ A "deps"; L [ A "sandbox"; A "always" ] ] ] else [])
-       @ [ L [ A "action"; action ] ]))
+  stanza (L [ A "rule"; L [ A "targets"; A out ]; L [ A "action"; action ] ])
 
 let output_of ?(stderr = false) ?(exit_code = 0) cmd =
   let run = L (A "run" :: atoms cmd) in
@@ -92,9 +88,9 @@ let snapshot ?stderr ?exit_code name cmd =
 
 (* The same command at 1 and 4 jobs, both against one expected file:
    output must not depend on the job count. *)
-let jobs_pair ?sandbox ?(env = fun _ -> []) name cmd =
+let jobs_pair ?(env = fun _ -> []) name cmd =
   let out j = Printf.sprintf "%s-j%d.out" name j in
-  List.iter (fun j -> produce ?sandbox ~env:(env j) (out j) (output_of (cmd j))) [ 1; 4 ];
+  List.iter (fun j -> produce ~env:(env j) (out j) (output_of (cmd j))) [ 1; 4 ];
   check name [ out 1; out 4 ]
 
 (* The self-tests: each corrupts a known-good artifact, so the command
@@ -106,10 +102,8 @@ let () =
   print_string
     "; Generated by gen.exe from Benchmarks.Registry: do not edit.  A runtest\n\
      ; diff in ./dune re-checks this file, and `dune promote` refreshes it.\n\n";
-  (* bench/main.exe writes its BENCH_* records to BENCH_DIR; the sandbox
-     keeps them inside _build and discards them after the run. *)
-  jobs_pair "bench-quick" ~sandbox:true
-    ~env:(fun j -> [ ("BENCH_DIR", "."); ("REPRO_JOBS", string_of_int j) ])
+  jobs_pair "bench-quick"
+    ~env:(fun j -> [ ("REPRO_JOBS", string_of_int j) ])
     (fun _ -> "%{exe:../../bench/main.exe}");
   List.iter
     (fun (s : Benchmarks.Study.t) ->

@@ -2,13 +2,11 @@
    invariants over the full benchmark registry (oracle-style — every
    core's stall segments tile [0, span] so totals sum to span x cores,
    and the critical path's length equals the span), the stall/critpath
-   behavior on small hand-built loops, and the History record with its
-   anti-scaling gate and revision label. *)
+   behavior on small hand-built loops. *)
 
 module A = Obs_analysis.Attribution
 module T = Obs_analysis.Timeline
 module C = Obs_analysis.Critpath
-module H = Obs_analysis.History
 
 (* ------------------------------------------------------------------ *)
 (* Registry sweep: every study's loops on machines from serial to the
@@ -234,129 +232,6 @@ let attribution_linear_time () =
   Alcotest.(check bool) "tens of thousands of squashes" true (a.A.squashes > 20_000);
   within "Squash" elapsed
 
-(* ------------------------------------------------------------------ *)
-(* History                                                              *)
-
-let entry rev studies =
-  {
-    H.rev;
-    config = "cfg";
-    scale = "medium";
-    jobs = 4;
-    total_seconds = 1.5;
-    gc = None;
-    studies;
-    real = [];
-  }
-
-let study name span speedup =
-  { H.study = name; threads = 8; span; speedup; seconds = 0.125 }
-
-let history_roundtrip () =
-  let e = entry "abc1234" [ study "164.gzip" 59289 5.75; study "181.mcf" 1000 2.5 ] in
-  match Obs.Json.parse (Obs.Json.to_string (H.entry_to_json e)) with
-  | Error m -> Alcotest.failf "reparse failed: %s" m
-  | Ok j -> (
-    match H.entry_of_json j with
-    | Error m -> Alcotest.failf "decode failed: %s" m
-    | Ok e' -> Alcotest.(check bool) "round-trips" true (e = e'))
-
-let history_roundtrip_with_gc () =
-  let e =
-    {
-      (entry "abc1234" [ study "164.gzip" 59289 5.75 ]) with
-      H.gc =
-        Some
-          {
-            H.gc_minor_words = 1.25e9;
-            gc_promoted_words = 3.5e6;
-            gc_major_words = 4.5e6;
-            gc_minor_collections = 4821;
-            gc_major_collections = 12;
-          };
-    }
-  in
-  match Obs.Json.parse (Obs.Json.to_string (H.entry_to_json e)) with
-  | Error m -> Alcotest.failf "reparse failed: %s" m
-  | Ok j -> (
-    match H.entry_of_json j with
-    | Error m -> Alcotest.failf "decode failed: %s" m
-    | Ok e' -> Alcotest.(check bool) "gc round-trips" true (e = e'))
-
-let history_append_load () =
-  let file = Filename.temp_file "hist" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove file)
-    (fun () ->
-      H.append file (entry "aaa" [ study "x" 100 2.0 ]);
-      H.append file (entry "bbb" [ study "x" 100 2.0 ]);
-      match H.load file with
-      | Error m -> Alcotest.failf "load failed: %s" m
-      | Ok es ->
-        Alcotest.(check int) "two entries" 2 (List.length es);
-        Alcotest.(check (list string)) "in file order" [ "aaa"; "bbb" ]
-          (List.map (fun e -> e.H.rev) es))
-
-(* The anti-scaling gate: a jobs=4 run against a jobs=1 run. *)
-let timed rev jobs total_seconds = { (entry rev [ study "x" 100 2.0 ]) with H.jobs; total_seconds }
-
-let verdict entries =
-  match H.scaling ~tolerance:0.15 entries with
-  | H.Compared { par; seq; ok; _ } -> (par.H.total_seconds, seq.H.total_seconds, ok)
-  | H.Nothing_to_compare which -> Alcotest.failf "nothing to compare: no %s entry" which
-
-let verdict_t = Alcotest.(triple (float 0.) (float 0.) bool)
-
-let scaling_flags_slow_parallel () =
-  Alcotest.check verdict_t "2x slower trips the gate" (20., 10., false)
-    (verdict [ timed "aaa" 1 10.; timed "aaa" 4 20. ])
-
-let scaling_tolerance_respected () =
-  Alcotest.check verdict_t "10.5s against 10s passes" (10.5, 10., true)
-    (verdict [ timed "aaa" 1 10.; timed "aaa" 4 10.5 ])
-
-let scaling_prefers_same_rev () =
-  (* The newer jobs=1 run measured other code. *)
-  Alcotest.check verdict_t "same-rev jobs=1 entry chosen" (10.5, 10., true)
-    (verdict [ timed "aaa" 1 10.; timed "aaa" 4 10.5; timed "bbb" 1 30. ])
-
-let scaling_ignores_real () =
-  let real =
-    {
-      H.rp_study = "164.gzip";
-      rp_threads = 2;
-      rp_seconds = 0.5;
-      rp_speedup = 1.2;
-      rp_sim_speedup = 1.0;
-      rp_ok = true;
-      rp_squashes = 0;
-    }
-  in
-  let real_pair =
-    List.map (fun e -> { e with H.real = [ real ] }) [ timed "aaa" 1 1.; timed "aaa" 4 90. ]
-  in
-  Alcotest.check verdict_t "real entries skipped" (10.5, 10., true)
-    (verdict ([ timed "aaa" 1 10.; timed "aaa" 4 10.5 ] @ real_pair));
-  Alcotest.(check bool) "only real entries: nothing to compare" true
-    (H.scaling ~tolerance:0.15 real_pair = H.Nothing_to_compare "jobs>1")
-
-let rev_label () =
-  let label status = H.rev_label ~head:"abc1234" status in
-  Alcotest.(check string) "clean" "abc1234" (label []);
-  Alcotest.(check string) "records only" "abc1234"
-    (label [ " M BENCH_history.jsonl"; "M  BENCH_summary.json"; " M BENCH_summary.csv" ]);
-  Alcotest.(check string) "untracked and ignored files" "abc1234"
-    (label [ "?? scratch.ml"; "!! _build/" ]);
-  Alcotest.(check string) "modified source" "abc1234+dirty"
-    (label [ " M BENCH_history.jsonl"; " M bench/main.ml" ]);
-  Alcotest.(check string) "staged deletion" "abc1234+dirty" (label [ "D  lib/ir/region.ml" ]);
-  Alcotest.(check string) "rename of a record" "abc1234"
-    (label [ "R  BENCH_a.json -> BENCH_b.json" ]);
-  Alcotest.(check string) "rename into the tree" "abc1234+dirty"
-    (label [ "R  BENCH_a.json -> lib/a.json" ]);
-  Alcotest.(check string) "a nested BENCH_ file is code" "abc1234+dirty"
-    (label [ " M bench/BENCH_notes.md" ])
-
 let () =
   Alcotest.run "analysis"
     [
@@ -368,17 +243,5 @@ let () =
           Alcotest.test_case "squash waste counted" `Quick squash_waste_counted;
           Alcotest.test_case "attribution linear time" `Quick attribution_linear_time;
           Alcotest.test_case "overlapping recording" `Quick overlapping_recording;
-        ] );
-      ( "history",
-        [
-          Alcotest.test_case "entry round-trips" `Quick history_roundtrip;
-          Alcotest.test_case "entry round-trips with gc" `Quick history_roundtrip_with_gc;
-          Alcotest.test_case "append and load" `Quick history_append_load;
-          Alcotest.test_case "scaling gate trips on 2x slower jobs=4" `Quick
-            scaling_flags_slow_parallel;
-          Alcotest.test_case "scaling tolerance respected" `Quick scaling_tolerance_respected;
-          Alcotest.test_case "scaling prefers same-rev jobs=1" `Quick scaling_prefers_same_rev;
-          Alcotest.test_case "scaling ignores real entries" `Quick scaling_ignores_real;
-          Alcotest.test_case "rev label" `Quick rev_label;
         ] );
     ]

@@ -352,10 +352,10 @@ let validate_deterministic_columns () =
     Runtime.Validate.run ~benches:[ "164.gzip"; "175.vpr" ] ~max_threads:3
       ~scale:Benchmarks.Study.Small ()
   in
-  let row (p : Obs_analysis.History.real_point) =
-    Printf.sprintf "%s t%d sim %.2fx %s" p.Obs_analysis.History.rp_study
-      p.Obs_analysis.History.rp_threads p.Obs_analysis.History.rp_sim_speedup
-      (if p.Obs_analysis.History.rp_ok then "ok" else "MISMATCH")
+  let row (p : Runtime.Validate.point) =
+    Printf.sprintf "%s t%d sim %.2fx %s" p.Runtime.Validate.rp_study
+      p.Runtime.Validate.rp_threads p.Runtime.Validate.rp_sim_speedup
+      (if p.Runtime.Validate.rp_ok then "ok" else "MISMATCH")
   in
   Alcotest.(check (list string)) "threads, sim-pred, output"
     [
@@ -369,34 +369,10 @@ let validate_deterministic_columns () =
     (List.map row outcome.Runtime.Validate.points);
   Alcotest.(check bool) "outcome ok" true outcome.Runtime.Validate.ok;
   List.iter
-    (fun (p : Obs_analysis.History.real_point) ->
-      if p.Obs_analysis.History.rp_threads <= 3 then
-        Alcotest.(check int) (row p ^ " squashes") 0 p.Obs_analysis.History.rp_squashes)
+    (fun (p : Runtime.Validate.point) ->
+      if p.Runtime.Validate.rp_threads <= 3 then
+        Alcotest.(check int) (row p ^ " squashes") 0 p.Runtime.Validate.rp_squashes)
     outcome.Runtime.Validate.points
-
-let validate_history_round_trips () =
-  let path = Filename.temp_file "validate_real" ".jsonl" in
-  Sys.remove path;
-  let outcome =
-    Runtime.Validate.run ~benches:[ "253.perlbmk" ] ~max_threads:2
-      ~scale:Benchmarks.Study.Small ~history:path ()
-  in
-  let entries =
-    match Obs_analysis.History.load path with
-    | Ok es -> es
-    | Error e -> Alcotest.fail e
-  in
-  Sys.remove path;
-  match entries with
-  | [ e ] ->
-    Alcotest.(check int) "all measured points recorded" (List.length outcome.Runtime.Validate.points)
-      (List.length e.Obs_analysis.History.real);
-    Alcotest.(check bool) "real block non-empty" true (e.Obs_analysis.History.real <> []);
-    List.iter
-      (fun (p : Obs_analysis.History.real_point) ->
-        Alcotest.(check bool) "point validated" true p.Obs_analysis.History.rp_ok)
-      e.Obs_analysis.History.real
-  | es -> Alcotest.fail (Printf.sprintf "expected 1 history entry, found %d" (List.length es))
 
 (* Sim-vs-real tolerance: the measured speedup *ordering* of the three
    smallest benches must not contradict the simulator's predicted
@@ -417,12 +393,12 @@ let sim_vs_real_ordering () =
     Alcotest.(check bool) "outputs validated" true outcome.Runtime.Validate.ok;
     let best_of bench f =
       List.fold_left
-        (fun acc (p : Obs_analysis.History.real_point) ->
-          if p.Obs_analysis.History.rp_study = bench then max acc (f p) else acc)
+        (fun acc (p : Runtime.Validate.point) ->
+          if p.Runtime.Validate.rp_study = bench then max acc (f p) else acc)
         0. outcome.Runtime.Validate.points
     in
-    let measured b = best_of b (fun p -> p.Obs_analysis.History.rp_speedup) in
-    let predicted b = best_of b (fun p -> p.Obs_analysis.History.rp_sim_speedup) in
+    let measured b = best_of b (fun p -> p.Runtime.Validate.rp_speedup) in
+    let predicted b = best_of b (fun p -> p.Runtime.Validate.rp_sim_speedup) in
     (* Kendall comparison over the three pairs: concordant pairs must
        not be outnumbered by discordant ones (ordering, not absolute). *)
     let pairs =
@@ -566,8 +542,6 @@ let () =
           Alcotest.test_case "catches corrupted output" `Quick validate_catches_corruption;
           Alcotest.test_case "deterministic columns pinned" `Quick
             validate_deterministic_columns;
-          Alcotest.test_case "history round-trips real block" `Quick
-            validate_history_round_trips;
           Alcotest.test_case "sim-vs-real ordering" `Slow sim_vs_real_ordering;
         ] );
     ]
