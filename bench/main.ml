@@ -14,9 +14,7 @@
 
 let scale = Benchmarks.Study.Medium
 
-let jobs = Parallel.Pool.default_domains ()
-
-let pool = Parallel.Pool.create ~domains:jobs
+let pool = Parallel.Pool.create ~domains:(Parallel.Pool.default_domains ())
 
 let section title =
   Format.printf "@.============================================================@.";

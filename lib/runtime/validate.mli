@@ -8,12 +8,12 @@
     simulator's predicted speedup for the same study at the same thread
     count (profile -> {!Core.Framework.build} -> {!Sim.Speedup.sweep}).
 
-    With [trace] set, the first benchmark is re-run instrumented once per {e parallel} sweep point
-    (2..[max_threads] threads) and each run's event stream written as
-    its own Chrome trace: for [--trace out.json] the files are
-    [out-t2.json], [out-t3.json], ...  The 1-thread point runs the
-    sequential reference, which has no roles and hence no events, so
-    no [-t1] file is written.
+    With [trace] set, the first benchmark is re-run instrumented once
+    per {e parallel} sweep point (2..[max_threads] threads) and each
+    run's event stream written as its own Chrome trace: for [--trace
+    out.json] the files are [out-t2.json], [out-t3.json], ...  The
+    1-thread point runs the sequential reference, which has no roles and
+    hence no events, so no [-t1] file is written.
 
     [corrupt] is the gate's self-test: it flips one byte of the first
     parallel output before comparison, which must make {!run} report a
