@@ -106,7 +106,8 @@ dune build @prop
 # Their stdout is the golden snapshot test/golden/bench-quick.expected,
 # which dune runtest above already compared at jobs 1 and 4.  The built
 # executable runs directly, not through `dune exec`, whose start-up
-# (about 0.2 s) would otherwise be added to both sides of the ratio.
+# (about 0.2 s on a 2-vCPU x86-64 host) would otherwise be added to both
+# sides of the ratio.
 #
 # These two runs are what the anti-scaling gate times, so they measure
 # the simulator hot path alone: SIM_VALIDATE is off (the oracle
