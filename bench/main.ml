@@ -28,9 +28,9 @@ let experiments =
   lazy
     (Parallel.Pool.map_list pool
        (fun s ->
-         (* The nested sweep shares the pool: its points are stealable
-            by idle domains instead of running sequentially in this
-            one — that long-tail study no longer serializes the run. *)
+         (* The nested sweep shares the pool: idle domains claim its
+            points instead of leaving them to run sequentially in this
+            one, so a long-tail study does not serialize the run. *)
          Core.Experiment.run ~pool ~scale s)
        Benchmarks.Registry.all)
 

@@ -119,15 +119,8 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List the benchmark case studies.")
     Term.(const run $ const ())
 
-let verbose_arg =
-  Arg.(value & flag
-       & info [ "verbose" ]
-           ~doc:"Print scheduler statistics to stderr after the sweep: per-slot tasks \
-                 run, steal counts, busy seconds and minor-heap words from the \
-                 work-stealing pool.")
-
 let run_cmd =
-  let run name scale jobs trace summary verbose =
+  let run name scale jobs trace summary =
     with_study name (fun study ->
       with_pool jobs (fun pool ->
           let e = Core.Experiment.run ~pool ~scale study in
@@ -142,13 +135,11 @@ let run_cmd =
           (match summary with
           | None -> ()
           | Some file -> write_summary ~threads input file);
-          if verbose then Format.eprintf "%a@." Parallel.Pool.pp_stats pool;
           Ok ()))
   in
   Cmd.v (Cmd.info "run" ~doc:"Sweep one benchmark across thread counts.")
     Term.(term_result
-            (const run $ bench_arg $ scale_arg $ jobs_arg $ trace_arg $ summary_arg
-             $ verbose_arg))
+            (const run $ bench_arg $ scale_arg $ jobs_arg $ trace_arg $ summary_arg))
 
 let explain_cmd =
   let json_arg =
@@ -669,7 +660,7 @@ let validate_real_cmd =
              ~doc:"Validate one benchmark (e.g. 164.gzip or gzip). Default: all 11.")
   in
   let threads_arg =
-    Arg.(value & opt int 4
+    Arg.(value & opt positive_int 4
          & info [ "t"; "threads" ] ~docv:"N"
              ~doc:"Run each benchmark at every domain count from 1 to $(docv). Real \
                    speedup needs at least $(docv) cores; output equality is checked \

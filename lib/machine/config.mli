@@ -8,19 +8,14 @@
 type t = {
   cores : int;  (** total cores available, >= 1 *)
   queue_capacity : int;  (** entries per core-to-core queue (paper: 32) *)
-  queue_count : int;  (** total queues available (paper: 256) *)
   comm_latency : int;  (** work units per queue hop *)
 }
 
-val make :
-  cores:int -> ?queue_capacity:int -> ?queue_count:int -> ?comm_latency:int -> unit -> t
-(** Defaults: 32-entry queues, 256 queues, latency 1.  Raises
-    [Invalid_argument] on non-positive cores or capacity. *)
+val make : cores:int -> ?queue_capacity:int -> ?comm_latency:int -> unit -> t
+(** Defaults: 32-entry queues, latency 1.  Raises [Invalid_argument] on
+    non-positive cores or capacity. *)
 
 val default : cores:int -> t
 
-val queues_needed : t -> int
-(** Queues the DSWP plan consumes: one in-queue and one out-queue per
-    phase-B core.  Always within the paper's 256 budget for <= 32 cores. *)
-
 val pp : Format.formatter -> t -> unit
+(** Prints the paper's 256-queue budget beside the machine size. *)

@@ -1,285 +1,126 @@
-(* Work-stealing pool: each slot (owner = slot 0, spawned domains =
-   slots 1..size-1) owns a deque of chunked tasks.  A submitter splits
-   its batch into chunks and pushes them on its OWN deque's front; the
-   owner then helps until the batch drains.  Idle slots steal half of a
-   victim's deque from the back — the oldest, coarsest chunks — so a
-   nested batch submitted from inside a worker (a sweep inside a study)
-   is immediately visible to thieves instead of degrading to sequential
-   execution in the submitting domain. *)
+(* One list of open batches, shared by every domain of the pool.  A
+   batch's items are claimed one at a time through an atomic counter.
+   A submitter appends its batch, claims from it until none is left,
+   then helps the oldest open batch until its own has finished; a
+   spawned domain does the same until shutdown.  One mutex/condition
+   pair covers the list, sleeping and waking: every pool item runs for
+   milliseconds, so the lock is held for a sliver of the time spent
+   outside it. *)
 
 (* One fan-out.  [run_item] must not raise — callers wrap their function
    and stash the first exception instead. *)
 type batch = {
+  total : int;
+  next : int Atomic.t;  (* next unclaimed index; may overshoot [total] *)
   remaining : int Atomic.t;  (* items not yet completed *)
   run_item : int -> unit;
 }
 
-type task = { batch : batch; lo : int; hi : int }
-
-type worker = {
-  dq : task Simcore.Deque.t;
-  dlock : Mutex.t;
-  (* Stats fields are written only by the slot's own domain; readers
-     (Pool.stats) see a quiescent pool. *)
-  mutable tasks_run : int;
-  mutable steals : int;
-  mutable stolen_tasks : int;
-  mutable busy_seconds : float;
-  mutable minor_words : float;
-}
-
 type t = {
-  glock : Mutex.t;
-  work : Condition.t;
-  mutable epoch : int;  (* bumped whenever work appears or a batch drains *)
+  lock : Mutex.t;
+  wake : Condition.t;
+  mutable batches : batch list;  (* oldest first; guarded by [lock] *)
   mutable shutting_down : bool;
-  workers : worker array;  (* length = size; slot 0 is the owner's *)
-  mutable domain_ids : Domain.id array;  (* slots 1..size-1; slot 0 unused *)
   mutable domains : unit Domain.t array;
   size : int;
 }
 
-type stats = {
-  stat_tasks_run : int array;
-  stat_steals : int array;
-  stat_stolen_tasks : int array;
-  stat_busy_seconds : float array;
-  stat_minor_words : float array;
-}
-
 let size t = t.size
 
-let stats t =
-  {
-    stat_tasks_run = Array.map (fun w -> w.tasks_run) t.workers;
-    stat_steals = Array.map (fun w -> w.steals) t.workers;
-    stat_stolen_tasks = Array.map (fun w -> w.stolen_tasks) t.workers;
-    stat_busy_seconds = Array.map (fun w -> w.busy_seconds) t.workers;
-    stat_minor_words = Array.map (fun w -> w.minor_words) t.workers;
-  }
+(* Under [lock]: forget the batches whose items are all claimed and
+   return the oldest that still has one. *)
+let oldest_open t =
+  t.batches <- List.filter (fun b -> Atomic.get b.next < b.total) t.batches;
+  match t.batches with [] -> None | b :: _ -> Some b
 
-(* Every wakeup-worthy state change bumps the epoch under [glock] and
-   broadcasts, so a sleeper that saw epoch [e] before finding no work
-   either finds the new work on its re-check or observes [epoch <> e]
-   and never blocks — no lost wakeups. *)
-let signal t =
-  Mutex.lock t.glock;
-  t.epoch <- t.epoch + 1;
-  Condition.broadcast t.work;
-  Mutex.unlock t.glock
+(* Claim and run [b]'s items until none is left.  The domain that
+   completes the last item broadcasts under [lock], where the batch's
+   submitter checks [remaining] before it sleeps, so the wake-up cannot
+   fall between that check and the wait. *)
+let rec drain t b =
+  let i = Atomic.fetch_and_add b.next 1 in
+  if i < b.total then begin
+    b.run_item i;
+    if Atomic.fetch_and_add b.remaining (-1) = 1 then begin
+      Mutex.lock t.lock;
+      Condition.broadcast t.wake;
+      Mutex.unlock t.lock
+    end;
+    drain t b
+  end
 
-let run_chunk w task =
-  let t0 = Unix.gettimeofday () in
-  let m0 = Gc.minor_words () in
-  for i = task.lo to task.hi - 1 do
-    task.batch.run_item i
-  done;
-  w.minor_words <- w.minor_words +. (Gc.minor_words () -. m0);
-  w.busy_seconds <- w.busy_seconds +. (Unix.gettimeofday () -. t0);
-  let k = task.hi - task.lo in
-  w.tasks_run <- w.tasks_run + k
-
-let finish_chunk t task =
-  let k = task.hi - task.lo in
-  if Atomic.fetch_and_add task.batch.remaining (-k) = k then signal t
-
-let pop_own w =
-  Mutex.lock w.dlock;
-  let r = Simcore.Deque.pop_front w.dq in
-  Mutex.unlock w.dlock;
-  r
-
-(* Steal from the first victim (scanning round-robin from [slot] + 1)
-   with a non-empty deque: take half its tasks, oldest first, from the
-   back — the owner works the front, so contention is minimal and the
-   thief gets the coarsest chunks.  The first stolen task is returned to
-   run now; the rest go to our own deque (empty, or we wouldn't be
-   stealing) in age order, where other thieves can see them. *)
-let steal t slot =
-  let w = t.workers.(slot) in
-  let rec scan k =
-    if k >= t.size then None
-    else begin
-      let v = t.workers.((slot + k) mod t.size) in
-      Mutex.lock v.dlock;
-      let len = Simcore.Deque.length v.dq in
-      if len = 0 then begin
-        Mutex.unlock v.dlock;
-        scan (k + 1)
-      end
-      else begin
-        let take = (len + 1) / 2 in
-        let first =
-          match Simcore.Deque.pop_back v.dq with Some x -> x | None -> assert false
-        in
-        let rest = ref [] in
-        (* Collected newest-first: later pops from the back are newer. *)
-        for _ = 2 to take do
-          match Simcore.Deque.pop_back v.dq with
-          | Some x -> rest := x :: !rest
-          | None -> ()
-        done;
-        Mutex.unlock v.dlock;
-        w.steals <- w.steals + 1;
-        w.stolen_tasks <- w.stolen_tasks + take;
-        (match !rest with
-        | [] -> ()
-        | rest ->
-          Mutex.lock w.dlock;
-          (* push_front newest-first leaves the oldest at the front. *)
-          List.iter (fun x -> Simcore.Deque.push_front w.dq x) rest;
-          Mutex.unlock w.dlock;
-          signal t);
-        Some first
-      end
-    end
-  in
-  scan 1
-
-let find_task t slot =
-  match pop_own t.workers.(slot) with
-  | Some _ as r -> r
-  | None -> if t.size > 1 then steal t slot else None
-
-let rec worker_loop t slot =
-  match find_task t slot with
-  | Some task ->
-    run_chunk t.workers.(slot) task;
-    finish_chunk t task;
-    worker_loop t slot
-  | None ->
-    Mutex.lock t.glock;
-    let e = t.epoch in
-    let stop = t.shutting_down in
-    Mutex.unlock t.glock;
-    if not stop then begin
-      (* Re-check after capturing the epoch: work pushed since the
-         failed scan either shows up here or bumped the epoch. *)
-      match find_task t slot with
-      | Some task ->
-        run_chunk t.workers.(slot) task;
-        finish_chunk t task;
-        worker_loop t slot
+(* Run open batches' items until [stop ()] holds.  [stop] is read under
+   [lock], and each change it depends on (shutdown, a batch's last
+   completion) is broadcast under [lock], as is each new batch. *)
+let rec help t ~stop =
+  Mutex.lock t.lock;
+  let rec next () =
+    if stop () then None
+    else
+      match oldest_open t with
+      | Some _ as b -> b
       | None ->
-        Mutex.lock t.glock;
-        while t.epoch = e && not t.shutting_down do
-          Condition.wait t.work t.glock
-        done;
-        let stop = t.shutting_down in
-        Mutex.unlock t.glock;
-        if not stop then worker_loop t slot
-    end
-
-let make_worker () =
-  {
-    dq = Simcore.Deque.create ();
-    dlock = Mutex.create ();
-    tasks_run = 0;
-    steals = 0;
-    stolen_tasks = 0;
-    busy_seconds = 0.;
-    minor_words = 0.;
-  }
+        Condition.wait t.wake t.lock;
+        next ()
+  in
+  let b = next () in
+  Mutex.unlock t.lock;
+  match b with
+  | None -> ()
+  | Some b ->
+    drain t b;
+    help t ~stop
 
 let create ~domains =
   let size = max 1 domains in
   let t =
     {
-      glock = Mutex.create ();
-      work = Condition.create ();
-      epoch = 0;
+      lock = Mutex.create ();
+      wake = Condition.create ();
+      batches = [];
       shutting_down = false;
-      workers = Array.init size (fun _ -> make_worker ());
-      domain_ids = [||];
       domains = [||];
       size;
     }
   in
-  t.domains <- Array.init (size - 1) (fun i -> Domain.spawn (fun () -> worker_loop t (i + 1)));
-  (* Published before the first submit: the owner's later mutex traffic
-     orders these writes for the workers. *)
-  t.domain_ids <- Array.map Domain.get_id t.domains;
+  t.domains <-
+    Array.init (size - 1) (fun _ ->
+        Domain.spawn (fun () -> help t ~stop:(fun () -> t.shutting_down)));
   t
 
-(* The slot whose deque a submit targets: a worker domain resolves to
-   its own slot (nested batch), anything else — the owner, or any
-   external caller — to slot 0. *)
-let my_slot t =
-  let me = Domain.self () in
-  let ids = t.domain_ids in
-  let rec find i = if i >= Array.length ids then 0 else if ids.(i) = me then i + 1 else find (i + 1) in
-  find 0
-
-(* Submit a batch from this domain and help until it drains.  The
-   helping loop is the same work-finding loop the workers run, so a
-   submitter whose chunks were all stolen contributes to whatever work
-   remains (possibly another batch's) instead of spinning, and a
-   shut-down or size-1 pool degrades naturally: the submitter pops its
-   own chunks back and runs them in order. *)
+(* A shut-down pool has no other domain left, so the submitter claims
+   every item itself, in index order. *)
 let run_batch t ~total ~run_item =
-  if total > 0 then begin
-    let slot = my_slot t in
-    let w = t.workers.(slot) in
-    let b = { remaining = Atomic.make total; run_item } in
-    let nchunks = if t.size <= 1 then 1 else min total (t.size * 8) in
-    Mutex.lock w.dlock;
-    for c = nchunks - 1 downto 0 do
-      (* Reverse push: chunk 0 ends up at the front, so a lone domain
-         still runs items in index order. *)
-      let lo = total * c / nchunks and hi = total * (c + 1) / nchunks in
-      if hi > lo then Simcore.Deque.push_front w.dq { batch = b; lo; hi }
-    done;
-    Mutex.unlock w.dlock;
-    if t.size > 1 then signal t;
-    let rec help () =
-      if Atomic.get b.remaining > 0 then begin
-        match find_task t slot with
-        | Some task ->
-          run_chunk w task;
-          finish_chunk t task;
-          help ()
-        | None ->
-          Mutex.lock t.glock;
-          let e = t.epoch in
-          Mutex.unlock t.glock;
-          if Atomic.get b.remaining > 0 then begin
-            match find_task t slot with
-            | Some task ->
-              run_chunk w task;
-              finish_chunk t task;
-              help ()
-            | None ->
-              Mutex.lock t.glock;
-              while t.epoch = e && Atomic.get b.remaining > 0 do
-                Condition.wait t.work t.glock
-              done;
-              Mutex.unlock t.glock;
-              help ()
-          end
-      end
-    in
-    help ()
-  end
+  let b = { total; next = Atomic.make 0; remaining = Atomic.make total; run_item } in
+  Mutex.lock t.lock;
+  t.batches <- t.batches @ [ b ];
+  Condition.broadcast t.wake;
+  Mutex.unlock t.lock;
+  drain t b;
+  help t ~stop:(fun () -> Atomic.get b.remaining = 0)
 
 let reraise (e, bt) = Printexc.raise_with_backtrace e bt
+
+(* Run [body 0 .. n-1] as one batch; the first exception any item raised
+   is re-raised once the batch has drained. *)
+let run_all t ~n body =
+  let error = Atomic.make None in
+  let run_item i =
+    try body i
+    with e ->
+      let bt = Printexc.get_raw_backtrace () in
+      ignore (Atomic.compare_and_set error None (Some (e, bt)))
+  in
+  run_batch t ~total:n ~run_item;
+  Option.iter reraise (Atomic.get error)
 
 let map t f arr =
   let n = Array.length arr in
   if t.size <= 1 || n <= 1 then Array.map f arr
   else begin
     let results = Array.make n None in
-    let error = Atomic.make None in
-    let run_item i =
-      match f arr.(i) with
-      | v -> results.(i) <- Some v
-      | exception e ->
-        let bt = Printexc.get_raw_backtrace () in
-        ignore (Atomic.compare_and_set error None (Some (e, bt)))
-    in
-    run_batch t ~total:n ~run_item;
-    match Atomic.get error with
-    | Some err -> reraise err
-    | None -> Array.map (function Some v -> v | None -> assert false) results
+    run_all t ~n (fun i -> results.(i) <- Some (f arr.(i)));
+    Array.map Option.get results
   end
 
 let map_list t f l = Array.to_list (map t f (Array.of_list l))
@@ -289,29 +130,17 @@ let parallel_for t ~n body =
     for i = 0 to n - 1 do
       body i
     done
-  else begin
-    let error = Atomic.make None in
-    let run_item i =
-      match body i with
-      | () -> ()
-      | exception e ->
-        let bt = Printexc.get_raw_backtrace () in
-        ignore (Atomic.compare_and_set error None (Some (e, bt)))
-    in
-    run_batch t ~total:n ~run_item;
-    match Atomic.get error with Some err -> reraise err | None -> ()
-  end
+  else run_all t ~n body
 
 let shutdown t =
-  Mutex.lock t.glock;
-  if t.shutting_down then Mutex.unlock t.glock
-  else begin
-    t.shutting_down <- true;
-    Condition.broadcast t.work;
-    Mutex.unlock t.glock;
+  Mutex.lock t.lock;
+  let first = not t.shutting_down in
+  t.shutting_down <- true;
+  Condition.broadcast t.wake;
+  Mutex.unlock t.lock;
+  if first then begin
     Array.iter Domain.join t.domains;
-    t.domains <- [||];
-    t.domain_ids <- [||]
+    t.domains <- [||]
   end
 
 let with_pool ~domains f =
@@ -325,15 +154,3 @@ let default_domains () =
     | Some n when n >= 1 -> n
     | Some _ | None -> Domain.recommended_domain_count ())
   | None -> Domain.recommended_domain_count ()
-
-let pp_stats ppf t =
-  let s = stats t in
-  Format.fprintf ppf "pool: %d domain%s@," t.size (if t.size = 1 then "" else "s");
-  Array.iteri
-    (fun i _ ->
-      Format.fprintf ppf "  slot %d%s: %d tasks, %d steals (%d tasks taken), %.3fs busy, %.0f minor words@,"
-        i
-        (if i = 0 then " (owner)" else "")
-        s.stat_tasks_run.(i) s.stat_steals.(i) s.stat_stolen_tasks.(i)
-        s.stat_busy_seconds.(i) s.stat_minor_words.(i))
-    t.workers

@@ -1,23 +1,30 @@
-(** Work-stealing pool of worker domains for running independent
-    experiment points in parallel.
+(** Pool of worker domains for running independent experiment points in
+    parallel.
 
     Hand-rolled on stdlib [Domain]/[Mutex]/[Condition] — no external
-    dependency.  Each slot (the owner is slot 0; a pool of size [n]
-    spawns [n - 1] worker domains in slots 1..n-1) owns a chunked task
-    deque: a submitter splits its batch into at most [8 × size] chunks,
-    pushes them on its own deque and helps until the batch drains, while
-    idle slots steal half of a victim's deque from the back (the oldest,
-    coarsest chunks).  Stealing makes nested submissions parallel: a
-    [map] issued from inside a worker's function pushes chunks that
-    idle domains pick up, instead of degrading to sequential execution
-    in the calling domain.
+    dependency.  A pool of size [n] is the submitting domain plus [n - 1]
+    spawned domains, which share one list of open batches.  A batch's
+    items are claimed one at a time.  The submitter works through its own
+    batch first, then helps the oldest open batch until its own has
+    finished; an idle domain takes the oldest batch that still has an
+    unclaimed item.  So a [map] issued from inside an item (a sweep
+    inside a study) is open to every idle domain instead of running
+    sequentially in the calling one.
+
+    A domain claims an item only when it is idle, or from inside a
+    [map] or [parallel_for] that its running item made; it never sets a
+    running item aside.  On an idle pool, a batch of at most [size]
+    items that submit no batch of their own therefore runs all of its
+    items at the same time, each on its own domain, so they may block
+    on one another.  [Runtime.Exec] relies on this for its pipeline
+    roles.
 
     Determinism: [map] gathers results by input index, so the output
     array is bit-identical to [Array.map] regardless of which domain
     computed which element — provided the function itself is
     deterministic per element (all simulator entry points are; every RNG
-    in the reproduction is seeded per study).  Stealing perturbs only
-    wall-clock scheduling, never result placement. *)
+    in the reproduction is seeded per study).  The pool's scheduling
+    changes only wall clock, never result placement. *)
 
 type t
 
@@ -35,7 +42,8 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
     are ordered by input index.  If [f] raises on any element, the
     batch still drains and the first captured exception is re-raised
     (with its original backtrace) in the caller; which exception is
-    "first" is unspecified when several elements raise. *)
+    "first" is unspecified when several elements raise.  A pool of size
+    1, or an array of at most one element, is mapped in the caller. *)
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map] for lists, preserving order. *)
@@ -43,24 +51,6 @@ val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 val parallel_for : t -> n:int -> (int -> unit) -> unit
 (** [parallel_for t ~n body] runs [body i] for [0 <= i < n] across the
     pool.  Same exception contract as [map]. *)
-
-type stats = {
-  stat_tasks_run : int array;  (** items executed, per slot *)
-  stat_steals : int array;  (** successful steal operations, per slot *)
-  stat_stolen_tasks : int array;  (** chunks taken by those steals *)
-  stat_busy_seconds : float array;  (** wall-clock spent running items *)
-  stat_minor_words : float array;
-      (** minor-heap words allocated while running items — summed over
-          slots this covers allocation in every domain, which the main
-          domain's [Gc.stat] alone would miss *)
-}
-
-val stats : t -> stats
-(** Cumulative per-slot counters since [create] (slot 0 = the owner /
-    external submitters).  Meant to be read between batches; reading
-    while a batch is in flight may see partially-updated counters. *)
-
-val pp_stats : Format.formatter -> t -> unit
 
 val shutdown : t -> unit
 (** Join the worker domains.  Idempotent.  A shut-down pool remains

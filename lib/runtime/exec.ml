@@ -74,23 +74,16 @@ let code = function
    closing pop, so a ring this size never wraps. *)
 let ring_capacity n = (5 * n) + 1
 
-(* Per-role accounting; each role mutates only its own record, so no
-   synchronization is needed (the records are read after the batch
-   joins). *)
+(* A role's recorder: its probe ring, written only by the role itself
+   and read after the batch joins, and the run's clock origin. *)
 type acct = {
-  mutable items : int;
-  mutable busy : float;
-  mutable starved : float;
-  mutable blocked : float;
-  mutable origin : float;  (* the run's clock origin *)
-  prb : Obs.Probe.t option;  (* written only by the owning role *)
+  mutable origin : float;
+  prb : Obs.Probe.t option;
 }
-
-let us_since acct t = int_of_float ((t -. acct.origin) *. 1e6)
 
 (* Telemetry's only clock read.  Every caller sits behind a [Some]
    check of [acct.prb], so a probe-off run reads no clock for it. *)
-let clock_us acct = us_since acct (now ())
+let clock_us acct = int_of_float ((now () -. acct.origin) *. 1e6)
 
 (* A span record ending now; [since] is its start in run microseconds. *)
 let note_span acct kind ~since ~b =
@@ -107,16 +100,14 @@ let note_queue acct kind q i =
   | None -> ()
   | Some p -> Obs.Probe.record p ~kind:(code kind) ~time:(clock_us acct) ~a:(Spsc.length q) ~b:i
 
-(* The [since] of a span that has no clock read of its own. *)
+(* A span's start in run microseconds: a clock read only when probed. *)
 let mark acct = match acct.prb with None -> 0 | Some _ -> clock_us acct
 
-(* One stage body, timed for [busy] and recorded as a [Stage] span. *)
+(* One stage body, recorded as a [Stage] span. *)
 let stage acct f i x =
-  let tb = now () in
+  let since = mark acct in
   let v = f i x in
-  acct.busy <- acct.busy +. (now () -. tb);
-  acct.items <- acct.items + 1;
-  note_span acct Stage ~since:(us_since acct tb) ~b:i;
+  note_span acct Stage ~since ~b:i;
   v
 
 (* Stall durations are recorded only on the slow path (the ring looked
@@ -127,15 +118,14 @@ let pop_acct acct ~slot q =
     | `Item x -> Some x
     | `Closed -> None
     | `Empty ->
-      let t0 = now () in
+      let since = mark acct in
       let rec spin k =
         match Spsc.try_pop q with
         | `Empty ->
           Spsc.backoff k;
           spin (k + 1)
         | (`Item _ | `Closed) as r ->
-          acct.starved <- acct.starved +. (now () -. t0);
-          note_span acct Pop_stall ~since:(us_since acct t0) ~b:slot;
+          note_span acct Pop_stall ~since ~b:slot;
           (match r with `Item x -> Some x | `Closed -> None)
       in
       spin 0
@@ -145,12 +135,9 @@ let pop_acct acct ~slot q =
 
 let push_acct acct ~slot q ((i, _) as x) =
   if not (Spsc.try_push q x) then begin
-    let t0 = now () in
+    let since = mark acct in
     let rec spin k =
-      if Spsc.try_push q x then begin
-        acct.blocked <- acct.blocked +. (now () -. t0);
-        note_span acct Push_stall ~since:(us_since acct t0) ~b:slot
-      end
+      if Spsc.try_push q x then note_span acct Push_stall ~since ~b:slot
       else begin
         Spsc.backoff k;
         spin (k + 1)
@@ -206,7 +193,7 @@ let seq_result staged =
 
 let role_name ~r k = if k = 0 then "A" else if k <= r then Printf.sprintf "B%d" (k - 1) else "C"
 
-let role_probe ~r k (a : acct) =
+let role_probe ~r k ring =
   let rp =
     {
       rp_role = role_name ~r k;
@@ -217,25 +204,55 @@ let role_probe ~r k (a : acct) =
       rp_validate = Obs.Hist.create ();
     }
   in
-  Option.iter
-    (fun p ->
-      List.iter
-        (fun (e : Obs.Probe.entry) ->
-          let add h = Obs.Hist.add h e.e_a in
-          match kinds.(e.e_kind) with
-          | Stage -> add rp.rp_stage
-          | Push_stall -> add rp.rp_push_stall
-          | Pop_stall -> add rp.rp_pop_stall
-          | Squash -> add rp.rp_squash
-          | Validate -> add rp.rp_validate
-          | Push | Pop -> ())
-        (Obs.Probe.entries p))
-    a.prb;
+  List.iter
+    (fun (e : Obs.Probe.entry) ->
+      let add h = Obs.Hist.add h e.e_a in
+      match kinds.(e.e_kind) with
+      | Stage -> add rp.rp_stage
+      | Push_stall -> add rp.rp_push_stall
+      | Pop_stall -> add rp.rp_pop_stall
+      | Squash -> add rp.rp_squash
+      | Validate -> add rp.rp_validate
+      | Push | Pop -> ())
+    (Obs.Probe.entries ring);
   rp
+
+(* A role's row, folded from its histograms of microsecond spans. *)
+let role_row rp =
+  let seconds hs = float_of_int (List.fold_left (fun acc h -> acc + Obs.Hist.sum h) 0 hs) *. 1e-6 in
+  {
+    rs_role = rp.rp_role;
+    rs_items = Obs.Hist.count rp.rp_stage;
+    rs_busy = seconds [ rp.rp_stage; rp.rp_squash ];
+    rs_starved = seconds [ rp.rp_pop_stall ];
+    rs_blocked = seconds [ rp.rp_push_stall ];
+  }
 
 (* Entries per SPSC ring: the paper's 32-entry queues, doubled to
    amortize cursor traffic. *)
 let queue_capacity = 64
+
+(* One row per queue, folded from the [Push] records of its producer's
+   ring: the push count and the highest occupancy after a push.  A deals
+   iteration [i] to in-queue [i mod r]; B replica [k] alone feeds
+   out-queue [k], and a fused run has no out-queue. *)
+let queue_rows ~r ~fused rings =
+  let pushes ring =
+    List.filter (fun (e : Obs.Probe.entry) -> kinds.(e.e_kind) = Push) (Obs.Probe.entries ring)
+  in
+  let row qs_queue qs_slot es =
+    {
+      qs_queue;
+      qs_slot;
+      qs_capacity = queue_capacity;
+      qs_high_water = List.fold_left (fun m (e : Obs.Probe.entry) -> max m e.e_a) 0 es;
+      qs_pushes = List.length es;
+    }
+  in
+  let from_a = pushes rings.(0) in
+  List.init r (fun s ->
+      row Obs.Event.In_queue s (List.filter (fun (e : Obs.Probe.entry) -> e.e_b mod r = s) from_a))
+  @ if fused then [] else List.init r (fun k -> row Obs.Event.Out_queue k (pushes rings.(k + 1)))
 
 let run ?pool ?(probe = false) ~threads ~name staged =
   let go d p =
@@ -248,13 +265,13 @@ let run ?pool ?(probe = false) ~threads ~name staged =
             if probe then Some (Obs.Probe.create ~capacity:(ring_capacity n) ~domain:k ())
             else None
           in
-          { items = 0; busy = 0.; starved = 0.; blocked = 0.; origin = 0.; prb })
+          { origin = 0.; prb })
     in
     let buf = Buffer.create 4096 in
     let squashes = ref 0 and violations = ref 0 in
     let error = Atomic.make None in
-    (* Queue element types differ per Staged case, so poisoning and stats
-       harvesting reach the queues through closures. *)
+    (* Queue element types differ per Staged case, so poisoning reaches
+       the queues through closures. *)
     let poison_hooks = ref [] in
     let poison_all () = List.iter (fun f -> f ()) !poison_hooks in
     let guard f () =
@@ -265,26 +282,9 @@ let run ?pool ?(probe = false) ~threads ~name staged =
         ignore (Atomic.compare_and_set error None (Some (e, bt)));
         poison_all ()
     in
-    let queue_stats : (unit -> queue_stat) list ref = ref [] in
-    let new_queues qkind k =
-      let qs =
-        Array.init k (fun _ -> Spsc.create ~capacity:queue_capacity ~instrument:probe ())
-      in
+    let new_queues k =
+      let qs = Array.init k (fun _ -> Spsc.create ~capacity:queue_capacity ()) in
       poison_hooks := (fun () -> Array.iter Spsc.poison qs) :: !poison_hooks;
-      if probe then
-        Array.iteri
-          (fun slot q ->
-            queue_stats :=
-              (fun () ->
-                {
-                  qs_queue = qkind;
-                  qs_slot = slot;
-                  qs_capacity = Spsc.capacity q;
-                  qs_high_water = Spsc.high_water q;
-                  qs_pushes = Spsc.push_count q;
-                })
-              :: !queue_stats)
-          qs;
       qs
     in
     (* The role skeleton, written once for both pipeline kinds.  A runs
@@ -292,8 +292,8 @@ let run ?pool ?(probe = false) ~threads ~name staged =
        [consume] as its stage body, then [finish] after the last
        iteration. *)
     let pipeline ~produce ~exec ~validate ~consume ~finish =
-      let a2b = new_queues Obs.Event.In_queue r in
-      let b2c = if fused then [||] else new_queues Obs.Event.Out_queue r in
+      let a2b = new_queues r in
+      let b2c = if fused then [||] else new_queues r in
       let role_a () =
         let acct = accts.(0) in
         for i = 0 to n - 1 do
@@ -418,10 +418,9 @@ let run ?pool ?(probe = false) ~threads ~name staged =
             else begin
               incr squashes;
               violations := !violations + stale;
-              let tb = now () in
+              let since = mark acct in
               let attempt = s.Staged.sp_exec ~read:committed item in
-              acct.busy <- acct.busy +. (now () -. tb);
-              note_span acct Squash ~since:(us_since acct tb) ~b:i;
+              note_span acct Squash ~since ~b:i;
               attempt
             end
           in
@@ -442,19 +441,8 @@ let run ?pool ?(probe = false) ~threads ~name staged =
     (match Atomic.get error with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> ());
-    let role_rows =
-      Array.mapi
-        (fun k (a : acct) ->
-          {
-            rs_role = role_name ~r k;
-            rs_items = a.items;
-            rs_busy = a.busy;
-            rs_starved = a.starved;
-            rs_blocked = a.blocked;
-          })
-        accts
-    in
     let rings = Array.of_list (List.filter_map (fun (a : acct) -> a.prb) (Array.to_list accts)) in
+    let tl_roles = Array.mapi (role_probe ~r) rings in
     {
       output = Buffer.contents buf;
       stats =
@@ -464,15 +452,15 @@ let run ?pool ?(probe = false) ~threads ~name staged =
           seconds;
           squashes = !squashes;
           violations = !violations;
-          roles = role_rows;
+          roles = Array.map role_row tl_roles;
         };
       telemetry =
         (if not probe then None
          else
            Some
              {
-               tl_roles = Array.mapi (role_probe ~r) accts;
-               tl_queues = List.rev_map (fun f -> f ()) !queue_stats;
+               tl_roles;
+               tl_queues = queue_rows ~r ~fused rings;
                tl_dropped = Array.fold_left (fun acc p -> acc + Obs.Probe.dropped p) 0 rings;
              });
       recording = { loop = name; span_us = int_of_float (seconds *. 1e6); rings };

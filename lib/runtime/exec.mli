@@ -11,10 +11,11 @@
     reordering buffers — so the observable output is byte-identical to
     {!Staged.run_seq} at every thread count.
 
-    The stage roles are dispatched onto a {!Parallel.Pool} batch (one
-    pool slot per role, via [parallel_for]); the pool's work-stealing
-    guarantees every role reaches a domain even when a role-chunk lands
-    behind a running role in some slot's deque.
+    The stage roles run as one {!Parallel.Pool.parallel_for} batch of
+    one item per role, and the role count never exceeds the pool's
+    size.  On an idle pool such a batch runs every item at the same
+    time, each on its own domain (the property {!Parallel.Pool} states),
+    so the roles can block on one another through the queues.
 
     [Spec] pipelines speculate against a store that only C writes:
     committed values in a flat [int] array indexed by location, sized
@@ -36,10 +37,12 @@
     paper's versioned-memory hardware; [Machine.Versioned_memory], the
     reference model of that hardware, is not used here. *)
 
+(** One role's totals, folded from its probe histograms ({!role_probe}),
+    whose spans are stamped in microseconds. *)
 type role_stats = {
   rs_role : string;  (** "A", "B0".."Bn", "C" *)
-  rs_items : int;  (** items this role processed *)
-  rs_busy : float;  (** seconds spent in stage bodies *)
+  rs_items : int;  (** items this role processed: its stage count *)
+  rs_busy : float;  (** seconds spent in stage bodies and squash re-executions *)
   rs_starved : float;  (** seconds blocked popping an empty in-queue *)
   rs_blocked : float;  (** seconds blocked pushing a full out-queue *)
 }
@@ -50,15 +53,17 @@ type stats = {
   seconds : float;  (** wall clock of the pipeline section *)
   squashes : int;  (** iterations re-executed after a stale read *)
   violations : int;  (** stale reads found by commit-time validation *)
-  roles : role_stats array;  (** A, B replicas, C — in that order *)
+  roles : role_stats array;
+      (** A, B replicas, C — in that order; empty unless the run was
+          probed and parallel *)
 }
 
-(** Post-run snapshot of one instrumented SPSC ring. *)
+(** One SPSC ring, folded from its producer's push records. *)
 type queue_stat = {
   qs_queue : Obs.Event.queue;
   qs_slot : int;
   qs_capacity : int;
-  qs_high_water : int;  (** occupancy high-water over the whole run *)
+  qs_high_water : int;  (** highest occupancy after any push *)
   qs_pushes : int;
 }
 
@@ -106,11 +111,11 @@ val run :
     Each SPSC ring holds 64 entries, the paper's 32-entry queues
     doubled to amortize cursor traffic.
     [?probe] (default off) gives every role a private {!Obs.Probe} ring,
-    sized from [Staged.iterations] so it never wraps, and instruments
-    the SPSC queues.  Each role records its stage bodies, stalls,
-    squashes, validations and every push and pop; after the roles join
-    the latencies and queue high-water marks land in
-    {!result.telemetry} and {!events} decodes the full event stream.
+    sized from [Staged.iterations] so it never wraps.  Each role records
+    its stage bodies, stalls, squashes, validations and every push and
+    pop; after the roles join, the rings are folded into
+    [stats.roles] and {!result.telemetry} (latencies, queue push counts
+    and high-water marks), and {!events} decodes the full event stream.
     Probing never touches the output bytes — it only reads clocks and
     writes preallocated rings — so output stays byte-identical to a
     probe-off run.  With probes off no telemetry clock is read and no

@@ -27,21 +27,10 @@ exception Poisoned
 (** Raised by blocking operations on a queue another role poisoned —
     the pipeline is being torn down after an error. *)
 
-val create : ?capacity:int -> ?instrument:bool -> unit -> 'a t
-(** Capacity is rounded up to a power of two; default 64.  With
-    [instrument] (default off) the producer additionally tracks the
-    ring's occupancy high-water mark and total push count in a
-    cache-padded cell of its own — one extra head read and two plain
-    stores per successful push, nothing on the default path. *)
+val create : ?capacity:int -> unit -> 'a t
+(** Capacity is rounded up to a power of two; default 64. *)
 
 val capacity : 'a t -> int
-
-val high_water : 'a t -> int
-(** Highest occupancy any push observed.  Always [0] on an
-    uninstrumented queue.  Read it only after the producer quiesces. *)
-
-val push_count : 'a t -> int
-(** Total successful pushes.  Always [0] on an uninstrumented queue. *)
 
 val length : 'a t -> int
 (** Occupancy snapshot; exact only when both sides are quiescent. *)

@@ -16,8 +16,6 @@ type outcome = {
   points : point list;
 }
 
-let thread_list max_threads = List.init (max 1 max_threads) (fun i -> i + 1)
-
 (* Simulator-predicted speedup per thread count for one study. *)
 let predictions (study : Study.t) ~scale ~threads =
   let profile = study.Study.run ~scale in
@@ -40,7 +38,7 @@ let flip_first_byte s =
 
 let run ?benches ?(max_threads = 4) ?(scale = Study.Small) ?trace ?(corrupt = false) () =
   let benches = match benches with Some bs -> bs | None -> Real_bench.names in
-  let threads = thread_list max_threads in
+  let threads = List.init max_threads (fun i -> i + 1) in
   let t_start = Unix.gettimeofday () in
   let all_ok = ref true in
   let points = ref [] in

@@ -45,4 +45,5 @@ val run :
   unit ->
   outcome
 (** Defaults: all 11 registry benchmarks, [max_threads = 4], [Small]
-    scale, no trace, no corruption. *)
+    scale, no trace, no corruption.  [max_threads] must be at least 1:
+    [repro validate-real -t] rejects anything smaller as a usage error. *)

@@ -1,7 +1,7 @@
 (** Flat double-ended [int] queue over a circular buffer.
 
-    The allocation-free sibling of {!Deque} for hot paths that move task
-    ids: push/pop touch only preallocated cells (the buffer doubles on
+    For hot paths that move task ids: push/pop touch only
+    preallocated cells (the buffer doubles on
     overflow), so a simulation tick enqueues and dequeues without
     producing any minor-heap garbage.  [peek_front_exn]/[pop_front_exn]
     avoid even the [option] box — check [is_empty] first. *)

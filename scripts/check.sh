@@ -168,15 +168,15 @@ if dune exec bin/repro.exe -- validate-real -b 164.gzip -t 2 -s small \
 fi
 
 # Telemetry smoke: run one bench on real domains with probes on,
-# assert the per-role latency histograms and queue counters print, and
-# the Chrome trace parses (its counter tracks now carry real SPSC
-# occupancy samples).
+# assert the per-role rows (items=, folded from the probe histograms),
+# the latency histograms and the queue counters print, and the Chrome
+# trace parses (its counter tracks carry real SPSC occupancy samples).
 prof_trace="$(mktemp -t prof_trace.XXXXXX.json)"
 prof_out="$(mktemp -t prof_out.XXXXXX.txt)"
 trap 'rm -f "$trace_tmp" "$prof_trace" "$prof_out"' EXIT
 dune exec bin/repro.exe -- profile-real -b 164.gzip -t 3 -s small \
   --trace "$prof_trace" > "$prof_out"
-for anchor in 'telemetry:' 'stage-us' 'high-water'; do
+for anchor in 'telemetry:' 'items=' 'stage-us' 'high-water'; do
   if ! grep -q "$anchor" "$prof_out"; then
     echo "check.sh: profile-real output lacks '$anchor':" >&2
     cat "$prof_out" >&2

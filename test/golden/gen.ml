@@ -14,7 +14,8 @@
    Every rule sets SIM_VALIDATE=1 itself, so each snapshotted schedule
    is re-checked by the oracle whenever the rule runs, and a cached
    result can never come from an unvalidated run.  Outputs that carry
-   wall-clock figures (validate-real, profile-real) are left out. *)
+   wall-clock figures (validate-real and profile-real runs) are left
+   out. *)
 
 type sexp = A of string | L of sexp list
 
@@ -142,4 +143,6 @@ let () =
   (* A count below 1 is a usage error: exit 124, usage on stderr. *)
   snapshot ~stderr:true ~exit_code:124 "explain-164.gzip-threads0"
     (cmd "explain -b 164.gzip --threads 0");
+  snapshot ~stderr:true ~exit_code:124 "validate-real-164.gzip-threads0"
+    (cmd "validate-real -b 164.gzip --threads 0 -s small");
   snapshot ~stderr:true ~exit_code:124 "plan-164.gzip-beam0" (cmd "plan -b 164.gzip --beam 0")

@@ -58,10 +58,8 @@ let parallel_for_covers_all () =
       Alcotest.(check (array int)) "each index exactly once" (Array.make 1000 1) hits)
 
 let nested_map_degrades () =
-  (* A map issued while a batch is in flight pushes chunks to the
-     worker's own deque, where idle domains steal them — correct
-     results, no deadlock, and (unlike the old fixed-batch pool)
-     actually parallel. *)
+  (* A map issued from inside an item opens a batch of its own, which
+     every idle domain can claim: correct results, no deadlock. *)
   Parallel.Pool.with_pool ~domains:4 (fun pool ->
       let out =
         Parallel.Pool.map pool
@@ -71,12 +69,11 @@ let nested_map_degrades () =
       in
       Alcotest.(check (array int)) "nested" (Array.init 16 (fun i -> 6 * i)) out)
 
-(* Steal-heavy stress: one giant task up front (the submitter chews on
-   it) plus many tiny ones — with chunked deques the tiny tasks are
-   stolen and run elsewhere while the giant one blocks its domain.
-   Every element must appear exactly once, in index order, at every
-   domain count. *)
-let steal_heavy_stress () =
+(* Long-item stress: one giant item up front (the submitter chews on
+   it) plus many tiny ones, which the other domains claim while the
+   giant one occupies its domain.  Every element must appear exactly
+   once, in index order, at every domain count. *)
+let long_item_stress () =
   let n = 101 in
   let giant_spin x =
     (* Data-dependent spin so the work can't be constant-folded. *)
@@ -104,15 +101,50 @@ let steal_heavy_stress () =
             (Array.make n 1) hits))
     (Test_util.domain_counts ())
 
-let stats_account_for_all_tasks () =
-  Parallel.Pool.with_pool ~domains:4 (fun pool ->
-      let n = 256 in
-      ignore (Parallel.Pool.map pool (fun x -> x + 1) (Array.init n (fun i -> i)));
-      let s = Parallel.Pool.stats pool in
-      let total = Array.fold_left ( + ) 0 s.Parallel.Pool.stat_tasks_run in
-      Alcotest.(check int) "every item ran exactly once" n total;
-      Alcotest.(check bool) "stolen <= run" true
-        (Array.fold_left ( + ) 0 s.Parallel.Pool.stat_stolen_tasks <= n))
+(* Bump [started], then wait until [n] items have: a batch whose items
+   block on one another.  Past a 10 s deadline the item fails, so a pool
+   that does not run the [n] items at the same time fails the test
+   instead of hanging it. *)
+let start_and_wait started n =
+  Atomic.incr started;
+  let t0 = Unix.gettimeofday () in
+  while Atomic.get started < n do
+    if Unix.gettimeofday () -. t0 > 10. then
+      failwith (Printf.sprintf "%d of %d items started within 10 s" (Atomic.get started) n);
+    Domain.cpu_relax ()
+  done
+
+(* What Runtime.Exec relies on: on an idle pool, a batch of [size] items
+   runs every item at once, each on its own domain. *)
+let full_batch_runs_at_once () =
+  List.iter
+    (fun domains ->
+      if domains >= 2 then
+        Parallel.Pool.with_pool ~domains (fun pool ->
+            let started = Atomic.make 0 in
+            Parallel.Pool.parallel_for pool ~n:domains (fun _ -> start_and_wait started domains);
+            Alcotest.(check int)
+              (Printf.sprintf "all items started at %d domains" domains)
+              domains (Atomic.get started)))
+    (Test_util.domain_counts ())
+
+(* A nested batch is open to the domain that finishes the outer batch's
+   other item: its two items wait for each other, so they finish only if
+   that domain claims one of them. *)
+let nested_batch_open_to_idle_domain () =
+  Parallel.Pool.with_pool ~domains:2 (fun pool ->
+      let out =
+        Parallel.Pool.map pool
+          (fun x ->
+            if x > 0 then x
+            else begin
+              let started = Atomic.make 0 in
+              Parallel.Pool.parallel_for pool ~n:2 (fun _ -> start_and_wait started 2);
+              Atomic.get started
+            end)
+          [| 0; 1 |]
+      in
+      Alcotest.(check (array int)) "both nested items started" [| 2; 1 |] out)
 
 let shutdown_idempotent_then_sequential () =
   let pool = Parallel.Pool.create ~domains:4 in
@@ -172,7 +204,7 @@ let randomized_plans_pool_invariant () =
     (sweep ~domains:1 = sweep ~domains:4)
 
 (* ------------------------------------------------------------------ *)
-(* Property: Pool.map with stealing == List.map, on random workloads    *)
+(* Property: Pool.map == List.map, on random workloads                  *)
 
 (* No explicit count: `dune build @prop` stress-tests the scheduler at
    1000 random workloads through CHECK_COUNT. *)
@@ -184,8 +216,9 @@ let pool_map_matches_list_map () =
   Check.Runner.run_prop_exn ~print:QCheck2.Print.(triple int (list int) int)
     ~name:"Pool.map = List.map on random workloads" gen
     (fun (domains, items, spin) ->
-      (* Uneven per-item work provokes stealing; the function is pure so
-         placement-by-index is the only thing that can go wrong. *)
+      (* Uneven per-item work spreads items unevenly over the domains;
+         the function is pure so placement-by-index is the only thing
+         that can go wrong. *)
       let f x =
         let acc = ref x in
         for i = 1 to spin * (x land 7) do
@@ -214,9 +247,10 @@ let () =
           Alcotest.test_case "nested map degrades" `Quick nested_map_degrades;
           Alcotest.test_case "shutdown idempotent" `Quick shutdown_idempotent_then_sequential;
           Alcotest.test_case "default domains" `Quick default_domains_positive;
-          Alcotest.test_case "steal-heavy stress" `Quick steal_heavy_stress;
-          Alcotest.test_case "stats account for all tasks" `Quick
-            stats_account_for_all_tasks;
+          Alcotest.test_case "long-item stress" `Quick long_item_stress;
+          Alcotest.test_case "full batch runs at once" `Quick full_batch_runs_at_once;
+          Alcotest.test_case "nested batch open to idle domain" `Quick
+            nested_batch_open_to_idle_domain;
           Alcotest.test_case "Pool.map = List.map on random workloads" `Quick
             pool_map_matches_list_map;
         ] );

@@ -113,7 +113,7 @@ let bench_output_equality () =
 
 let role_stats_cover_all_items () =
   let name = "164.gzip" in
-  let r = Exec.run ~threads:4 ~name (Runtime.Real_bench.staged name) in
+  let r = Exec.run ~threads:4 ~probe:true ~name (Runtime.Real_bench.staged name) in
   let n = Staged.iterations (Runtime.Real_bench.staged name) in
   let items role_prefix =
     Array.fold_left
@@ -127,6 +127,32 @@ let role_stats_cover_all_items () =
   Alcotest.(check int) "B replicas covered every iteration" n (items 'B');
   Alcotest.(check int) "C consumed every iteration" n (items 'C');
   Alcotest.(check int) "replicas per the paper's plan" 2 r.Exec.stats.Exec.replicas
+
+(* The role rows are folded from the probe histograms: items are stage
+   samples, busy is stage plus squash time, starved and blocked are the
+   pop and push stalls.  A probe-off run has no rows. *)
+let role_stats_fold_histograms () =
+  let name = "175.vpr" in
+  let r = Exec.run ~threads:3 ~probe:true ~name (Runtime.Real_bench.staged name) in
+  let tl = Option.get r.Exec.telemetry in
+  let seconds hs = float_of_int (List.fold_left (fun acc h -> acc + Obs.Hist.sum h) 0 hs) *. 1e-6 in
+  Array.iteri
+    (fun k rs ->
+      let rp = tl.Exec.tl_roles.(k) in
+      let role = rp.Exec.rp_role in
+      Alcotest.(check string) "same role" role rs.Exec.rs_role;
+      Alcotest.(check int) (role ^ " items") (Obs.Hist.count rp.Exec.rp_stage) rs.Exec.rs_items;
+      Alcotest.(check (float 0.)) (role ^ " busy")
+        (seconds [ rp.Exec.rp_stage; rp.Exec.rp_squash ])
+        rs.Exec.rs_busy;
+      Alcotest.(check (float 0.)) (role ^ " starved") (seconds [ rp.Exec.rp_pop_stall ])
+        rs.Exec.rs_starved;
+      Alcotest.(check (float 0.)) (role ^ " blocked") (seconds [ rp.Exec.rp_push_stall ])
+        rs.Exec.rs_blocked)
+    r.Exec.stats.Exec.roles;
+  Alcotest.(check int) "A, one B replica, C" 3 (Array.length r.Exec.stats.Exec.roles);
+  let off = Exec.run ~threads:3 ~name (Runtime.Real_bench.staged name) in
+  Alcotest.(check int) "no rows without probes" 0 (Array.length off.Exec.stats.Exec.roles)
 
 let stage_exception_propagates () =
   let staged =
@@ -514,6 +540,7 @@ let () =
         [
           Alcotest.test_case "all 11 benches byte-identical" `Quick bench_output_equality;
           Alcotest.test_case "role stats cover all items" `Quick role_stats_cover_all_items;
+          Alcotest.test_case "role stats fold the histograms" `Quick role_stats_fold_histograms;
           Alcotest.test_case "events well-formed" `Quick events_well_formed;
           Alcotest.test_case "stage exception propagates" `Quick stage_exception_propagates;
         ] );

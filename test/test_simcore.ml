@@ -166,76 +166,6 @@ let stats_geomean_property =
     (fun xs -> Simcore.Stats.geomean xs <= Simcore.Stats.mean xs +. 1e-9)
 
 (* ------------------------------------------------------------------ *)
-(* Deque                                                               *)
-
-let deque_fifo_order () =
-  let d = Simcore.Deque.create () in
-  for i = 1 to 5 do
-    Simcore.Deque.push_back d i
-  done;
-  Alcotest.(check (list int)) "to_list head first" [ 1; 2; 3; 4; 5 ] (Simcore.Deque.to_list d);
-  Alcotest.(check (option int)) "peek" (Some 1) (Simcore.Deque.peek_front d);
-  Alcotest.(check (option int)) "pop 1" (Some 1) (Simcore.Deque.pop_front d);
-  Alcotest.(check (option int)) "pop 2" (Some 2) (Simcore.Deque.pop_front d);
-  Alcotest.(check int) "length" 3 (Simcore.Deque.length d)
-
-let deque_push_front () =
-  let d = Simcore.Deque.create () in
-  Simcore.Deque.push_back d 2;
-  Simcore.Deque.push_back d 3;
-  Simcore.Deque.push_front d 1;
-  Alcotest.(check (list int)) "front first" [ 1; 2; 3 ] (Simcore.Deque.to_list d);
-  ignore (Simcore.Deque.pop_front d);
-  (* A squash re-queues at the head even after pops have normalized. *)
-  Simcore.Deque.push_front d 9;
-  Alcotest.(check (list int)) "re-queued head" [ 9; 2; 3 ] (Simcore.Deque.to_list d)
-
-let deque_empty_and_clear () =
-  let d = Simcore.Deque.create () in
-  Alcotest.(check bool) "fresh empty" true (Simcore.Deque.is_empty d);
-  Alcotest.(check (option int)) "pop empty" None (Simcore.Deque.pop_front d);
-  Simcore.Deque.push_back d 1;
-  Simcore.Deque.clear d;
-  Alcotest.(check bool) "cleared" true (Simcore.Deque.is_empty d);
-  Alcotest.(check (option int)) "peek cleared" None (Simcore.Deque.peek_front d)
-
-let deque_pop_back () =
-  let d = Simcore.Deque.create () in
-  for i = 1 to 5 do
-    Simcore.Deque.push_back d i
-  done;
-  Alcotest.(check (option int)) "peek back" (Some 5) (Simcore.Deque.peek_back d);
-  Alcotest.(check (option int)) "pop back" (Some 5) (Simcore.Deque.pop_back d);
-  Alcotest.(check (option int)) "pop front still 1" (Some 1) (Simcore.Deque.pop_front d);
-  Alcotest.(check (option int)) "pop back again" (Some 4) (Simcore.Deque.pop_back d);
-  Alcotest.(check (list int)) "middle remains" [ 2; 3 ] (Simcore.Deque.to_list d);
-  Alcotest.(check int) "length tracks both ends" 2 (Simcore.Deque.length d);
-  ignore (Simcore.Deque.pop_back d);
-  ignore (Simcore.Deque.pop_back d);
-  Alcotest.(check (option int)) "drained" None (Simcore.Deque.pop_back d)
-
-(* The thief's steal-half loop calls [length] on every victim it probes;
-   that only works if length is O(1), not a list traversal.  Time 1M
-   length calls against a 200k-element deque — a linear implementation
-   would take minutes, O(1) takes milliseconds; the bound is generous
-   enough to never flake on a loaded box. *)
-let deque_length_is_o1 () =
-  let d = Simcore.Deque.create () in
-  for i = 1 to 200_000 do
-    Simcore.Deque.push_back d i
-  done;
-  let t0 = Unix.gettimeofday () in
-  let acc = ref 0 in
-  for _ = 1 to 1_000_000 do
-    acc := !acc + Simcore.Deque.length d
-  done;
-  let dt = Unix.gettimeofday () -. t0 in
-  Alcotest.(check bool) "sum consistent" true (!acc = 1_000_000 * 200_000);
-  Alcotest.(check bool)
-    (Printf.sprintf "1M length calls on a 200k deque in %.3fs (< 1s => O(1))" dt)
-    true (dt < 1.0)
-
-(* ------------------------------------------------------------------ *)
 (* Ring                                                                *)
 
 let ring_fifo_and_growth () =
@@ -277,24 +207,33 @@ let ring_empty_behavior () =
   Alcotest.(check bool) "cleared" true (Simcore.Ring.is_empty r)
 
 let ring_model_property =
+  (* The deque model is a list, head first. *)
   qtest ~count:300 "ring matches deque model" ~print:ops_print
     QCheck2.Gen.(list (pair (int_range 0 2) small_int))
     (fun ops ->
       let r = Simcore.Ring.create ~capacity:2 () in
-      let d = Simcore.Deque.create () in
-      List.iter
-        (fun (op, x) ->
-          match op with
-          | 0 ->
-            Simcore.Ring.push_back r x;
-            Simcore.Deque.push_back d x
-          | 1 ->
-            Simcore.Ring.push_front r x;
-            Simcore.Deque.push_front d x
-          | _ -> assert (Simcore.Ring.pop_front r = Simcore.Deque.pop_front d))
-        ops;
-      Simcore.Ring.to_list r = Simcore.Deque.to_list d
-      && Simcore.Ring.length r = Simcore.Deque.length d)
+      let model =
+        List.fold_left
+          (fun l (op, x) ->
+            match op with
+            | 0 ->
+              Simcore.Ring.push_back r x;
+              l @ [ x ]
+            | 1 ->
+              Simcore.Ring.push_front r x;
+              x :: l
+            | _ -> (
+              let popped = Simcore.Ring.pop_front r in
+              match l with
+              | [] ->
+                assert (popped = None);
+                []
+              | y :: rest ->
+                assert (popped = Some y);
+                rest))
+          [] ops
+      in
+      Simcore.Ring.to_list r = model && Simcore.Ring.length r = List.length model)
 
 (* ------------------------------------------------------------------ *)
 (* Iheap (int event heap)                                              *)
@@ -370,14 +309,6 @@ let () =
           Alcotest.test_case "chance extremes" `Quick rng_chance_extremes;
           Alcotest.test_case "shuffle permutes" `Quick rng_shuffle_permutes;
           Alcotest.test_case "geometric" `Quick rng_geometric_nonnegative;
-        ] );
-      ( "deque",
-        [
-          Alcotest.test_case "fifo order" `Quick deque_fifo_order;
-          Alcotest.test_case "push front" `Quick deque_push_front;
-          Alcotest.test_case "empty and clear" `Quick deque_empty_and_clear;
-          Alcotest.test_case "pop back" `Quick deque_pop_back;
-          Alcotest.test_case "length is O(1)" `Quick deque_length_is_o1;
         ] );
       ( "heap",
         [

@@ -1,13 +1,13 @@
-(* Model-based property tests: Simcore.Deque and Simcore.Heap against a
-   naive list reference.  A random operation trace drives both; any
-   divergence shrinks to a minimal trace via QCheck2's integrated
-   shrinking. *)
+(* Model-based property tests: Simcore.Ring (the double-ended queue)
+   and Simcore.Heap against a naive list reference.  A random operation
+   trace drives both; any divergence shrinks to a minimal trace via
+   QCheck2's integrated shrinking. *)
 
 module G = QCheck2.Gen
 module R = Check.Runner
 
 (* ------------------------------------------------------------------ *)
-(* Deque vs a plain list                                               *)
+(* Ring vs a plain list                                                *)
 
 type deque_op = Push_back of int | Push_front of int | Pop_front | Peek_front | Clear | Snapshot
 
@@ -35,7 +35,7 @@ let show_ops show ops = "[" ^ String.concat "; " (List.map show ops) ^ "]"
 (* Run the trace against both implementations, folding every observable
    (pop results, peeks, lengths, snapshots) into one comparison list. *)
 let deque_trace_agrees ops =
-  let d = Simcore.Deque.create () in
+  let d = Simcore.Ring.create ~capacity:2 () in
   let model = ref [] in
   let obs_d = ref [] and obs_m = ref [] in
   let push r x = r := x :: !r in
@@ -43,30 +43,30 @@ let deque_trace_agrees ops =
     (fun op ->
       (match op with
       | Push_back x ->
-        Simcore.Deque.push_back d x;
+        Simcore.Ring.push_back d x;
         model := !model @ [ x ]
       | Push_front x ->
-        Simcore.Deque.push_front d x;
+        Simcore.Ring.push_front d x;
         model := x :: !model
       | Pop_front -> (
-        push obs_d (`Popped (Simcore.Deque.pop_front d));
+        push obs_d (`Popped (Simcore.Ring.pop_front d));
         match !model with
         | [] -> push obs_m (`Popped None)
         | x :: rest ->
           model := rest;
           push obs_m (`Popped (Some x)))
       | Peek_front ->
-        push obs_d (`Peek (Simcore.Deque.peek_front d));
+        push obs_d (`Peek (Simcore.Ring.peek_front d));
         push obs_m (`Peek (match !model with [] -> None | x :: _ -> Some x))
       | Clear ->
-        Simcore.Deque.clear d;
+        Simcore.Ring.clear d;
         model := []
       | Snapshot ->
-        push obs_d (`List (Simcore.Deque.to_list d));
+        push obs_d (`List (Simcore.Ring.to_list d));
         push obs_m (`List !model));
-      push obs_d (`Len (Simcore.Deque.length d));
+      push obs_d (`Len (Simcore.Ring.length d));
       push obs_m (`Len (List.length !model));
-      push obs_d (`Empty (Simcore.Deque.is_empty d));
+      push obs_d (`Empty (Simcore.Ring.is_empty d));
       push obs_m (`Empty (!model = [])))
     ops;
   !obs_d = !obs_m
